@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .diskstore import DiskPage, IndexReader
+from .diskstore import DiskPage, IndexReader, slot_size
 from .graphbuild import GraphIndex
 from .layout import LayoutMap
 
@@ -47,11 +47,20 @@ class CacheConfig:
         return (self.total_budget_nodes - self.static_capacity_nodes) // page_capacity
 
 
+def auto_budget_nodes(reader: IndexReader) -> int:
+    """The default budget: 1% of the index file, in whole node records."""
+    header = reader.header
+    return int(0.01 * reader.path.stat().st_size) // slot_size(header.dim, header.R)
+
+
 @dataclass
 class PhaseCounts:
     static_hits: int = 0
     dynamic_hits: int = 0
     misses: int = 0
+
+    def __add__(self, other: PhaseCounts) -> PhaseCounts:
+        return PhaseCounts(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
     @property
     def lookups(self) -> int:
@@ -70,6 +79,9 @@ class HitStats:
     phase1: PhaseCounts = field(default_factory=PhaseCounts)
     phase2: PhaseCounts = field(default_factory=PhaseCounts)
 
+    def __add__(self, other: HitStats) -> HitStats:
+        return HitStats(self.phase1 + other.phase1, self.phase2 + other.phase2)
+
     def for_phase(self, phase: int) -> PhaseCounts:
         if phase == 1:
             return self.phase1
@@ -87,13 +99,6 @@ class HitStats:
             counts.misses += 1
         else:
             raise ValueError(f"unknown hit kind {kind!r}")
-
-    def merged(self) -> PhaseCounts:
-        return PhaseCounts(
-            static_hits=self.phase1.static_hits + self.phase2.static_hits,
-            dynamic_hits=self.phase1.dynamic_hits + self.phase2.dynamic_hits,
-            misses=self.phase1.misses + self.phase2.misses,
-        )
 
 
 def preload_static(
@@ -136,7 +141,9 @@ class DynamicCache:
 
     LFU counts start at zero on first admission, rise by one per dynamic hit
     or re-admission, and ties evict the earliest-inserted page. FIFO ignores
-    re-admission. RANDOM draws from a seeded generator.
+    re-admission. RANDOM draws from a seeded generator. FIFO order and LFU
+    ties follow `pages` itself: a dict iterates in first-insertion order, and
+    overwriting a resident page keeps its place.
     """
 
     def __init__(self, capacity_pages: int, policy: str = "LFU", seed: int = 0):
@@ -148,8 +155,6 @@ class DynamicCache:
         self.policy = policy
         self.pages: dict[int, DiskPage] = {}
         self.freq: dict[int, int] = {}
-        self.ins_seq: dict[int, int] = {}
-        self._seq = 0
         self._rng = random.Random(seed)
 
     def __contains__(self, page_id: int) -> bool:
@@ -170,9 +175,9 @@ class DynamicCache:
         if not self.pages:
             raise RuntimeError("cannot pick an eviction candidate from an empty cache")
         if self.policy == "FIFO":
-            return min(self.pages, key=lambda p: self.ins_seq[p])
+            return next(iter(self.pages))
         if self.policy == "LFU":
-            return min(self.pages, key=lambda p: (self.freq[p], self.ins_seq[p]))
+            return min(self.pages, key=self.freq.__getitem__)  # first of equal counts
         ids = sorted(self.pages)
         return ids[self._rng.randrange(len(ids))]
 
@@ -180,28 +185,20 @@ class DynamicCache:
         """Insert one page, evicting per policy until within capacity; returns
         the evicted page ids in order."""
         pid = page.page_id
-        if pid in self.pages:
-            self.pages[pid] = page
-            self.freq[pid] += 1  # re-admission refreshes LFU, not FIFO position
-        else:
-            self.pages[pid] = page
-            self.freq[pid] = 0
-            self.ins_seq[pid] = self._seq
-            self._seq += 1
+        # re-admission refreshes LFU, not FIFO position
+        self.freq[pid] = self.freq[pid] + 1 if pid in self.pages else 0
+        self.pages[pid] = page
         evicted: list[int] = []
         while len(self.pages) > self.capacity_pages:
             victim = self.evict_candidate()
             del self.pages[victim]
             del self.freq[victim]
-            del self.ins_seq[victim]
             evicted.append(victim)
         return evicted
 
     def reset(self) -> None:
         self.pages.clear()
         self.freq.clear()
-        self.ins_seq.clear()
-        self._seq = 0
 
 
 class HybridCache:
@@ -218,30 +215,49 @@ class HybridCache:
         self.static = dict(static_entries)
         self.dynamic = DynamicCache(dynamic_capacity_pages, policy=policy, seed=seed)
         self.layout = layout
-        self.stats = HitStats()
         self._lock = threading.Lock()
+
+    @classmethod
+    def from_config(
+        cls, cfg: CacheConfig, graph: GraphIndex, reader: IndexReader, layout: LayoutMap
+    ) -> HybridCache:
+        """Preload the static share and size the dynamic share of cfg's budget.
+
+        The preload reads are setup cost, not workload I/O, so the reader's
+        totals are reset afterwards.
+        """
+        entries = preload_static(graph, reader, layout, cfg.static_capacity_nodes)
+        reader.stats.reset()
+        return cls(
+            entries,
+            cfg.dynamic_capacity_pages(layout.page_capacity),
+            layout,
+            policy=cfg.policy,
+            seed=cfg.seed,
+        )
 
     @property
     def dynamic_capacity_pages(self) -> int:
         return self.dynamic.capacity_pages
 
     def lookup(
-        self, node_id: int, phase: int
+        self, node_id: int, phase: int, *, hits: HitStats
     ) -> tuple[str, np.ndarray, np.ndarray] | None:
-        """Check static first, then the dynamic page store. Returns
-        (kind, vector, adjacency) on a hit; None is a miss, not an error."""
+        """Check static first, then the dynamic page store, and record the
+        outcome in hits under phase. Returns (kind, vector, adjacency) on a
+        hit; None is a miss, not an error."""
         with self._lock:
             hit = self.static.get(node_id)
             if hit is not None:
-                self.stats.record(phase, "static")
+                hits.record(phase, "static")
                 return ("static", hit[0], hit[1])
             page = self.dynamic.get(self.layout.page_of(node_id))
             if page is not None:
                 self.dynamic.touch(page.page_id)
                 vec, adj = page.slot(self.layout.slot_of(node_id), expect_node=node_id)
-                self.stats.record(phase, "dynamic")
+                hits.record(phase, "dynamic")
                 return ("dynamic", vec, adj)
-            self.stats.record(phase, None)
+            hits.record(phase, None)
             return None
 
     def admit_pages(self, pages: list[DiskPage]) -> list[int]:
@@ -252,10 +268,6 @@ class HybridCache:
             for page in pages:
                 evicted.extend(self.dynamic.admit(page))
         return evicted
-
-    def resident_pages(self) -> set[int]:
-        with self._lock:
-            return set(self.dynamic.pages)
 
     def reset_dynamic(self) -> None:
         with self._lock:

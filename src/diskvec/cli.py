@@ -11,6 +11,7 @@ flag upper-cased and dashes turned into underscores (explicit flags win).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diskstore, graphbuild, layout as layoutmod, pqcodec, search, vecdata
-from .cache import CacheConfig, HybridCache, preload_static
+from .cache import CacheConfig, HybridCache, auto_budget_nodes
 from .errors import FormatError, InvariantError
 
 ENV_PREFIX = "DISKVEC_"
@@ -61,12 +62,19 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit_report(pairs: list[tuple[str, object]], out_path: str | None) -> None:
+def _emit_report(pairs: list[tuple[str, object]], out_path: str | Path | None) -> None:
     text = "".join(f"{k}={_fmt(v)}\n" for k, v in pairs)
     if out_path:
         Path(out_path).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _fields(obj, prefix: str = "") -> list[tuple[str, object]]:
+    """A dataclass's scalar fields as report pairs: the lower-cased field
+    names, prefixed, are the keys, in declaration order."""
+    pairs = [(prefix + f.name.lower(), getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+    return [(k, v) for k, v in pairs if v is None or isinstance(v, (int, float, str))]
 
 
 def parse_report(path: str | Path) -> dict[str, str]:
@@ -154,7 +162,7 @@ def cmd_build(args: argparse.Namespace) -> None:
         ("pq_iters", args.pq_iters),
         ("entry_id", graph.entry_id),
     ]
-    (out_dir / BUILD_META_FILE).write_text("".join(f"{k}={_fmt(v)}\n" for k, v in pairs))
+    _emit_report(pairs, out_dir / BUILD_META_FILE)
     _emit_report(pairs + [("out_dir", str(out_dir))], None)
 
 
@@ -225,16 +233,37 @@ def cmd_gt(args: argparse.Namespace) -> None:
 
 
 def _open_index(index_dir: Path):
+    """Open the index file and load its sidecars, each checked against the
+    index header so that artifacts of different builds fail as bad data."""
     reader = diskstore.IndexReader(_require_file(str(index_dir / INDEX_FILE), "index file"))
-    lm = layoutmod.load_layout(_require_file(str(index_dir / LAYOUT_FILE), "layout sidecar"))
-    codebook, codes = pqcodec.load_pq(_require_file(str(index_dir / PQ_FILE), "PQ sidecar"))
-    return reader, lm, codebook, codes
+    try:
+        lm = layoutmod.load_layout(_require_file(str(index_dir / LAYOUT_FILE), "layout sidecar"))
+        codebook, codes = pqcodec.load_pq(_require_file(str(index_dir / PQ_FILE), "PQ sidecar"))
+        graph = graphbuild.load_graph(_require_file(str(index_dir / GRAPH_FILE), "graph file"))
+        h = reader.header
+        for name, what, got, want in (
+            (LAYOUT_FILE, "n", lm.n, h.n),
+            (LAYOUT_FILE, "page_capacity", lm.page_capacity, h.page_capacity),
+            (PQ_FILE, "code count", codes.shape[0], h.n),
+            (PQ_FILE, "trained dim", codebook.trained_dim, h.dim),
+            (GRAPH_FILE, "n", graph.n, h.n),
+            (GRAPH_FILE, "R", graph.R, h.R),
+            (GRAPH_FILE, "entry_id", graph.entry_id, h.entry_id),
+        ):
+            if got != want:
+                raise FormatError(
+                    f"{index_dir / name}: {what} is {got} but {INDEX_FILE} has {want}"
+                )
+    except Exception:
+        reader.close()
+        raise
+    return reader, lm, codebook, codes, graph
 
 
 def cmd_calibrate(args: argparse.Namespace) -> None:
     dataset = _load_dataset(args.dataset)
     index_dir = Path(args.index_dir)
-    reader, lm, codebook, codes = _open_index(index_dir)
+    reader, lm, codebook, codes, _ = _open_index(index_dir)
     try:
         cal = search.calibrate_theta(
             dataset,
@@ -261,56 +290,47 @@ def cmd_calibrate(args: argparse.Namespace) -> None:
         ("usable_count", cal.usable_count),
         ("early_count", cal.early_count),
     ]
-    (index_dir / THETA_FILE).write_text("".join(f"{k}={_fmt(v)}\n" for k, v in pairs))
+    _emit_report(pairs, index_dir / THETA_FILE)
     _emit_report([("command", "calibrate"), ("index_dir", str(index_dir))] + pairs, None)
 
 
-def _sidecar_theta(index_dir: Path) -> float | None:
-    theta_path = index_dir / THETA_FILE
-    if not theta_path.is_file():
-        return None
-    for line in theta_path.read_text().splitlines():
-        key, _, value = line.partition("=")
-        if key == "theta":
-            return float(value)
-    return None
-
-
-def _resolve_theta(args: argparse.Namespace, index_dir: Path) -> tuple[float, str]:
-    if args.theta is not None:
-        return args.theta, "flag"
-    sidecar = _sidecar_theta(index_dir)
-    if sidecar is not None:
-        return sidecar, "sidecar"
-    return 0.5, "default"
-
-
-def _resolve_budget(args: argparse.Namespace, index_path: Path, header) -> int:
-    if args.cache_budget is not None and args.cache_budget >= 0:
-        return args.cache_budget
-    file_bytes = index_path.stat().st_size
-    return int(0.01 * file_bytes) // diskstore.slot_size(header.dim, header.R)
-
-
-def _build_cache(args, index_dir: Path, reader, lm) -> tuple[HybridCache, CacheConfig, int]:
-    graph = graphbuild.load_graph(_require_file(str(index_dir / GRAPH_FILE), "graph file"))
-    budget = _resolve_budget(args, index_dir / INDEX_FILE, reader.header)
-    cfg = CacheConfig(
-        total_budget_nodes=budget,
-        static_fraction=args.static_frac,
-        policy=args.policy,
-        seed=args.cache_seed,
+def _search_params(args: argparse.Namespace, index_dir: Path) -> tuple[search.SearchParams, str]:
+    """The search flags, with theta from --theta, else the calibrated sidecar,
+    else 0.5; also returns which of the three supplied theta."""
+    theta, source = args.theta, "flag"
+    sidecar = index_dir / THETA_FILE
+    if theta is None and sidecar.is_file():
+        theta, source = parse_report(sidecar).get("theta"), "sidecar"
+    if theta is None:
+        theta, source = 0.5, "default"
+    params = search.SearchParams(
+        k=args.k,
+        l=args.l,
+        beam_width=args.beam_width,
+        theta=float(theta),
+        window_pages=args.window_pages,
     )
-    static_entries = preload_static(graph, reader, lm, cfg.static_capacity_nodes)
-    reader.stats.reset()  # preload reads are setup cost, not workload I/O
-    cache = HybridCache(
-        static_entries,
-        cfg.dynamic_capacity_pages(reader.header.page_capacity),
-        lm,
-        policy=cfg.policy,
-        seed=cfg.seed,
-    )
-    return cache, cfg, budget
+    return params, source
+
+
+def _build_cache(args, reader, lm, graph) -> tuple[HybridCache, list[tuple[str, object]]]:
+    """The cache the flags configure, and its report pairs."""
+    budget = args.cache_budget if args.cache_budget is not None else auto_budget_nodes(reader)
+    cfg = CacheConfig(budget, args.static_frac, args.policy, args.cache_seed)
+    cache = HybridCache.from_config(cfg, graph, reader, lm)
+    pairs: list[tuple[str, object]] = [
+        ("cache_budget_nodes", budget),
+        ("static_fraction", cfg.static_fraction),
+        ("static_capacity_nodes", cfg.static_capacity_nodes),
+        ("dynamic_capacity_pages", cache.dynamic_capacity_pages),
+        ("policy", cfg.policy),
+        ("cache_seed", cfg.seed),
+    ]
+    return cache, pairs
+
+
+def _trace_line(rec: search.TraceRecord) -> str:
+    return f"{rec.iteration},{rec.node_id},{rec.exact_dist:.6f},{rec.phase},{rec.hit_kind}\n"
 
 
 def cmd_query(args: argparse.Namespace) -> None:
@@ -318,42 +338,24 @@ def cmd_query(args: argparse.Namespace) -> None:
     queries = _load_dataset(args.queries)
     if not 0 <= args.qid < queries.n:
         raise ValueError(f"--qid {args.qid} out of range [0, {queries.n})")
-    reader, lm, codebook, codes = _open_index(index_dir)
+    reader, lm, codebook, codes, graph = _open_index(index_dir)
     try:
-        theta, theta_source = _resolve_theta(args, index_dir)
-        cache, cfg, budget = _build_cache(args, index_dir, reader, lm)
-        params = search.SearchParams(
-            k=args.k,
-            l=args.l,
-            beam_width=args.beam_width,
-            theta=theta,
-            window_pages=args.window_pages,
-        )
+        params, theta_source = _search_params(args, index_dir)
+        cache, cache_pairs = _build_cache(args, reader, lm, graph)
         results, st = search.beam_search(
             queries.vectors[args.qid], params, reader, lm, cache, codebook, codes
         )
     finally:
         reader.close()
     if args.trace:
-        lines = [
-            f"{rec.iteration},{rec.node_id},{rec.exact_dist:.6f},{rec.phase},{rec.hit_kind}\n"
-            for rec in st.trace
-        ]
-        Path(args.trace).write_text("".join(lines))
+        Path(args.trace).write_text("".join(_trace_line(rec) for rec in st.trace))
     pairs: list[tuple[str, object]] = [
         ("command", "query"),
         ("index_dir", str(index_dir)),
         ("qid", args.qid),
-        ("k", args.k),
-        ("l", args.l),
-        ("beam_width", args.beam_width),
-        ("theta", float(theta)),
+        *_fields(params),
         ("theta_source", theta_source),
-        ("window_pages", args.window_pages),
-        ("cache_budget_nodes", budget),
-        ("static_fraction", float(cfg.static_fraction)),
-        ("policy", cfg.policy),
-        ("cache_seed", cfg.seed),
+        *cache_pairs,
         ("iterations", st.iterations),
         ("transition_iter_theta", st.transition_iter_theta),
         ("transition_iter_panns", st.transition_iter_panns),
@@ -376,7 +378,7 @@ def _run_bench(args, index_dir: Path) -> tuple[list[tuple[str, object]], search.
             raise ValueError(
                 f"ground truth rows ({gt.shape[0]}) != query count ({queries.n})"
             )
-    reader, lm, codebook, codes = _open_index(index_dir)
+    reader, lm, codebook, codes, graph = _open_index(index_dir)
     try:
         if queries.dim != reader.header.dim:
             raise ValueError(
@@ -385,15 +387,8 @@ def _run_bench(args, index_dir: Path) -> tuple[list[tuple[str, object]], search.
         bypass = "inactive"
         if args.os_bypass:
             bypass = "dontneed-advised" if reader.advise_drop_os_cache() else "unsupported"
-        theta, theta_source = _resolve_theta(args, index_dir)
-        cache, cfg, budget = _build_cache(args, index_dir, reader, lm)
-        params = search.SearchParams(
-            k=args.k,
-            l=args.l,
-            beam_width=args.beam_width,
-            theta=theta,
-            window_pages=args.window_pages,
-        )
+        params, theta_source = _search_params(args, index_dir)
+        cache, cache_pairs = _build_cache(args, reader, lm, graph)
         workers = args.workers if args.workers > 0 else min(32, os.cpu_count() or 1)
         report = search.run_workload(
             queries.vectors,
@@ -408,66 +403,25 @@ def _run_bench(args, index_dir: Path) -> tuple[list[tuple[str, object]], search.
             repetitions=args.repetitions,
             reset_per_query=args.reset_per_query,
         )
-        reader_ops, reader_pages, reader_bytes = reader.stats.snapshot()
+        reader_totals = reader.stats.snapshot()
     finally:
         reader.close()
 
-    header = reader.header
-    hits = report.hits_total
     pairs: list[tuple[str, object]] = [
         ("command", "bench"),
         ("index_dir", str(index_dir)),
         ("queries_file", args.queries),
         ("gt_file", args.gt or None),
-        ("layout_kind", header.layout_kind),
-        ("n", header.n),
-        ("dim", header.dim),
-        ("r", header.R),
-        ("page_size", header.page_size),
-        ("page_capacity", header.page_capacity),
-        ("total_pages", header.total_pages),
-        ("entry_id", header.entry_id),
-        ("k", args.k),
-        ("l", args.l),
-        ("beam_width", args.beam_width),
-        ("theta", float(theta)),
+        *_fields(reader.header),
+        *_fields(params),
         ("theta_source", theta_source),
-        ("window_pages", args.window_pages),
-        ("cache_budget_nodes", budget),
-        ("static_fraction", float(cfg.static_fraction)),
-        ("static_capacity_nodes", cfg.static_capacity_nodes),
-        ("dynamic_capacity_pages", cfg.dynamic_capacity_pages(header.page_capacity)),
-        ("policy", cfg.policy),
-        ("cache_seed", cfg.seed),
-        ("workers", report.workers),
-        ("repetitions", report.repetitions),
+        *cache_pairs,
         ("reset_per_query", bool(args.reset_per_query)),
         ("os_cache_bypass", bypass),
-        ("query_count", report.query_count),
-        ("qps", report.qps),
-        ("wall_time_s", report.wall_time_s),
-        ("latency_mean_ms", report.latency_mean_ms),
-        ("latency_p50_ms", report.latency_p50_ms),
-        ("latency_p95_ms", report.latency_p95_ms),
-        ("latency_p99_ms", report.latency_p99_ms),
-        ("recall_at_k", report.mean_recall),
-        ("mean_io_ops", report.mean_io_ops),
-        ("mean_pages_read", report.mean_pages_read),
-        ("mean_bytes_read", report.mean_bytes_read),
-        ("hit_rate_phase1", report.hit_rate_phase1),
-        ("hit_rate_phase2", report.hit_rate_phase2),
-        ("phase1_static_hits", hits.phase1.static_hits),
-        ("phase1_dynamic_hits", hits.phase1.dynamic_hits),
-        ("phase1_misses", hits.phase1.misses),
-        ("phase2_static_hits", hits.phase2.static_hits),
-        ("phase2_dynamic_hits", hits.phase2.dynamic_hits),
-        ("phase2_misses", hits.phase2.misses),
-        ("mean_transition_iter_theta", report.mean_transition_theta),
-        ("mean_transition_iter_panns", report.mean_transition_panns),
-        ("mean_iterations", report.mean_iterations),
-        ("reader_total_io_ops", reader_ops),
-        ("reader_total_pages_read", reader_pages),
-        ("reader_total_bytes_read", reader_bytes),
+        *_fields(report),
+        *_fields(report.hits_total.phase1, "phase1_"),
+        *_fields(report.hits_total.phase2, "phase2_"),
+        *zip(("reader_total_io_ops", "reader_total_pages_read", "reader_total_bytes_read"), reader_totals),
     ]
     return pairs, report
 
@@ -483,10 +437,7 @@ def cmd_bench(args: argparse.Namespace) -> None:
     if args.trace_out:
         rows = []
         for qi, st in enumerate(report.stats):
-            rows.extend(
-                f"{qi},{rec.iteration},{rec.node_id},{rec.exact_dist:.6f},{rec.phase},{rec.hit_kind}\n"
-                for rec in st.trace
-            )
+            rows.extend(f"{qi},{_trace_line(rec)}" for rec in st.trace)
         Path(args.trace_out).write_text("".join(rows))
     _emit_report(pairs, args.out)
 
@@ -506,8 +457,8 @@ def cmd_compare(args: argparse.Namespace) -> None:
             ("compare_io_reduction_pct_a_vs_b", (1.0 - ratio) * 100.0),
             ("compare_phase2_hit_rate_a", report_a.hit_rate_phase2),
             ("compare_phase2_hit_rate_b", report_b.hit_rate_phase2),
-            ("compare_recall_a", report_a.mean_recall),
-            ("compare_recall_b", report_b.mean_recall),
+            ("compare_recall_a", report_a.recall_at_k),
+            ("compare_recall_b", report_b.recall_at_k),
             ("compare_qps_ratio_a_over_b", report_a.qps / report_b.qps if report_b.qps else float("inf")),
         ]
     )
@@ -559,6 +510,21 @@ def _add_search_flags(p: argparse.ArgumentParser, k_default: int = 100) -> None:
     p.add_argument(
         "--window-pages", type=int, default=_env_default("window-pages", 2, int)
     )
+
+
+def _add_workload_flags(p: argparse.ArgumentParser) -> None:
+    """Flags shared by bench and compare: the queries and how they run."""
+    p.add_argument("--queries", required=True)
+    p.add_argument("--gt", default=None)
+    _add_search_flags(p)
+    _add_cache_flags(p)
+    p.add_argument("--workers", type=int, default=_env_default("workers", 0, int), help="0 = auto")
+    p.add_argument(
+        "--repetitions", type=int, default=_env_default("repetitions", 1, int)
+    )
+    p.add_argument("--reset-per-query", action="store_true")
+    p.add_argument("--os-bypass", action="store_true", help="advise the OS to drop its cached index pages")
+    p.add_argument("--out", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -646,17 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a query workload and write a report")
     p.add_argument("--index-dir", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--gt", default=None)
-    _add_search_flags(p)
-    _add_cache_flags(p)
-    p.add_argument("--workers", type=int, default=_env_default("workers", 0, int), help="0 = auto")
-    p.add_argument(
-        "--repetitions", type=int, default=_env_default("repetitions", 1, int)
-    )
-    p.add_argument("--reset-per-query", action="store_true")
-    p.add_argument("--os-bypass", action="store_true", help="advise the OS to drop its cached index pages")
-    p.add_argument("--out", default=None)
+    _add_workload_flags(p)
     p.add_argument("--results-out", default=None, help="dump per-query result ids")
     p.add_argument("--trace-out", default=None, help="dump per-query expansion traces")
     p.set_defaults(func=cmd_bench)
@@ -664,17 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="bench two index dirs under one configuration")
     p.add_argument("--a-index-dir", required=True)
     p.add_argument("--b-index-dir", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--gt", default=None)
-    _add_search_flags(p)
-    _add_cache_flags(p)
-    p.add_argument("--workers", type=int, default=_env_default("workers", 0, int))
-    p.add_argument(
-        "--repetitions", type=int, default=_env_default("repetitions", 1, int)
-    )
-    p.add_argument("--reset-per-query", action="store_true")
-    p.add_argument("--os-bypass", action="store_true")
-    p.add_argument("--out", default=None)
+    _add_workload_flags(p)
     p.set_defaults(func=cmd_compare)
 
     return parser

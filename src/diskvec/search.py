@@ -49,19 +49,6 @@ class SearchParams:
 
 
 @dataclass
-class PhaseState:
-    """Search phase: 1 = convergence toward the query, 2 = top-k refinement.
-    Transitions at most once and never reverts."""
-
-    phase: int = 1
-
-    def to_refinement(self) -> None:
-        if self.phase != 1:
-            raise InvariantError("phase transition fired twice")
-        self.phase = 2
-
-
-@dataclass
 class TraceRecord:
     iteration: int
     node_id: int
@@ -76,10 +63,7 @@ class SearchStats:
     transition_iter_theta: int = 0
     transition_iter_panns: int = 0
     transition_iter_truth: int | None = None
-    distance_trace: list[float] = field(default_factory=list)
     trace: list[TraceRecord] = field(default_factory=list)
-    d_min: float | None = None
-    d_max: float | None = None
     io_ops: int = 0
     pages_read: int = 0
     bytes_read: int = 0
@@ -140,7 +124,7 @@ def beam_search(
     page_size = header.page_size
 
     stats = SearchStats()
-    phase = PhaseState()
+    phase = 1  # 1 = convergence toward the query, 2 = top-k refinement
     entry = header.entry_id
     queue: list[tuple[float, int]] = [(pq_distance(table, codes[entry]), entry)]
     seen = {entry}
@@ -157,15 +141,14 @@ def beam_search(
         if stats.iterations > header.n:
             raise InvariantError("beam search exceeded the iteration bound n")
         admitted_now: set[int] = set()
-        first_in_batch = True
         for nid in batch:
-            hit = cache.lookup(nid, phase.phase)
+            hit = cache.lookup(nid, phase, hits=stats.hits)
             if hit is not None:
                 kind, vec, adj = hit
             else:
                 kind = "miss"
                 page_id = layout.page_of(nid)
-                if phase.phase == 1 or cache.dynamic_capacity_pages == 0:
+                if phase == 1 or cache.dynamic_capacity_pages == 0:
                     page = reader.read_page(page_id)
                     stats.io_ops += 1
                     stats.pages_read += 1
@@ -185,20 +168,13 @@ def beam_search(
                     admitted_now.update(p.page_id for p in pages)
                     page = pages[page_id - interval.start_page]
                     vec, adj = page.slot(layout.slot_of(nid), expect_node=nid)
-            stats.hits.record(phase.phase, None if kind == "miss" else kind)
 
             diff = q64 - vec
             exact = float(np.sqrt(diff @ diff))
             visited[nid] = exact
-            stats.trace.append(TraceRecord(stats.iterations, nid, exact, phase.phase, kind))
-            if first_in_batch:
-                stats.distance_trace.append(exact)
-                first_in_batch = False
+            stats.trace.append(TraceRecord(stats.iterations, nid, exact, phase, kind))
             if true_nn is not None and nid == true_nn and stats.transition_iter_truth is None:
                 stats.transition_iter_truth = stats.iterations
-            if phase.phase == 2:
-                stats.d_min = exact if stats.d_min is None else min(stats.d_min, exact)
-                stats.d_max = exact if stats.d_max is None else max(stats.d_max, exact)
 
             fresh = [j for j in adj.tolist() if j not in seen]
             if fresh:
@@ -212,8 +188,8 @@ def beam_search(
         ids = [nid for _, nid in queue]
         if t_panns is None and detect_transition(ids, visited, params.k, 1.0):
             t_panns = stats.iterations
-        if phase.phase == 1 and detect_transition(ids, visited, params.k, params.theta):
-            phase.to_refinement()
+        if phase == 1 and detect_transition(ids, visited, params.k, params.theta):
+            phase = 2
             t_theta = stats.iterations
 
     stats.latency_s = time.perf_counter() - started
@@ -304,15 +280,15 @@ class WorkloadReport:
     latency_p50_ms: float
     latency_p95_ms: float
     latency_p99_ms: float
-    mean_recall: float | None
+    recall_at_k: float | None
     mean_io_ops: float
     mean_pages_read: float
     mean_bytes_read: float
     hit_rate_phase1: float
     hit_rate_phase2: float
     hits_total: HitStats
-    mean_transition_theta: float
-    mean_transition_panns: float
+    mean_transition_iter_theta: float
+    mean_transition_iter_panns: float
     mean_iterations: float
     results: list[list[int]]  # per query of the first repetition
     stats: list[SearchStats]  # first repetition, query order
@@ -329,15 +305,15 @@ def run_workload(
     gt: np.ndarray | None = None,
     workers: int = 1,
     repetitions: int = 1,
-    reset_between_reps: bool = True,
     reset_per_query: bool = False,
 ) -> WorkloadReport:
     """Execute the query set, optionally across concurrent workers.
 
     Result id lists are deterministic regardless of worker count (caching is
     transparent to results); only timing and cache/I/O counters depend on
-    interleaving. reset_per_query isolates queries and therefore runs them
-    sequentially. Missing ground truth leaves recall unreported.
+    interleaving. The dynamic cache is emptied between repetitions;
+    reset_per_query isolates queries and therefore runs them sequentially.
+    Missing ground truth leaves recall unreported.
     """
     queries = np.asarray(queries, dtype=np.float32)
     if queries.ndim != 2:
@@ -361,7 +337,7 @@ def run_workload(
     all_stats: list[SearchStats] = []
     started = time.perf_counter()
     for rep in range(repetitions):
-        if rep and reset_between_reps:
+        if rep:
             cache.reset_dynamic()
         if workers == 1 or reset_per_query:
             outs = []
@@ -393,14 +369,7 @@ def run_workload(
         mean_recall = float(np.mean(recalls))
 
     lat = np.array([st.latency_s for st in all_stats]) * 1e3
-    hits_total = HitStats()
-    for st in all_stats:
-        for phase in (1, 2):
-            src = st.hits.for_phase(phase)
-            dst = hits_total.for_phase(phase)
-            dst.static_hits += src.static_hits
-            dst.dynamic_hits += src.dynamic_hits
-            dst.misses += src.misses
+    hits_total = sum((st.hits for st in all_stats), HitStats())
 
     return WorkloadReport(
         query_count=Q,
@@ -412,15 +381,15 @@ def run_workload(
         latency_p50_ms=float(np.percentile(lat, 50)),
         latency_p95_ms=float(np.percentile(lat, 95)),
         latency_p99_ms=float(np.percentile(lat, 99)),
-        mean_recall=mean_recall,
+        recall_at_k=mean_recall,
         mean_io_ops=float(np.mean([st.io_ops for st in all_stats])),
         mean_pages_read=float(np.mean([st.pages_read for st in all_stats])),
         mean_bytes_read=float(np.mean([st.bytes_read for st in all_stats])),
         hit_rate_phase1=hits_total.phase1.hit_rate,
         hit_rate_phase2=hits_total.phase2.hit_rate,
         hits_total=hits_total,
-        mean_transition_theta=float(np.mean([st.transition_iter_theta for st in all_stats])),
-        mean_transition_panns=float(np.mean([st.transition_iter_panns for st in all_stats])),
+        mean_transition_iter_theta=float(np.mean([st.transition_iter_theta for st in all_stats])),
+        mean_transition_iter_panns=float(np.mean([st.transition_iter_panns for st in all_stats])),
         mean_iterations=float(np.mean([st.iterations for st in all_stats])),
         results=first_results,
         stats=first_stats,

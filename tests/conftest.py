@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from diskvec import diskstore, graphbuild, layout as layoutmod, pqcodec, vecdata
-from diskvec.cache import HybridCache, preload_static
+from diskvec.cache import CacheConfig, HybridCache
 
 
 def make_blobs(
@@ -51,12 +51,8 @@ class SmokeAssets:
         policy: str = "LFU",
         seed: int = 0,
     ) -> HybridCache:
-        lm = self.layout_for(kind)
-        static_nodes = round(static_frac * budget)
-        entries = preload_static(self.graph, reader, lm, static_nodes)
-        reader.stats.reset()
-        dyn_pages = (budget - static_nodes) // lm.page_capacity
-        return HybridCache(entries, dyn_pages, lm, policy=policy, seed=seed)
+        cfg = CacheConfig(budget, static_frac, policy, seed)
+        return HybridCache.from_config(cfg, self.graph, reader, self.layout_for(kind))
 
 
 @pytest.fixture(scope="session")

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diskvec import diskstore, graphbuild, layout as layoutmod, pqcodec, vecdata
-from diskvec.cache import DynamicCache, HybridCache, preload_static
+from diskvec import graphbuild, layout as layoutmod, pqcodec, vecdata
+from diskvec.cache import CacheConfig, DynamicCache, HybridCache, auto_budget_nodes
 from diskvec.cli import TIMING_KEYS, main, parse_report
 from diskvec.diskstore import DiskPage, IndexReader
 from diskvec.layout import compute_read_interval, mean_intra_page_distance, pack_pages
@@ -60,11 +60,8 @@ class Corpus:
     def cache_for(
         self, reader, lm, budget: int, static_frac: float, policy: str = "LFU"
     ) -> HybridCache:
-        static_nodes = round(static_frac * budget)
-        entries = preload_static(self.graph, reader, lm, static_nodes)
-        reader.stats.reset()
-        dyn = (budget - static_nodes) // lm.page_capacity
-        return HybridCache(entries, dyn, lm, policy=policy, seed=0)
+        cfg = CacheConfig(budget, static_frac, policy)
+        return HybridCache.from_config(cfg, self.graph, reader, lm)
 
 
 @pytest.fixture(scope="session")
@@ -115,8 +112,8 @@ def corpus(tmp_path_factory) -> Corpus:
     graph = graphbuild.load_graph(idx_sim / "graph.bin")
     codebook, codes = pqcodec.load_pq(idx_sim / "pq.bin")
     theta = float(parse_report(idx_sim / "theta.txt")["theta"])
-    index_bytes = (idx_sim / "index.bin").stat().st_size
-    auto_budget = int(0.01 * index_bytes) // diskstore.slot_size(dataset.dim, graph.R)
+    with IndexReader(idx_sim / "index.bin") as reader:
+        auto_budget = auto_budget_nodes(reader)
     return Corpus(
         root=root, base=base, queries=queries, gt=gt, idx_sim=idx_sim, idx_ins=idx_ins,
         dataset=dataset, query_vecs=query_vecs, gt_ids=gt_ids, graph=graph,
@@ -149,10 +146,10 @@ def test_criterion_01_oracle_recall_floor(corpus):
     )
     elapsed = time.perf_counter() - started
     total = corpus.build_seconds + elapsed
-    assert report.mean_recall is not None
-    assert report.mean_recall >= 0.95, f"mean recall@10 {report.mean_recall:.4f} < 0.95"
+    assert report.recall_at_k is not None
+    assert report.recall_at_k >= 0.95, f"mean recall@10 {report.recall_at_k:.4f} < 0.95"
     assert total < 120.0, f"pipeline + workload took {total:.1f}s (budget 120s)"
-    _ok(1, f"mean recall@10 = {report.mean_recall:.4f} over 200 queries "
+    _ok(1, f"mean recall@10 = {report.recall_at_k:.4f} over 200 queries "
            f"(pipeline {corpus.build_seconds:.1f}s + workload {elapsed:.1f}s)")
 
 
@@ -187,8 +184,8 @@ def test_criterion_03_io_reduction(corpus):
         policy=COMPARE_POLICY,
     )
     elapsed = time.perf_counter() - started
-    assert optimized.mean_recall is not None and optimized.mean_recall >= 0.90
-    assert baseline.mean_recall is not None and baseline.mean_recall >= 0.90
+    assert optimized.recall_at_k is not None and optimized.recall_at_k >= 0.90
+    assert baseline.recall_at_k is not None and baseline.recall_at_k >= 0.90
     reduction = 1.0 - optimized.mean_io_ops / baseline.mean_io_ops
     assert reduction >= 0.25, (
         f"I/O reduction {reduction:.1%} < 25% "
@@ -197,7 +194,7 @@ def test_criterion_03_io_reduction(corpus):
     assert elapsed < 300.0, f"criterion took {elapsed:.1f}s (budget 300s)"
     _ok(3, f"mean io_ops {optimized.mean_io_ops:.1f} vs {baseline.mean_io_ops:.1f} "
            f"(reduction {reduction:.1%} at recall "
-           f"{optimized.mean_recall:.3f}/{baseline.mean_recall:.3f})")
+           f"{optimized.recall_at_k:.3f}/{baseline.recall_at_k:.3f})")
 
 
 def test_criterion_04_phase2_hit_rate_separation(corpus):
@@ -327,12 +324,13 @@ def test_criterion_08_theta_rule_dominance(corpus):
     )
     for qi, st in enumerate(report.stats):
         assert st.transition_iter_theta <= st.transition_iter_panns, f"query {qi}"
-    assert report.mean_transition_theta < report.mean_transition_panns, (
+    assert report.mean_transition_iter_theta < report.mean_transition_iter_panns, (
         f"calibrated theta={corpus.theta:.3f} gave mean transition "
-        f"{report.mean_transition_theta:.2f} !< {report.mean_transition_panns:.2f}"
+        f"{report.mean_transition_iter_theta:.2f} !< {report.mean_transition_iter_panns:.2f}"
     )
     _ok(8, f"theta rule (theta={corpus.theta:.3f}) fires at mean iteration "
-           f"{report.mean_transition_theta:.2f} vs baseline {report.mean_transition_panns:.2f}, "
+           f"{report.mean_transition_iter_theta:.2f} vs baseline "
+           f"{report.mean_transition_iter_panns:.2f}, "
            f"never later on any query")
 
 
@@ -355,8 +353,8 @@ def test_criterion_09_pq_saturation_oracle(corpus):
 
 
 def test_criterion_10_layout_locality(corpus):
-    _, lm_sim = corpus.open("sim")
-    _, lm_ins = corpus.open("ins")
+    lm_sim = layoutmod.load_layout(corpus.idx_sim / "layout.bin")
+    lm_ins = layoutmod.load_layout(corpus.idx_ins / "layout.bin")
     sim_val = mean_intra_page_distance(corpus.dataset, lm_sim)
     ins_val = mean_intra_page_distance(corpus.dataset, lm_ins)
     assert lm_sim.k_clusters > 1

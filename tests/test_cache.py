@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diskvec.cache import CacheConfig, DynamicCache, HybridCache, preload_static
+from diskvec.cache import (
+    POLICIES,
+    CacheConfig,
+    DynamicCache,
+    HitStats,
+    HybridCache,
+    preload_static,
+)
 from diskvec.diskstore import DiskPage
 from diskvec.layout import ReadInterval
 
@@ -127,6 +138,62 @@ def test_capacity_and_lfu_minimality_random_traces():
             assert set(counts) == set(dc.pages)
 
 
+class _NumberedPolicyModel:
+    """Reference model of the replacement rule, numbering pages as they are
+    first admitted: FIFO evicts the lowest number, LFU the lowest
+    (count, number), RANDOM a seeded draw from the sorted resident ids."""
+
+    def __init__(self, capacity: int, policy: str, seed: int):
+        self.capacity, self.policy = capacity, policy
+        self.freq: dict[int, int] = {}
+        self.number: dict[int, int] = {}
+        self.next_number = 0
+        self.rng = random.Random(seed)
+
+    def touch(self, pid: int) -> None:
+        self.freq[pid] += 1
+
+    def admit(self, pid: int) -> list[int]:
+        if pid in self.freq:
+            self.freq[pid] += 1
+        else:
+            self.freq[pid] = 0
+            self.number[pid] = self.next_number
+            self.next_number += 1
+        evicted = []
+        while len(self.freq) > self.capacity:
+            if self.policy == "FIFO":
+                victim = min(self.freq, key=self.number.__getitem__)
+            elif self.policy == "LFU":
+                victim = min(self.freq, key=lambda p: (self.freq[p], self.number[p]))
+            else:
+                ids = sorted(self.freq)
+                victim = ids[self.rng.randrange(len(ids))]
+            del self.freq[victim], self.number[victim]
+            evicted.append(victim)
+        return evicted
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    policy=st.sampled_from(POLICIES),
+    capacity=st.integers(0, 5),
+    seed=st.integers(0, 2**16),
+    trace=st.lists(st.tuples(st.booleans(), st.integers(0, 11)), max_size=60),
+)
+def test_eviction_sequence_matches_numbered_model(policy, capacity, seed, trace):
+    dc = DynamicCache(capacity, policy=policy, seed=seed)
+    model = _NumberedPolicyModel(capacity, policy, seed)
+    for is_admit, value in trace:
+        if is_admit:
+            assert dc.admit(_page(value)) == model.admit(value)
+        elif dc.pages:
+            pid = sorted(dc.pages)[value % len(dc.pages)]
+            dc.touch(pid)
+            model.touch(pid)
+        assert dc.freq == model.freq
+
+
 # -------------------------------------------------------------------- config
 
 
@@ -178,18 +245,18 @@ def test_lookup_static_dynamic_miss_paths(smoke):
     with smoke.reader("sim") as r:
         entries = preload_static(smoke.graph, r, lm, 5)
         cache = HybridCache(entries, 2, lm)
+        stats = HitStats()
         entry_node = smoke.graph.entry_id
-        hit = cache.lookup(entry_node, phase=1)
+        hit = cache.lookup(entry_node, phase=1, hits=stats)
         assert hit is not None and hit[0] == "static"
 
         # pick a node outside the static set, admit its page, expect a dynamic hit
         outside = next(n for n in range(smoke.dataset.n) if n not in entries)
-        assert cache.lookup(outside, phase=2) is None
+        assert cache.lookup(outside, phase=2, hits=stats) is None
         cache.admit_pages(r.read_page_range(ReadInterval(lm.page_of(outside), 1)))
-        hit = cache.lookup(outside, phase=2)
+        hit = cache.lookup(outside, phase=2, hits=stats)
         assert hit is not None and hit[0] == "dynamic"
 
-        stats = cache.stats
         assert stats.phase1.static_hits == 1
         assert stats.phase2.dynamic_hits == 1
         assert stats.phase2.misses == 1
@@ -198,11 +265,11 @@ def test_lookup_static_dynamic_miss_paths(smoke):
         # pushes the first-admitted page out, turning its node into a miss
         fifo = HybridCache({}, 2, lm, policy="FIFO")
         fifo.admit_pages(r.read_page_range(ReadInterval(lm.page_of(outside), 1)))
-        assert fifo.lookup(outside, phase=2) is not None
+        assert fifo.lookup(outside, phase=2, hits=stats) is not None
         other_pages = [p for p in range(r.header.total_pages) if p != lm.page_of(outside)]
         fifo.admit_pages(r.read_page_range(ReadInterval(other_pages[0], 1)))
         fifo.admit_pages(r.read_page_range(ReadInterval(other_pages[1], 1)))
-        assert fifo.lookup(outside, phase=2) is None
+        assert fifo.lookup(outside, phase=2, hits=stats) is None
 
 
 def test_hits_return_bytes_identical_to_direct_reads(smoke):
@@ -213,7 +280,7 @@ def test_hits_return_bytes_identical_to_direct_reads(smoke):
         cache = HybridCache(entries, 8, lm)
         cache.admit_pages(r.read_page_range(ReadInterval(0, 8)))
         for node in rng.integers(0, smoke.dataset.n, size=60).tolist():
-            hit = cache.lookup(int(node), phase=2)
+            hit = cache.lookup(int(node), phase=2, hits=HitStats())
             direct_vec, direct_adj = r.read_node(int(node), lm)
             if hit is not None:
                 _, vec, adj = hit
@@ -229,6 +296,6 @@ def test_static_contents_frozen_under_admissions(smoke):
         before = {k: (v[0].tobytes(), v[1].tobytes()) for k, v in cache.static.items()}
         for pid in range(min(12, r.header.total_pages)):
             cache.admit_pages(r.read_page_range(ReadInterval(pid, 1)))
-            cache.lookup(int(lm.nodes_on_page(pid)[0]), phase=2)
+            cache.lookup(int(lm.nodes_on_page(pid)[0]), phase=2, hits=HitStats())
         after = {k: (v[0].tobytes(), v[1].tobytes()) for k, v in cache.static.items()}
         assert before == after

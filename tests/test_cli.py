@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -215,3 +216,56 @@ def test_layout_insertion_identity_and_content_preserved(tmp_path):
 
     lm = load_layout(index_dir / "layout.bin")
     assert lm.node_order.tolist() == list(range(400))
+
+
+@pytest.fixture(scope="module")
+def foreign_sidecars(tmp_path_factory):
+    """An index dir, plus sidecars that disagree with its index.bin: a layout
+    written with another page size, and graph/PQ files of a 300-node build."""
+    root = tmp_path_factory.mktemp("foreign")
+    base, queries, index_dir, _ = _pipeline(root)
+    other_pages = root / "other_pages"
+    shutil.copytree(index_dir, other_pages)
+    assert main([
+        "layout", "--index-dir", str(other_pages), "--dataset", str(base),
+        "--kind", "similarity", "--page-size", "1024", "--seed", "0",
+    ]) == 0
+    small = root / "small.fvecs"
+    other_build = root / "other_build"
+    assert main(["synth", "--out", str(small), "--n", "300", "--dim", "8", "--seed", "1"]) == 0
+    assert main([
+        "build", "--dataset", str(small), "--out-dir", str(other_build),
+        "--r", "8", "--l-build", "16", "--seed", "1", "--pq-c", "32",
+    ]) == 0
+    foreign = {
+        "layout.bin": other_pages / "layout.bin",
+        "pq.bin": other_build / "pq.bin",
+        "graph.bin": other_build / "graph.bin",
+    }
+    return queries, index_dir, foreign
+
+
+@pytest.mark.parametrize("sidecar", ["layout.bin", "pq.bin", "graph.bin"])
+def test_sidecar_disagreeing_with_index_exits_3(foreign_sidecars, sidecar, tmp_path, capsys):
+    queries, index_dir, foreign = foreign_sidecars
+    mixed = tmp_path / "mixed"
+    shutil.copytree(index_dir, mixed)
+    shutil.copy(foreign[sidecar], mixed / sidecar)
+    rc = main([
+        "query", "--index-dir", str(mixed), "--queries", str(queries),
+        "--k", "5", "--l", "40",
+    ])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and sidecar in err
+    assert "Traceback" not in err
+
+
+def test_negative_cache_budget_exits_2(foreign_sidecars, capsys):
+    queries, index_dir, _ = foreign_sidecars
+    rc = main([
+        "query", "--index-dir", str(index_dir), "--queries", str(queries),
+        "--k", "5", "--l", "40", "--cache-budget", "-7",
+    ])
+    assert rc == 2
+    assert "total_budget_nodes must be >= 0" in capsys.readouterr().err
