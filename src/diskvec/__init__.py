@@ -11,7 +11,6 @@ from .layout import (
     build_insertion_layout,
     build_similarity_layout,
     compute_read_interval,
-    kmeans,
 )
 from .pqcodec import PQCodebook, build_distance_table, encode, pq_distance, train
 from .search import (
@@ -56,7 +55,6 @@ __all__ = [
     "detect_transition",
     "encode",
     "ground_truth_topk",
-    "kmeans",
     "l2_distance",
     "load_fvecs",
     "medoid",

@@ -72,32 +72,27 @@ class IndexHeader:
 
 @dataclass
 class DiskPage:
-    """A decoded page: parallel slot arrays."""
+    """A page as stored: a read-only structured view of its slots (node_id,
+    vector, degree, neighbors) over the bytes that were read."""
 
     page_id: int
-    node_ids: np.ndarray  # (count,) int64
-    vectors: np.ndarray  # (count, dim) float32
-    degrees: np.ndarray  # (count,) uint16
-    neighbors: np.ndarray  # (count, R) int64
-
-    @property
-    def node_count(self) -> int:
-        return self.node_ids.shape[0]
+    slots: np.ndarray
 
     def slot(self, slot_idx: int, expect_node: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Return (vector, adjacency) for one slot, validating the stored id."""
-        if not 0 <= slot_idx < self.node_count:
+        count = self.slots.shape[0]
+        if not 0 <= slot_idx < count:
             raise InvariantError(
-                f"slot {slot_idx} out of range on page {self.page_id} "
-                f"(node_count={self.node_count})"
+                f"slot {slot_idx} out of range on page {self.page_id} (node_count={count})"
             )
-        if expect_node is not None and int(self.node_ids[slot_idx]) != expect_node:
+        slots = self.slots
+        if expect_node is not None and int(slots["node_id"][slot_idx]) != expect_node:
             raise FormatError(
                 f"page {self.page_id} slot {slot_idx} holds node "
-                f"{int(self.node_ids[slot_idx])}, expected {expect_node}"
+                f"{int(slots['node_id'][slot_idx])}, expected {expect_node}"
             )
-        deg = int(self.degrees[slot_idx])
-        return self.vectors[slot_idx], self.neighbors[slot_idx, :deg]
+        deg = int(slots["degree"][slot_idx])
+        return slots["vector"][slot_idx], slots["neighbors"][slot_idx, :deg]
 
 
 class IoStats:
@@ -258,7 +253,7 @@ class IndexReader:
         os.posix_fadvise(self._fd, 0, 0, os.POSIX_FADV_DONTNEED)
         return True
 
-    def _decode_page(self, page_id: int, buf: bytes) -> DiskPage:
+    def _decode_page(self, page_id: int, buf: bytes | memoryview) -> DiskPage:
         count = struct.unpack_from("<H", buf, 0)[0]
         if count > self.header.page_capacity:
             raise FormatError(
@@ -266,13 +261,7 @@ class IndexReader:
                 f"capacity is {self.header.page_capacity}"
             )
         slots = np.frombuffer(buf, dtype=self._dtype, count=count, offset=PAGE_HEADER_SIZE)
-        return DiskPage(
-            page_id=page_id,
-            node_ids=slots["node_id"].astype(np.int64),
-            vectors=slots["vector"].copy(),
-            degrees=slots["degree"].copy(),
-            neighbors=slots["neighbors"].astype(np.int64),
-        )
+        return DiskPage(page_id=page_id, slots=slots)
 
     def _pread_pages(self, start_page: int, count: int) -> bytes:
         ps = self.header.page_size
@@ -305,7 +294,7 @@ class IndexReader:
                 f"range [{start}, {start + count}) out of bounds "
                 f"[0, {self.header.total_pages})"
             )
-        buf = self._pread_pages(start, count)
+        buf = memoryview(self._pread_pages(start, count))
         self.stats.record(pages=count, nbytes=len(buf))
         ps = self.header.page_size
         return [

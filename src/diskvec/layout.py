@@ -18,24 +18,9 @@ from .errors import FormatError
 from .vecdata import VectorDataset
 
 LAYOUT_MAGIC = b"GOVL"
-LAYOUT_VERSION = 1
-_HEADER = struct.Struct("<4sIQQII")  # magic, version, n, k_clusters, page_capacity, dim
-_NODE_LOC = struct.Struct("<IQQH")  # cluster_id, rank, page_id, slot
-_CLUSTER_FIXED = struct.Struct("<QQQQ")  # first_page, page_count, first_rank, size
-
-
-@dataclass
-class ClusterAssignment:
-    """Result of k-means: per-node cluster ids plus centroids.
-
-    distortion_history holds the summed squared distance after each Lloyd
-    iteration (monitored: must be non-increasing).
-    """
-
-    k_clusters: int
-    assignment: np.ndarray  # (n,) int32
-    centroids: np.ndarray  # (k, dim) float32
-    distortion_history: list[float] = field(default_factory=list)
+LAYOUT_VERSION = 2
+_HEADER = struct.Struct("<4sIQI")  # magic, version, n, page_capacity
+_RECORD = np.dtype([("node", "<u8"), ("cluster", "<u4")])  # one per rank, in disk order
 
 
 @dataclass
@@ -58,18 +43,46 @@ class LayoutMap:
     """Node-to-disk placement: a permutation of nodes packed into fixed pages.
 
     Clusters occupy contiguous rank intervals but are not page-aligned; a page
-    may straddle two adjacent clusters.
+    may straddle two adjacent clusters. The node ranks and the per-cluster
+    page spans are derived once, on construction, which rejects (ValueError)
+    an order that is not a permutation of 0..n-1 and cluster ids that are not
+    0..k-1 with each cluster one contiguous run in disk order.
     """
 
     node_order: np.ndarray  # (n,) int64, disk order (rank -> node)
     node_cluster: np.ndarray  # (n,) int32, node -> cluster
-    node_rank: np.ndarray  # (n,) int64, node -> rank (inverse of node_order)
-    cluster_first_page: np.ndarray  # (k,) int64
-    cluster_page_count: np.ndarray  # (k,) int64
-    cluster_first_rank: np.ndarray  # (k,) int64
-    cluster_size: np.ndarray  # (k,) int64
-    centroids: np.ndarray  # (k, dim) float32
     page_capacity: int
+    node_rank: np.ndarray = field(init=False, repr=False)  # (n,) int64, node -> rank
+    cluster_first_page: np.ndarray = field(init=False, repr=False)  # (k,) int64
+    cluster_page_count: np.ndarray = field(init=False, repr=False)  # (k,) int64
+
+    def __post_init__(self) -> None:
+        order = np.asarray(self.node_order, dtype=np.int64)
+        cluster = np.asarray(self.node_cluster, dtype=np.int32)
+        cap = int(self.page_capacity)
+        if cap < 1:
+            raise ValueError(f"page_capacity must be >= 1, got {cap}")
+        if order.ndim != 1 or order.size < 1 or cluster.shape != order.shape:
+            raise ValueError("node_order and node_cluster must be nonempty and of one length")
+        n = order.shape[0]
+        if not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError("node_order is not a permutation of 0..n-1")
+        by_rank = cluster[order]
+        first_rank = np.flatnonzero(np.concatenate(([True], by_rank[1:] != by_rank[:-1])))
+        run_cluster = by_rank[first_rank]
+        k = first_rank.shape[0]
+        if not np.array_equal(np.sort(run_cluster), np.arange(k)):
+            raise ValueError(
+                "cluster ids must be 0..k-1, each a single contiguous run in disk order"
+            )
+        last_rank = np.append(first_rank[1:], n) - 1
+        self.node_order, self.node_cluster, self.page_capacity = order, cluster, cap
+        self.node_rank = np.empty(n, dtype=np.int64)
+        self.node_rank[order] = np.arange(n)
+        self.cluster_first_page = np.empty(k, dtype=np.int64)
+        self.cluster_first_page[run_cluster] = first_rank // cap
+        self.cluster_page_count = np.empty(k, dtype=np.int64)
+        self.cluster_page_count[run_cluster] = last_rank // cap - first_rank // cap + 1
 
     @property
     def n(self) -> int:
@@ -77,7 +90,7 @@ class LayoutMap:
 
     @property
     def k_clusters(self) -> int:
-        return self.cluster_size.shape[0]
+        return self.cluster_first_page.shape[0]
 
     @property
     def total_pages(self) -> int:
@@ -174,19 +187,6 @@ def lloyd_cluster(
     return centers, assignment, history
 
 
-def kmeans(dataset: VectorDataset, k: int, max_iters: int = 25, seed: int = 0) -> ClusterAssignment:
-    """Cluster the dataset into k groups (seeded k-means++ then Lloyd's)."""
-    if k < 1 or k > dataset.n:
-        raise ValueError(f"k must be in [1, {dataset.n}], got {k}")
-    centers, assignment, history = lloyd_cluster(dataset.vectors, k, max_iters, seed)
-    return ClusterAssignment(
-        k_clusters=k,
-        assignment=assignment,
-        centroids=centers.astype(np.float32),
-        distortion_history=history,
-    )
-
-
 def order_within_cluster(
     members: np.ndarray, centroid: np.ndarray, dataset: VectorDataset
 ) -> np.ndarray:
@@ -235,7 +235,6 @@ def pack_pages(
     cluster_sequence: np.ndarray,
     cluster_orders: list[np.ndarray],
     page_capacity: int,
-    centroids: np.ndarray,
 ) -> LayoutMap:
     """Concatenate per-cluster orders in sequence order and fill pages.
 
@@ -243,39 +242,11 @@ def pack_pages(
     boundaries interleave: a page may hold the tail of one cluster and the
     head of the next.
     """
-    if page_capacity < 1:
-        raise ValueError(f"page_capacity must be >= 1, got {page_capacity}")
-    k = len(cluster_orders)
     node_order = np.concatenate([cluster_orders[c] for c in cluster_sequence])
-    n = node_order.shape[0]
-    node_rank = np.empty(n, dtype=np.int64)
-    node_rank[node_order] = np.arange(n)
-    node_cluster = np.empty(n, dtype=np.int32)
-
-    first_rank = np.zeros(k, dtype=np.int64)
-    size = np.zeros(k, dtype=np.int64)
-    rank = 0
+    node_cluster = np.empty(node_order.shape[0], dtype=np.int32)
     for c in cluster_sequence:
-        members = cluster_orders[c]
-        first_rank[c] = rank
-        size[c] = members.shape[0]
-        node_cluster[members] = c
-        rank += members.shape[0]
-
-    last_rank = first_rank + size - 1
-    first_page = first_rank // page_capacity
-    page_count = last_rank // page_capacity - first_page + 1
-    return LayoutMap(
-        node_order=node_order,
-        node_cluster=node_cluster,
-        node_rank=node_rank,
-        cluster_first_page=first_page,
-        cluster_page_count=page_count,
-        cluster_first_rank=first_rank,
-        cluster_size=size,
-        centroids=np.asarray(centroids, dtype=np.float32),
-        page_capacity=page_capacity,
-    )
+        node_cluster[cluster_orders[c]] = c
+    return LayoutMap(node_order, node_cluster, page_capacity)
 
 
 def default_cluster_count(n: int, page_capacity: int) -> int:
@@ -293,23 +264,19 @@ def build_similarity_layout(
 ) -> LayoutMap:
     """Two-stage reordering: k-means clustering, then locality packing."""
     k = k_clusters if k_clusters is not None else default_cluster_count(dataset.n, page_capacity)
-    clusters = kmeans(dataset, k, max_iters=max_iters, seed=seed)
-    orders: list[np.ndarray] = []
-    for c in range(k):
-        members = np.nonzero(clusters.assignment == c)[0].astype(np.int64)
-        orders.append(order_within_cluster(members, clusters.centroids[c], dataset))
-    sequence = order_clusters(clusters.centroids)
-    return pack_pages(sequence, orders, page_capacity, clusters.centroids)
+    centers, assignment, _ = lloyd_cluster(dataset.vectors, k, max_iters, seed)
+    centroids = centers.astype(np.float32)  # index.bin depends on this rounding
+    orders = [
+        order_within_cluster(np.flatnonzero(assignment == c), centroids[c], dataset)
+        for c in range(k)
+    ]
+    return pack_pages(order_clusters(centroids), orders, page_capacity)
 
 
 def build_insertion_layout(dataset: VectorDataset, page_capacity: int) -> LayoutMap:
     """Identity placement: node ids in file order, one cluster spanning everything."""
     n = dataset.n
-    order = np.arange(n, dtype=np.int64)
-    centroid = dataset.vectors.astype(np.float64).mean(axis=0)[None, :]
-    return pack_pages(
-        np.array([0], dtype=np.int64), [order], page_capacity, centroid.astype(np.float32)
-    )
+    return LayoutMap(np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int32), page_capacity)
 
 
 def compute_read_interval(target: int, window_pages: int, layout: LayoutMap) -> ReadInterval:
@@ -364,81 +331,39 @@ def mean_intra_page_distance(dataset: VectorDataset, layout: LayoutMap) -> float
 
 
 def save_layout(path: str | Path, layout: LayoutMap) -> None:
-    """Persist the layout sidecar (little-endian, fixed-width records)."""
-    n = layout.n
-    k = layout.k_clusters
-    dim = layout.centroids.shape[1]
-    parts = [_HEADER.pack(LAYOUT_MAGIC, LAYOUT_VERSION, n, k, layout.page_capacity, dim)]
-    loc = np.empty(
-        n,
-        dtype=np.dtype(
-            [("cluster", "<u4"), ("rank", "<u8"), ("page", "<u8"), ("slot", "<u2")]
-        ),
-    )
-    ranks = layout.node_rank
-    loc["cluster"] = layout.node_cluster
-    loc["rank"] = ranks
-    loc["page"] = ranks // layout.page_capacity
-    loc["slot"] = ranks % layout.page_capacity
-    parts.append(loc.tobytes())
-    for c in range(k):
-        parts.append(
-            _CLUSTER_FIXED.pack(
-                int(layout.cluster_first_page[c]),
-                int(layout.cluster_page_count[c]),
-                int(layout.cluster_first_rank[c]),
-                int(layout.cluster_size[c]),
-            )
-        )
-        parts.append(layout.centroids[c].astype("<f4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    """Persist the layout sidecar: the header, then each rank's node and cluster."""
+    records = np.empty(layout.n, dtype=_RECORD)
+    records["node"] = layout.node_order
+    records["cluster"] = layout.node_cluster[layout.node_order]
+    header = _HEADER.pack(LAYOUT_MAGIC, LAYOUT_VERSION, layout.n, layout.page_capacity)
+    Path(path).write_bytes(header + records.tobytes())
 
 
 def load_layout(path: str | Path) -> LayoutMap:
-    """Read a layout sidecar written by save_layout."""
+    """Read a layout sidecar written by save_layout; anything that is not a
+    valid layout raises FormatError."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
         raise FormatError(f"{path}: layout sidecar shorter than header")
-    magic, version, n, k, page_capacity, dim = _HEADER.unpack_from(raw, 0)
+    magic, version, n, page_capacity = _HEADER.unpack_from(raw, 0)
     if magic != LAYOUT_MAGIC:
         raise FormatError(f"{path}: bad layout magic {magic!r}")
     if version != LAYOUT_VERSION:
-        raise FormatError(f"{path}: unsupported layout version {version}")
-    off = _HEADER.size
-    loc_dtype = np.dtype(
-        [("cluster", "<u4"), ("rank", "<u8"), ("page", "<u8"), ("slot", "<u2")]
-    )
-    loc_bytes = n * loc_dtype.itemsize
-    cluster_rec = _CLUSTER_FIXED.size + 4 * dim
-    expected = off + loc_bytes + k * cluster_rec
+        raise FormatError(
+            f"{path}: layout version {version} is not {LAYOUT_VERSION}; "
+            "run `diskvec layout` again"
+        )
+    expected = _HEADER.size + n * _RECORD.itemsize
     if len(raw) != expected:
         raise FormatError(f"{path}: layout sidecar size {len(raw)} != expected {expected}")
-    loc = np.frombuffer(raw, dtype=loc_dtype, count=n, offset=off)
-    off += loc_bytes
-    first_page = np.empty(k, dtype=np.int64)
-    page_count = np.empty(k, dtype=np.int64)
-    first_rank = np.empty(k, dtype=np.int64)
-    size = np.empty(k, dtype=np.int64)
-    centroids = np.empty((k, dim), dtype=np.float32)
-    for c in range(k):
-        first_page[c], page_count[c], first_rank[c], size[c] = _CLUSTER_FIXED.unpack_from(
-            raw, off
-        )
-        off += _CLUSTER_FIXED.size
-        centroids[c] = np.frombuffer(raw, dtype="<f4", count=dim, offset=off)
-        off += 4 * dim
-    ranks = loc["rank"].astype(np.int64)
-    node_order = np.empty(n, dtype=np.int64)
-    node_order[ranks] = np.arange(n)
-    return LayoutMap(
-        node_order=node_order,
-        node_cluster=loc["cluster"].astype(np.int32),
-        node_rank=ranks,
-        cluster_first_page=first_page,
-        cluster_page_count=page_count,
-        cluster_first_rank=first_rank,
-        cluster_size=size,
-        centroids=centroids,
-        page_capacity=int(page_capacity),
-    )
+    records = np.frombuffer(raw, dtype=_RECORD, offset=_HEADER.size)
+    if np.any(records["node"] >= n):
+        raise FormatError(f"{path}: node id out of range [0, {n})")
+    node_order = records["node"].astype(np.int64)
+    node_cluster = np.empty(n, dtype=np.int32)
+    node_cluster[node_order] = records["cluster"]
+    try:
+        return LayoutMap(node_order, node_cluster, page_capacity)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

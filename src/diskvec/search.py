@@ -62,7 +62,6 @@ class SearchStats:
     iterations: int = 0
     transition_iter_theta: int = 0
     transition_iter_panns: int = 0
-    transition_iter_truth: int | None = None
     trace: list[TraceRecord] = field(default_factory=list)
     io_ops: int = 0
     pages_read: int = 0
@@ -106,7 +105,6 @@ def beam_search(
     cache: HybridCache,
     codebook: PQCodebook,
     codes: np.ndarray,
-    true_nn: int | None = None,
 ) -> tuple[list[tuple[int, float]], SearchStats]:
     """Search the disk index; returns (top-k (id, exact distance), stats).
 
@@ -173,8 +171,6 @@ def beam_search(
             exact = float(np.sqrt(diff @ diff))
             visited[nid] = exact
             stats.trace.append(TraceRecord(stats.iterations, nid, exact, phase, kind))
-            if true_nn is not None and nid == true_nn and stats.transition_iter_truth is None:
-                stats.transition_iter_truth = stats.iterations
 
             fresh = [j for j in adj.tolist() if j not in seen]
             if fresh:
@@ -234,9 +230,9 @@ def calibrate_theta(
 ) -> ThetaCalibration:
     """Estimate theta from a seeded sample of dataset vectors used as queries.
 
-    Per sample, t is the first iteration expanding the query's true nearest
-    neighbor (brute-force oracle) and t' the first iteration the baseline
-    all-top-k rule fires; theta aggregates t/t' per
+    Per sample, t is the iteration of the first trace record that expands the
+    query's true nearest neighbor (brute-force oracle) and t' the first
+    iteration the baseline all-top-k rule fires; theta aggregates t/t' per
     aggregate_transition_ratios. Runs uncached and single-threaded.
     """
     if not 0.0 < sample_fraction <= 1.0:
@@ -254,10 +250,10 @@ def calibrate_theta(
     for qid in sample_ids.tolist():
         q = dataset.vectors[qid]
         nn1 = int(ground_truth_topk(dataset, q, 1)[0])
-        _, st = beam_search(q, params, reader, layout, blank, codebook, codes, true_nn=nn1)
-        if st.transition_iter_truth is None:
-            continue
-        pairs.append((st.transition_iter_truth, st.transition_iter_panns))
+        _, st = beam_search(q, params, reader, layout, blank, codebook, codes)
+        t = next((rec.iteration for rec in st.trace if rec.node_id == nn1), None)
+        if t is not None:
+            pairs.append((t, st.transition_iter_panns))
     theta = aggregate_transition_ratios(pairs)
     return ThetaCalibration(
         theta=theta,
@@ -323,14 +319,14 @@ def run_workload(
         raise ValueError("workload needs at least one query")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    if gt is not None and gt.shape[0] != Q:
+        raise ValueError(f"ground truth has {gt.shape[0]} rows for {Q} queries")
+    if gt is not None and gt.shape[1] < params.k:
+        raise ValueError(f"ground truth holds {gt.shape[1]} ids per query, need k={params.k}")
     workers = max(1, workers)
-    gt1 = gt[:, 0].astype(np.int64) if gt is not None else None
 
     def one(qi: int) -> tuple[list[tuple[int, float]], SearchStats]:
-        nn1 = int(gt1[qi]) if gt1 is not None else None
-        return beam_search(
-            queries[qi], params, reader, layout, cache, codebook, codes, true_nn=nn1
-        )
+        return beam_search(queries[qi], params, reader, layout, cache, codebook, codes)
 
     first_results: list[list[int]] = []
     first_stats: list[SearchStats] = []
@@ -356,12 +352,6 @@ def run_workload(
 
     mean_recall: float | None = None
     if gt is not None:
-        if gt.shape[0] != Q:
-            raise ValueError(f"ground truth has {gt.shape[0]} rows for {Q} queries")
-        if gt.shape[1] < params.k:
-            raise ValueError(
-                f"ground truth holds {gt.shape[1]} ids per query, need k={params.k}"
-            )
         recalls = [
             recall_at_k(np.array(ids), gt[qi, : params.k])
             for qi, ids in enumerate(first_results)

@@ -24,13 +24,7 @@ from conftest import write_custom_index
 
 
 def _page(pid: int) -> DiskPage:
-    return DiskPage(
-        page_id=pid,
-        node_ids=np.empty(0, dtype=np.int64),
-        vectors=np.empty((0, 1), dtype=np.float32),
-        degrees=np.empty(0, dtype=np.uint16),
-        neighbors=np.empty((0, 1), dtype=np.int64),
-    )
+    return DiskPage(page_id=pid, slots=np.empty(0))
 
 
 # ------------------------------------------------------------------ policies

@@ -261,6 +261,32 @@ def test_sidecar_disagreeing_with_index_exits_3(foreign_sidecars, sidecar, tmp_p
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("corruption", ["node_id_out_of_range", "duplicated_node", "split_cluster"])
+def test_corrupt_layout_exits_3(foreign_sidecars, corruption, tmp_path, capsys):
+    queries, index_dir, _ = foreign_sidecars
+    corrupt = tmp_path / "corrupt"
+    shutil.copytree(index_dir, corrupt)
+    raw = bytearray((corrupt / "layout.bin").read_bytes())
+    # past the 20-byte header, one (node u64, cluster u32) record per rank
+    records = np.frombuffer(raw, dtype=[("node", "<u8"), ("cluster", "<u4")], offset=20)
+    if corruption == "node_id_out_of_range":
+        records["node"][0] = len(records)
+    elif corruption == "duplicated_node":
+        records["node"][1] = records["node"][0]
+    else:
+        assert records["cluster"][-1] != records["cluster"][0]
+        records["cluster"][-1] = records["cluster"][0]
+    (corrupt / "layout.bin").write_bytes(raw)
+    rc = main([
+        "query", "--index-dir", str(corrupt), "--queries", str(queries),
+        "--k", "5", "--l", "40",
+    ])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and "layout.bin" in err
+    assert "Traceback" not in err
+
+
 def test_negative_cache_budget_exits_2(foreign_sidecars, capsys):
     queries, index_dir, _ = foreign_sidecars
     rc = main([

@@ -32,7 +32,7 @@ def test_single_node_index(tmp_path):
     assert header.total_pages == 1
     with IndexReader(path) as r:
         page = r.read_page(0)
-        assert page.node_count == 1
+        assert len(page.slots) == 1
         vec, adj = page.slot(0, expect_node=0)
         assert np.array_equal(vec, ds.vectors[0])
         assert adj.size == 0
@@ -52,7 +52,7 @@ def test_page_coverage_partitions_nodes(tmp_path, smoke):
     with smoke.reader("sim") as r:
         seen: list[int] = []
         for pid in range(r.header.total_pages):
-            seen.extend(r.read_page(pid).node_ids.tolist())
+            seen.extend(r.read_page(pid).slots["node_id"].tolist())
     assert sorted(seen) == list(range(smoke.dataset.n))
 
 
@@ -62,9 +62,9 @@ def test_same_slots_under_both_layouts(smoke):
         with smoke.reader(kind) as r:
             for pid in range(r.header.total_pages):
                 page = r.read_page(pid)
-                for s in range(page.node_count):
+                for s in range(len(page.slots)):
                     vec, adj = page.slot(s)
-                    out.append((int(page.node_ids[s]), vec.tobytes(), adj.tobytes()))
+                    out.append((int(page.slots["node_id"][s]), vec.tobytes(), adj.tobytes()))
         return sorted(out)
 
     assert slot_multiset("sim") == slot_multiset("ins")
@@ -84,8 +84,8 @@ def test_read_accounting(smoke):
         b = r.read_page_range(ReadInterval(2, 2))
         assert r.stats.snapshot()[:2] == (2, 4)
         whole = r.read_page_range(ReadInterval(0, 4))
-        got = [p.node_ids.tolist() for p in a + b]
-        want = [p.node_ids.tolist() for p in whole]
+        got = [p.slots["node_id"].tolist() for p in a + b]
+        want = [p.slots["node_id"].tolist() for p in whole]
         assert got == want
 
 
@@ -96,15 +96,15 @@ def test_range_of_one_equals_single_read(smoke):
         ranged = r.read_page_range(ReadInterval(3, 1))
         ops1, pages1, _ = r.stats.snapshot()
         assert (ops1 - ops0, pages1 - pages0) == (1, 1)
-        assert ranged[0].node_ids.tolist() == single.node_ids.tolist()
+        assert ranged[0].slots["node_id"].tolist() == single.slots["node_id"].tolist()
 
 
 def test_reads_identical_bytes(smoke):
     with smoke.reader("sim") as r:
         p1 = r.read_page(5)
         p2 = r.read_page(5)
-        assert p1.vectors.tobytes() == p2.vectors.tobytes()
-        assert np.array_equal(p1.node_ids, p2.node_ids)
+        assert p1.slots["vector"].tobytes() == p2.slots["vector"].tobytes()
+        assert np.array_equal(p1.slots["node_id"], p2.slots["node_id"])
 
 
 def test_out_of_range_reads(smoke):
@@ -136,6 +136,6 @@ def test_bad_magic_rejected(tmp_path):
 def test_slot_node_id_mismatch_is_corruption(smoke):
     with smoke.reader("sim") as r:
         page = r.read_page(0)
-        wrong = int(page.node_ids[0]) + 1
+        wrong = int(page.slots["node_id"][0]) + 1
         with pytest.raises(FormatError):
             page.slot(0, expect_node=wrong)

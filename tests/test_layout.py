@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from diskvec.errors import FormatError
 
 from diskvec.layout import (
     LayoutMap,
     build_insertion_layout,
     build_similarity_layout,
     compute_read_interval,
-    kmeans,
+    lloyd_cluster,
     load_layout,
     mean_intra_page_distance,
     order_clusters,
@@ -32,17 +38,17 @@ def _ds(arr) -> VectorDataset:
 
 def test_kmeans_k1_is_global_mean():
     ds = _ds([[0.0, 0.0], [2.0, 0.0], [4.0, 6.0]])
-    out = kmeans(ds, 1, seed=0)
-    assert out.assignment.tolist() == [0, 0, 0]
-    assert np.allclose(out.centroids[0], ds.vectors.mean(axis=0), atol=1e-6)
+    centroids, assignment, _ = lloyd_cluster(ds.vectors, 1, 25, seed=0)
+    assert assignment.tolist() == [0, 0, 0]
+    assert np.allclose(centroids[0], ds.vectors.mean(axis=0), atol=1e-6)
 
 
 def test_kmeans_saturated_zero_distortion():
     rng = np.random.default_rng(21)
     ds = _ds(rng.normal(size=(12, 3)))
-    out = kmeans(ds, 12, seed=1)
-    assert sorted(out.assignment.tolist()) == list(range(12))
-    assert out.distortion_history[-1] == pytest.approx(0.0, abs=1e-12)
+    _, assignment, history = lloyd_cluster(ds.vectors, 12, 25, seed=1)
+    assert sorted(assignment.tolist()) == list(range(12))
+    assert history[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kmeans_two_blobs_recovers_membership():
@@ -50,21 +56,20 @@ def test_kmeans_two_blobs_recovers_membership():
     a = rng.normal(loc=(0.0, 0.0), scale=0.3, size=(25, 2))
     b = rng.normal(loc=(20.0, 20.0), scale=0.3, size=(25, 2))
     ds = _ds(np.vstack([a, b]))
-    out = kmeans(ds, 2, seed=2)
-    first_half = set(out.assignment[:25].tolist())
-    second_half = set(out.assignment[25:].tolist())
+    centroids, assignment, _ = lloyd_cluster(ds.vectors, 2, 25, seed=2)
+    first_half = set(assignment[:25].tolist())
+    second_half = set(assignment[25:].tolist())
     assert len(first_half) == 1 and len(second_half) == 1
     assert first_half != second_half
     # with this separation Lloyd's converges to the blob means
     blob_mean_a = a.mean(axis=0)
-    got_a = out.centroids[out.assignment[0]]
+    got_a = centroids[assignment[0]]
     assert np.allclose(got_a, blob_mean_a, atol=1e-5)
 
 
 def test_kmeans_distortion_non_increasing():
     pts = make_blobs(200, 4, 5, seed=23)
-    out = kmeans(_ds(pts), 8, max_iters=30, seed=3)
-    hist = out.distortion_history
+    _, _, hist = lloyd_cluster(_ds(pts).vectors, 8, 30, seed=3)
     assert all(hist[i + 1] <= hist[i] * (1 + 1e-12) for i in range(len(hist) - 1))
 
 
@@ -72,22 +77,21 @@ def test_kmeans_no_empty_clusters_random_cases():
     rng = np.random.default_rng(24)
     for trial in range(5):
         pts = rng.normal(size=(30, 2))
-        out = kmeans(_ds(pts), 10, seed=trial)
-        assert len(set(out.assignment.tolist())) == 10
+        _, assignment, _ = lloyd_cluster(_ds(pts).vectors, 10, 25, seed=trial)
+        assert len(set(assignment.tolist())) == 10
 
 
 def test_kmeans_determinism():
     pts = make_blobs(80, 3, 3, seed=25)
-    a = kmeans(_ds(pts), 5, seed=9)
-    b = kmeans(_ds(pts), 5, seed=9)
-    assert np.array_equal(a.assignment, b.assignment)
-    assert np.array_equal(a.centroids, b.centroids)
+    a_centroids, a_assignment, _ = lloyd_cluster(pts, 5, 25, seed=9)
+    b_centroids, b_assignment, _ = lloyd_cluster(pts, 5, 25, seed=9)
+    assert np.array_equal(a_assignment, b_assignment)
+    assert np.array_equal(a_centroids, b_centroids)
 
 
 def test_kmeans_k_out_of_range():
-    ds = _ds(np.zeros((4, 2)))
     with pytest.raises(ValueError):
-        kmeans(ds, 5)
+        lloyd_cluster(np.zeros((4, 2)), 5, 25, seed=0)
 
 
 # ------------------------------------------------------- within-cluster order
@@ -143,7 +147,7 @@ def test_order_clusters_is_permutation():
 
 def test_pack_pages_occupancies():
     orders = [np.arange(10, dtype=np.int64)]
-    lm = pack_pages(np.array([0]), orders, 3, np.zeros((1, 2), dtype=np.float32))
+    lm = pack_pages(np.array([0]), orders, 3)
     assert lm.total_pages == 4
     occ = [lm.nodes_on_page(p).shape[0] for p in range(4)]
     assert occ == [3, 3, 3, 1]
@@ -160,8 +164,7 @@ def test_pack_pages_peripheral_member_starts_next_page():
     centroid = coords[members].mean(axis=0)
     order = order_within_cluster(members, centroid, ds)
     rest = np.array([i for i in range(10) if i not in members.tolist()], dtype=np.int64)
-    cents = np.stack([centroid, coords[rest].mean(axis=0)])
-    lm = pack_pages(np.array([0, 1]), [order, rest], 3, cents)
+    lm = pack_pages(np.array([0, 1]), [order, rest], 3)
     assert set(lm.nodes_on_page(0).tolist()) == {2, 5, 9}
     assert lm.nodes_on_page(1)[0] == 4
 
@@ -169,7 +172,7 @@ def test_pack_pages_peripheral_member_starts_next_page():
 def test_pack_pages_rank_round_trip():
     rng = np.random.default_rng(32)
     order = rng.permutation(23).astype(np.int64)
-    lm = pack_pages(np.array([0]), [order], 4, np.zeros((1, 2), dtype=np.float32))
+    lm = pack_pages(np.array([0]), [order], 4)
     for v in range(23):
         assert lm.node_order[lm.node_rank[v]] == v
     assert sorted(lm.node_order.tolist()) == list(range(23))
@@ -180,9 +183,7 @@ def test_pack_pages_rank_round_trip():
 
 def _fig_layout(orders: list[list[int]], capacity: int = 3) -> LayoutMap:
     arrays = [np.array(o, dtype=np.int64) for o in orders]
-    k = len(arrays)
-    cents = np.zeros((k, 2), dtype=np.float32)
-    return pack_pages(np.arange(k), arrays, capacity, cents)
+    return pack_pages(np.arange(len(arrays)), arrays, capacity)
 
 
 def test_read_interval_case1_stays_inside_large_cluster():
@@ -262,13 +263,97 @@ def test_layout_sidecar_round_trip(tmp_path):
     lm = build_similarity_layout(ds, page_capacity=4, seed=40)
     path = tmp_path / "layout.bin"
     save_layout(path, lm)
+    assert path.stat().st_size == 20 + 12 * 90  # header, then (node u64, cluster u32) per rank
     back = load_layout(path)
     assert np.array_equal(back.node_order, lm.node_order)
     assert np.array_equal(back.node_cluster, lm.node_cluster)
     assert np.array_equal(back.node_rank, lm.node_rank)
     assert np.array_equal(back.cluster_first_page, lm.cluster_first_page)
     assert np.array_equal(back.cluster_page_count, lm.cluster_page_count)
-    assert np.array_equal(back.cluster_first_rank, lm.cluster_first_rank)
-    assert np.array_equal(back.cluster_size, lm.cluster_size)
-    assert np.array_equal(back.centroids, lm.centroids)
     assert back.page_capacity == lm.page_capacity
+
+
+def test_layout_version_1_asks_for_a_new_layout(tmp_path):
+    path = tmp_path / "layout.bin"
+    path.write_bytes(struct.pack("<4sIQQII", b"GOVL", 1, 3, 1, 4, 2) + bytes(64))
+    with pytest.raises(FormatError, match="run `diskvec layout` again"):
+        load_layout(path)
+
+
+@pytest.mark.parametrize(
+    "order, cluster, capacity",
+    [
+        ([0, 0, 1], [0, 0, 0], 2),
+        ([0, 1, 3], [0, 0, 0], 2),
+        ([0, 1, 2], [0, 1, 0], 2),
+        ([0, 1, 2], [0, 0, 2], 2),
+        ([0, 1, 2], [0, 0], 2),
+        ([], [], 2),
+        ([0, 1, 2], [0, 0, 0], 0),
+    ],
+    ids=[
+        "duplicated_node", "node_id_out_of_range", "split_cluster", "cluster_id_gap",
+        "length_mismatch", "no_nodes", "zero_page_capacity",
+    ],
+)
+def test_layout_map_rejects_invalid_placement(order, cluster, capacity):
+    with pytest.raises(ValueError):
+        LayoutMap(np.array(order, dtype=np.int64), np.array(cluster, dtype=np.int32), capacity)
+
+
+def _assert_layout_invariants(lm: LayoutMap) -> None:
+    """Check a layout against its definition, node by node."""
+    n = lm.n
+    assert sorted(lm.node_order.tolist()) == list(range(n))
+    assert all(lm.node_order[lm.node_rank[v]] == v for v in range(n))
+    by_rank = lm.node_cluster[lm.node_order].tolist()
+    runs = [c for r, c in enumerate(by_rank) if r == 0 or c != by_rank[r - 1]]
+    assert sorted(runs) == list(range(lm.k_clusters))
+    for c in range(lm.k_clusters):
+        pages = [lm.page_of(v) for v in range(n) if lm.cluster_of(v) == c]
+        assert lm.cluster_first_page[c] == min(pages)
+        assert lm.cluster_page_count[c] == max(pages) - min(pages) + 1
+
+
+@st.composite
+def _random_layouts(draw) -> LayoutMap:
+    n = draw(st.integers(1, 40))
+    order = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=8))) if n > 1 else []
+    pieces = np.split(order, cuts)
+    sequence = draw(st.permutations(range(len(pieces))))
+    orders = [pieces[sequence.index(c)] for c in range(len(pieces))]
+    return pack_pages(np.array(sequence), orders, draw(st.integers(1, 9)))
+
+
+@given(lm=_random_layouts())
+def test_random_layouts_round_trip(tmp_path_factory, lm):
+    _assert_layout_invariants(lm)
+    path = tmp_path_factory.getbasetemp() / "round_trip_layout.bin"
+    save_layout(path, lm)
+    back = load_layout(path)
+    assert np.array_equal(back.node_order, lm.node_order)
+    assert np.array_equal(back.node_cluster, lm.node_cluster)
+    assert back.page_capacity == lm.page_capacity
+
+
+@given(lm=_random_layouts(), data=st.data())
+def test_corrupt_layout_sidecar_is_a_format_error_or_a_valid_layout(tmp_path_factory, lm, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_layout.bin"
+    save_layout(path, lm)
+    raw = bytearray(path.read_bytes())
+    pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+    how = data.draw(st.sampled_from(["truncate", "flip", "overwrite"]), label="corruption")
+    if how == "truncate":
+        del raw[pos:]
+    elif how == "flip":
+        raw[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    else:
+        chunk = data.draw(st.binary(min_size=1, max_size=16), label="bytes")
+        raw[pos : pos + len(chunk)] = chunk[: len(raw) - pos]
+    path.write_bytes(bytes(raw))
+    try:
+        back = load_layout(path)
+    except FormatError:
+        return
+    _assert_layout_invariants(back)

@@ -177,21 +177,25 @@ def test_distance_trace_minimum_at_truth_transition(smoke):
     with smoke.reader("sim") as r:
         cache = smoke.cache(r, "sim", budget=0)
         params = SearchParams(k=10, l=60, theta=0.5)
+        reached_count = 0
         for qi in range(8):
             true_nn = int(smoke.gt10[qi][0])
             _, st = beam_search(
                 smoke.queries[qi], params, r, smoke.layout_sim,
-                cache, smoke.codebook, smoke.codes, true_nn=true_nn,
+                cache, smoke.codebook, smoke.codes,
             )
-            if st.transition_iter_truth is None:
-                continue
-            # the trace minimum is the distance to the true nearest neighbor,
-            # first reached at the truth transition iteration
+            # each node is expanded once, so the truth transition is the one
+            # trace record of the true nearest neighbor; the trace minimum is
+            # the distance to it
+            assert len({rec.node_id for rec in st.trace}) == len(st.trace)
             reached = [rec for rec in st.trace if rec.node_id == true_nn]
-            assert reached and reached[0].iteration == st.transition_iter_truth
+            if not reached:
+                continue
+            reached_count += 1
             assert min(rec.exact_dist for rec in st.trace) == pytest.approx(
                 reached[0].exact_dist
             )
+        assert reached_count > 0
 
 
 # ----------------------------------------------------------- theta handling
@@ -258,15 +262,15 @@ def test_calibrate_theta_empty_sample_is_an_error(smoke):
 
 def test_entry_point_query_transitions_at_iteration_one(smoke):
     # the entry node is expanded first; when it is its own nearest neighbor
-    # the truth transition lands on iteration 1
+    # the truth transition, its first trace record, lands on iteration 1
     entry = smoke.graph.entry_id
     with smoke.reader("sim") as r:
         cache = smoke.cache(r, "sim", budget=0)
         _, st = beam_search(
             smoke.dataset.vectors[entry], SearchParams(k=10, l=40, theta=0.5),
-            r, smoke.layout_sim, cache, smoke.codebook, smoke.codes, true_nn=entry,
+            r, smoke.layout_sim, cache, smoke.codebook, smoke.codes,
         )
-    assert st.transition_iter_truth == 1
+    assert (st.trace[0].node_id, st.trace[0].iteration) == (entry, 1)
 
 
 def test_search_params_validation():
@@ -370,3 +374,25 @@ def test_workload_reset_per_query_mode(smoke):
             smoke.codebook, smoke.codes, reset_per_query=True,
         )
     assert persist.results == isolated.results  # transparency again
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("budget", [0, 80, 200])
+@pytest.mark.parametrize("policy", ["LFU", "FIFO"])
+def test_workload_counters_reconcile(smoke, workers, budget, policy):
+    params = SearchParams(k=10, l=40, theta=0.5)
+    reps = 2
+    with smoke.reader("sim") as r:
+        cache = smoke.cache(r, "sim", budget=budget, policy=policy)
+        report = run_workload(
+            smoke.queries, params, r, smoke.layout_sim, cache,
+            smoke.codebook, smoke.codes, workers=workers, repetitions=reps,
+        )
+        io_ops, pages_read, _ = r.stats.snapshot()
+    executed = report.query_count * reps
+    assert report.mean_io_ops * executed == pytest.approx(io_ops, abs=1e-6)
+    assert report.mean_pages_read * executed == pytest.approx(pages_read, abs=1e-6)
+    for st in report.stats:
+        misses = st.hits.phase1.misses + st.hits.phase2.misses
+        assert st.hits.phase1.lookups + st.hits.phase2.lookups == len(st.trace)
+        assert st.io_ops == misses
