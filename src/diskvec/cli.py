@@ -5,7 +5,8 @@ line-delimited key=value text, and exit codes are 0 (ok), 2 (usage/argument),
 3 (data/format), 4 (internal invariant violation).
 
 Flags can be pre-set through environment variables: DISKVEC_<FLAG> with the
-flag upper-cased and dashes turned into underscores (explicit flags win).
+flag upper-cased and dashes turned into underscores (explicit flags win); a bad
+value fails only the subcommands that have the flag.
 """
 
 from __future__ import annotations
@@ -42,14 +43,11 @@ TIMING_KEYS = (
 )
 
 
-def _env_default(flag: str, fallback, cast):
-    raw = os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"))
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad value for {ENV_PREFIX}{flag.upper().replace('-', '_')}: {raw!r}") from exc
+def _env_default(flag: str, fallback):
+    """The flag's default: the raw DISKVEC_<FLAG> string when set, which
+    argparse converts with the flag's own type only when the subcommand runs
+    without the flag; otherwise fallback."""
+    return os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"), fallback)
 
 
 def _fmt(v) -> str:
@@ -472,44 +470,40 @@ def _add_cache_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--cache-budget",
         type=int,
-        default=_env_default("cache-budget", None, int),
+        default=_env_default("cache-budget", None),
         help="cache budget in node records (default: 1%% of the index file)",
     )
     p.add_argument(
         "--static-frac",
         type=float,
-        default=_env_default("static-frac", 0.2, float),
+        default=_env_default("static-frac", 0.2),
         help="fraction of the budget held by the static cache (default 0.2)",
     )
     p.add_argument(
         "--policy",
         choices=("LFU", "FIFO", "RANDOM"),
-        default=_env_default("policy", "LFU", str),
+        default=_env_default("policy", "LFU"),
         help="dynamic cache replacement policy (default LFU)",
     )
     p.add_argument(
         "--cache-seed",
         type=int,
-        default=_env_default("cache-seed", 0, int),
+        default=_env_default("cache-seed", 0),
         help="seed for the RANDOM policy",
     )
 
 
 def _add_search_flags(p: argparse.ArgumentParser, k_default: int = 100) -> None:
-    p.add_argument("--k", type=int, default=_env_default("k", k_default, int))
-    p.add_argument("--l", type=int, default=_env_default("l", 128, int))
-    p.add_argument(
-        "--beam-width", type=int, default=_env_default("beam-width", 4, int)
-    )
+    p.add_argument("--k", type=int, default=_env_default("k", k_default))
+    p.add_argument("--l", type=int, default=_env_default("l", 128))
+    p.add_argument("--beam-width", type=int, default=_env_default("beam-width", 4))
     p.add_argument(
         "--theta",
         type=float,
-        default=_env_default("theta", None, float),
+        default=_env_default("theta", None),
         help="transition threshold in (0,1); default: calibrated sidecar value, else 0.5",
     )
-    p.add_argument(
-        "--window-pages", type=int, default=_env_default("window-pages", 2, int)
-    )
+    p.add_argument("--window-pages", type=int, default=_env_default("window-pages", 2))
 
 
 def _add_workload_flags(p: argparse.ArgumentParser) -> None:
@@ -518,10 +512,8 @@ def _add_workload_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gt", default=None)
     _add_search_flags(p)
     _add_cache_flags(p)
-    p.add_argument("--workers", type=int, default=_env_default("workers", 0, int), help="0 = auto")
-    p.add_argument(
-        "--repetitions", type=int, default=_env_default("repetitions", 1, int)
-    )
+    p.add_argument("--workers", type=int, default=_env_default("workers", 0), help="0 = auto")
+    p.add_argument("--repetitions", type=int, default=_env_default("repetitions", 1))
     p.add_argument("--reset-per-query", action="store_true")
     p.add_argument("--os-bypass", action="store_true", help="advise the OS to drop its cached index pages")
     p.add_argument("--out", default=None)
@@ -536,16 +528,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a Gaussian-blob dataset (fvecs)")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=_env_default("n", 10000, int))
-    p.add_argument("--dim", type=int, default=_env_default("dim", 16, int))
-    p.add_argument("--blobs", type=int, default=_env_default("blobs", 8, int))
-    p.add_argument("--spread", type=float, default=_env_default("spread", 1.0, float))
+    p.add_argument("--n", type=int, default=_env_default("n", 10000))
+    p.add_argument("--dim", type=int, default=_env_default("dim", 16))
+    p.add_argument("--blobs", type=int, default=_env_default("blobs", 8))
+    p.add_argument("--spread", type=float, default=_env_default("spread", 1.0))
     p.add_argument(
         "--center-spread",
         type=float,
-        default=_env_default("center-spread", 10.0, float),
+        default=_env_default("center-spread", 10.0),
     )
-    p.add_argument("--seed", type=int, default=_env_default("seed", 0, int))
+    p.add_argument("--seed", type=int, default=_env_default("seed", 0))
     p.add_argument("--queries", type=int, default=0, help="also emit this many query vectors")
     p.add_argument("--queries-out", default=None)
     p.set_defaults(func=cmd_synth)
@@ -553,51 +545,41 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build the graph and PQ sidecars")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--r", type=int, default=_env_default("r", 32, int))
-    p.add_argument("--l-build", type=int, default=_env_default("l-build", 64, int))
-    p.add_argument("--alpha", type=float, default=_env_default("alpha", 1.2, float))
-    p.add_argument("--seed", type=int, default=_env_default("seed", 0, int))
-    p.add_argument("--pq-m", type=int, default=_env_default("pq-m", 0, int), help="0 = auto (dim/8)")
-    p.add_argument("--pq-c", type=int, default=_env_default("pq-c", 256, int))
-    p.add_argument("--pq-iters", type=int, default=_env_default("pq-iters", 25, int))
+    p.add_argument("--r", type=int, default=_env_default("r", 32))
+    p.add_argument("--l-build", type=int, default=_env_default("l-build", 64))
+    p.add_argument("--alpha", type=float, default=_env_default("alpha", 1.2))
+    p.add_argument("--seed", type=int, default=_env_default("seed", 0))
+    p.add_argument("--pq-m", type=int, default=_env_default("pq-m", 0), help="0 = auto (dim/8)")
+    p.add_argument("--pq-c", type=int, default=_env_default("pq-c", 256))
+    p.add_argument("--pq-iters", type=int, default=_env_default("pq-iters", 25))
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("layout", help="lay the index out on disk and write the index file")
     p.add_argument("--index-dir", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--kind", choices=("insertion", "similarity"), default="similarity")
-    p.add_argument(
-        "--k-clusters", type=int, default=_env_default("k-clusters", 0, int), help="0 = auto"
-    )
-    p.add_argument(
-        "--page-size", type=int, default=_env_default("page-size", 4096, int)
-    )
-    p.add_argument(
-        "--kmeans-iters", type=int, default=_env_default("kmeans-iters", 25, int)
-    )
-    p.add_argument("--seed", type=int, default=_env_default("seed", 0, int))
+    p.add_argument("--k-clusters", type=int, default=_env_default("k-clusters", 0), help="0 = auto")
+    p.add_argument("--page-size", type=int, default=_env_default("page-size", 4096))
+    p.add_argument("--kmeans-iters", type=int, default=_env_default("kmeans-iters", 25))
+    p.add_argument("--seed", type=int, default=_env_default("seed", 0))
     p.set_defaults(func=cmd_layout)
 
     p = sub.add_parser("gt", help="write brute-force ground truth (ivecs)")
     p.add_argument("--dataset", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--k", type=int, default=_env_default("k", 100, int))
+    p.add_argument("--k", type=int, default=_env_default("k", 100))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gt)
 
     p = sub.add_parser("calibrate", help="estimate the transition threshold theta")
     p.add_argument("--index-dir", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--k", type=int, default=_env_default("k", 100, int))
-    p.add_argument("--l", type=int, default=_env_default("l", 128, int))
-    p.add_argument(
-        "--fraction", type=float, default=_env_default("fraction", 0.01, float)
-    )
-    p.add_argument("--seed", type=int, default=_env_default("seed", 0, int))
-    p.add_argument("--beam-width", type=int, default=_env_default("beam-width", 4, int))
-    p.add_argument(
-        "--window-pages", type=int, default=_env_default("window-pages", 2, int)
-    )
+    p.add_argument("--k", type=int, default=_env_default("k", 100))
+    p.add_argument("--l", type=int, default=_env_default("l", 128))
+    p.add_argument("--fraction", type=float, default=_env_default("fraction", 0.01))
+    p.add_argument("--seed", type=int, default=_env_default("seed", 0))
+    p.add_argument("--beam-width", type=int, default=_env_default("beam-width", 4))
+    p.add_argument("--window-pages", type=int, default=_env_default("window-pages", 2))
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("query", help="run one query and print results plus stats")

@@ -218,6 +218,17 @@ class IndexReader:
                 raise FormatError(f"{self.path}: bad index magic {magic!r}")
             if kind_code not in LAYOUT_KIND_NAMES:
                 raise FormatError(f"{self.path}: unknown layout kind code {kind_code}")
+            if cap < 1 or total_pages != -(-n // cap):
+                raise FormatError(
+                    f"{self.path}: total_pages {total_pages} is not "
+                    f"ceil(n {n} / page_capacity {cap})"
+                )
+            size = os.fstat(self._fd).st_size
+            if size != (total_pages + 1) * page_size:
+                raise FormatError(
+                    f"{self.path}: file is {size} bytes, the header implies "
+                    f"{(total_pages + 1) * page_size}"
+                )
             self.header = IndexHeader(
                 page_size=page_size,
                 dim=dim,
@@ -261,6 +272,11 @@ class IndexReader:
                 f"capacity is {self.header.page_capacity}"
             )
         slots = np.frombuffer(buf, dtype=self._dtype, count=count, offset=PAGE_HEADER_SIZE)
+        # every id that leaves the reader passes here; negative ids wrap above n
+        if int(slots["neighbors"].view(np.uint64).max(initial=0)) >= self.header.n:
+            raise FormatError(
+                f"{self.path}: page {page_id} holds a neighbor id outside [0, {self.header.n})"
+            )
         return DiskPage(page_id=page_id, slots=slots)
 
     def _pread_pages(self, start_page: int, count: int) -> bytes:

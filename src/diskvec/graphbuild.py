@@ -22,9 +22,6 @@ from .vecdata import VectorDataset
 GRAPH_MAGIC = b"GOVG1"
 _GRAPH_HEADER = struct.Struct("<5sQIQ")  # magic, n, R, entry_id
 
-EXACT_MEDOID_LIMIT = 10_000
-MEDOID_SAMPLE_ANCHORS = 1_000
-
 
 @dataclass
 class GraphIndex:
@@ -39,36 +36,15 @@ class GraphIndex:
         return len(self.adjacency)
 
 
-def medoid(dataset: VectorDataset, seed: int = 0) -> int:
-    """Node minimizing the summed distance to the rest (ties to the lowest id).
+def medoid(dataset: VectorDataset) -> int:
+    """Node nearest the mean (ties to the lowest id).
 
-    Exact for n <= 10,000; above that the sums are estimated against 1,000
-    seeded anchor points.
+    Under squared L2 this is the node minimizing the summed squared distance
+    to all nodes: sum_j |x_i - x_j|^2 = n |x_i - mean|^2 + const.
     """
-    n = dataset.n
-    if n == 1:
-        return 0
-    pts = dataset.vectors.astype(np.float64)
-    if n <= EXACT_MEDOID_LIMIT:
-        anchors = pts
-    else:
-        rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(n, size=MEDOID_SAMPLE_ANCHORS, replace=False))
-        anchors = pts[idx]
-    sums = np.zeros(n, dtype=np.float64)
-    anchor_sq = np.einsum("ij,ij->i", anchors, anchors)
-    chunk = max(1, (1 << 22) // max(1, anchors.shape[0]))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        block = pts[lo:hi]
-        d2 = (
-            np.einsum("ij,ij->i", block, block)[:, None]
-            - 2.0 * block @ anchors.T
-            + anchor_sq
-        )
-        np.maximum(d2, 0.0, out=d2)
-        sums[lo:hi] = np.sqrt(d2).sum(axis=1)
-    return int(np.argmin(sums))
+    mean = dataset.vectors.mean(axis=0, dtype=np.float64)
+    diff = dataset.vectors - mean
+    return int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
 
 
 def _greedy_search_build(
@@ -188,7 +164,7 @@ def build_graph(
         pick = np.where(pick >= i, pick + 1, pick).astype(np.int64)
         adjacency.append(np.sort(pick))
 
-    entry = medoid(dataset, seed=seed)
+    entry = medoid(dataset)
 
     for pass_alpha in (1.0, alpha):
         order = rng.permutation(n)
@@ -209,9 +185,13 @@ def build_graph(
     return GraphIndex(adjacency=adjacency, entry_id=entry, R=R)
 
 
-def _reachable_from(adjacency: list[np.ndarray], entry: int) -> np.ndarray:
-    n = len(adjacency)
-    seen = np.zeros(n, dtype=bool)
+def _reachable_from(
+    adjacency: list[np.ndarray], entry: int, seen: np.ndarray | None = None
+) -> np.ndarray:
+    """Mark every node reachable from entry in seen (a fresh all-false mask
+    when None); nodes already marked are not walked again."""
+    if seen is None:
+        seen = np.zeros(len(adjacency), dtype=bool)
     seen[entry] = True
     stack = [entry]
     while stack:
@@ -242,15 +222,7 @@ def _repair_connectivity(
             drop = np.lexsort((-neigh, -dv))[0]  # farthest, ties to the higher id
             neigh = np.delete(neigh, drop)
         adjacency[v] = np.append(neigh, u)
-        # everything reachable through u becomes reachable now
-        stack = [u]
-        seen[u] = True
-        while stack:
-            node = stack.pop()
-            for j in adjacency[node].tolist():
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
+        _reachable_from(adjacency, u, seen)  # everything reachable through u
 
 
 def validate_graph(graph: GraphIndex, n: int) -> None:
@@ -289,6 +261,8 @@ def load_graph(path: str | Path) -> GraphIndex:
     magic, n, R, entry_id = _GRAPH_HEADER.unpack_from(raw, 0)
     if magic != GRAPH_MAGIC:
         raise FormatError(f"{path}: bad graph magic {magic!r}")
+    if entry_id >= n:
+        raise FormatError(f"{path}: entry_id {entry_id} out of range [0, {n})")
     off = _GRAPH_HEADER.size
     if len(raw) < off + 2 * n:
         raise FormatError(f"{path}: truncated graph degree table")
@@ -297,10 +271,10 @@ def load_graph(path: str | Path) -> GraphIndex:
     total = int(degrees.sum())
     if len(raw) != off + 8 * total:
         raise FormatError(f"{path}: graph file size {len(raw)} != expected {off + 8 * total}")
-    flat = np.frombuffer(raw, dtype="<i8", count=total, offset=off)
-    adjacency: list[np.ndarray] = []
-    pos = 0
-    for d in degrees.tolist():
-        adjacency.append(flat[pos : pos + d].astype(np.int64))
-        pos += d
+    if int(degrees.max()) > R:
+        raise FormatError(f"{path}: a node degree exceeds R={R}")
+    flat = np.frombuffer(raw, dtype="<i8", count=total, offset=off).astype(np.int64)
+    if int(flat.view(np.uint64).max(initial=0)) >= n:  # negative ids wrap above n
+        raise FormatError(f"{path}: neighbor id out of range [0, {n})")
+    adjacency = np.split(flat, np.cumsum(degrees[:-1], dtype=np.int64))
     return GraphIndex(adjacency=adjacency, entry_id=int(entry_id), R=int(R))

@@ -177,9 +177,9 @@ def lloyd_cluster(
 
         converged = bool(np.array_equal(new_assign, assignment))
         assignment = new_assign
-        for j in range(k):
-            members = pts[assignment == j]
-            centers[j] = members.mean(axis=0)
+        sums = np.zeros_like(centers)
+        np.add.at(sums, assignment, pts)
+        centers = sums / counts[:, None]
         diff = pts - centers[assignment]
         history.append(float(np.einsum("ij,ij->", diff, diff)))
         if converged:

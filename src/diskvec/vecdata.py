@@ -48,35 +48,32 @@ class VectorDataset:
         return self.vectors[node_id]
 
 
-def load_fvecs(path: str | Path) -> VectorDataset:
-    """Read an fvecs file: per record a little-endian int32 dim then dim float32s.
+_ELEM = {"fvecs": "<f4", "ivecs": "<i4"}  # element type after each int32 length
+
+
+def _read_vecs(path: str | Path, kind: str) -> np.ndarray:
+    """Read an fvecs or ivecs file into an (n, dim) array: per record a
+    little-endian int32 dim then dim elements.
 
     Raises FormatError naming the byte offset for truncated records and naming
     both dimensions for inconsistent records; an empty file is an error.
     """
     path = Path(path)
     raw = path.read_bytes()
-    if len(raw) == 0:
-        raise FormatError(f"{path}: empty fvecs file (no records)")
-    if len(raw) < 4:
-        raise FormatError(f"{path}: truncated record at byte offset 0")
-    dim = struct.unpack_from("<i", raw, 0)[0]
-    if dim <= 0:
-        raise FormatError(f"{path}: invalid dimension {dim} at byte offset 0")
-    rec_size = 4 + 4 * dim
-
+    if not raw:
+        raise FormatError(f"{path}: empty {kind} file (no records)")
+    dim = struct.unpack_from("<i", raw, 0)[0] if len(raw) >= 4 else 0
     # Fast path: uniform records decode in one shot. Fall back to a scan only
     # to locate the precise offending offset.
-    if len(raw) % rec_size == 0:
-        arr = np.frombuffer(raw, dtype=np.dtype([("d", "<i4"), ("v", "<f4", (dim,))]))
-        dims = arr["d"]
-        if bool(np.all(dims == dim)):
-            return VectorDataset(arr["v"].copy())
-    _scan_fvecs_for_error(path, raw, dim)
-    raise FormatError(f"{path}: malformed fvecs file")  # pragma: no cover
+    if dim > 0 and len(raw) % (4 + 4 * dim) == 0:
+        arr = np.frombuffer(raw, dtype=np.dtype([("d", "<i4"), ("v", _ELEM[kind], (dim,))]))
+        if bool(np.all(arr["d"] == dim)):
+            return arr["v"].copy()
+    _scan_for_error(path, raw, dim)
+    raise FormatError(f"{path}: malformed {kind} file")  # pragma: no cover
 
 
-def _scan_fvecs_for_error(path: Path, raw: bytes, dim: int) -> None:
+def _scan_for_error(path: Path, raw: bytes, dim: int) -> None:
     """Walk records one by one and raise a FormatError at the first defect."""
     off = 0
     while off < len(raw):
@@ -95,53 +92,36 @@ def _scan_fvecs_for_error(path: Path, raw: bytes, dim: int) -> None:
         off += 4 + 4 * d
 
 
-def write_fvecs(path: str | Path, vectors: np.ndarray) -> None:
-    """Write vectors (n, dim) as an fvecs file, little-endian throughout."""
-    arr = np.ascontiguousarray(vectors, dtype=np.float32)
+def _write_vecs(path: str | Path, rows: np.ndarray, kind: str) -> None:
+    """Write an (n, dim) array as fvecs or ivecs records, little-endian throughout."""
+    arr = np.asarray(rows, dtype=_ELEM[kind])
     if arr.ndim != 2:
-        raise ValueError("vectors must be a 2-d array")
+        raise ValueError(f"{kind} rows must be a 2-d array")
     n, dim = arr.shape
-    out = np.empty(n, dtype=np.dtype([("d", "<i4"), ("v", "<f4", (dim,))]))
+    out = np.empty(n, dtype=np.dtype([("d", "<i4"), ("v", _ELEM[kind], (dim,))]))
     out["d"] = dim
     out["v"] = arr
     Path(path).write_bytes(out.tobytes())
 
 
+def load_fvecs(path: str | Path) -> VectorDataset:
+    """Read an fvecs file (float32 elements) as a dataset."""
+    return VectorDataset(_read_vecs(path, "fvecs"))
+
+
+def write_fvecs(path: str | Path, vectors: np.ndarray) -> None:
+    """Write vectors (n, dim) as an fvecs file."""
+    _write_vecs(path, vectors, "fvecs")
+
+
 def load_ivecs(path: str | Path) -> np.ndarray:
-    """Read an ivecs file into an (n, k) int32 array (same framing as fvecs)."""
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) == 0:
-        raise FormatError(f"{path}: empty ivecs file")
-    if len(raw) < 4:
-        raise FormatError(f"{path}: truncated record at byte offset 0")
-    k = struct.unpack_from("<i", raw, 0)[0]
-    if k <= 0:
-        raise FormatError(f"{path}: invalid record length {k} at byte offset 0")
-    rec_size = 4 + 4 * k
-    if len(raw) % rec_size != 0:
-        bad = (len(raw) // rec_size) * rec_size
-        raise FormatError(f"{path}: truncated record at byte offset {bad}")
-    arr = np.frombuffer(raw, dtype=np.dtype([("k", "<i4"), ("v", "<i4", (k,))]))
-    if not bool(np.all(arr["k"] == k)):
-        idx = int(np.nonzero(arr["k"] != k)[0][0])
-        raise FormatError(
-            f"{path}: inconsistent record lengths at byte offset {idx * rec_size}: "
-            f"record declares {int(arr['k'][idx])}, expected {k}"
-        )
-    return arr["v"].copy()
+    """Read an ivecs file into an (n, k) int32 array."""
+    return _read_vecs(path, "ivecs")
 
 
 def write_ivecs(path: str | Path, ids: np.ndarray) -> None:
     """Write an (n, k) integer array as an ivecs file."""
-    arr = np.ascontiguousarray(ids, dtype=np.int32)
-    if arr.ndim != 2:
-        raise ValueError("ids must be a 2-d array")
-    n, k = arr.shape
-    out = np.empty(n, dtype=np.dtype([("k", "<i4"), ("v", "<i4", (k,))]))
-    out["k"] = k
-    out["v"] = arr
-    Path(path).write_bytes(out.tobytes())
+    _write_vecs(path, ids, "ivecs")
 
 
 def l2_distance(a: np.ndarray, b: np.ndarray) -> float:

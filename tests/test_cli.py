@@ -199,7 +199,7 @@ def test_compare_emits_ratio_block(tmp_path):
     assert report["compare_recall_a"] == report["compare_recall_b"]
 
 
-def test_env_variable_overrides_flag_default(tmp_path, monkeypatch):
+def test_env_variable_overrides_flag_default(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DISKVEC_DIM", "6")
     out = tmp_path / "env.fvecs"
     assert main(["synth", "--out", str(out), "--n", "20", "--seed", "1"]) == 0
@@ -208,6 +208,13 @@ def test_env_variable_overrides_flag_default(tmp_path, monkeypatch):
     out2 = tmp_path / "env2.fvecs"
     assert main(["synth", "--out", str(out2), "--n", "20", "--dim", "3", "--seed", "1"]) == 0
     assert load_fvecs(out2).dim == 3
+    # a bad preset fails only the subcommands that have the flag
+    monkeypatch.setenv("DISKVEC_WORKERS", "abc")
+    assert main(["synth", "--out", str(out), "--n", "20", "--seed", "1"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--index-dir", str(tmp_path), "--queries", str(out)])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_layout_insertion_identity_and_content_preserved(tmp_path):
@@ -295,3 +302,71 @@ def test_negative_cache_budget_exits_2(foreign_sidecars, capsys):
     ])
     assert rc == 2
     assert "total_budget_nodes must be >= 0" in capsys.readouterr().err
+
+
+def _corrupt_graph_neighbor(index_dir) -> list[str]:
+    """Point the entry node's first neighbor in graph.bin past n."""
+    raw = bytearray((index_dir / "graph.bin").read_bytes())
+    n, _, entry = struct.unpack_from("<QIQ", raw, 5)
+    degrees = np.frombuffer(raw, dtype="<u2", count=n, offset=25)
+    struct.pack_into("<q", raw, 25 + 2 * n + 8 * int(degrees[:entry].sum()), n + 5)
+    (index_dir / "graph.bin").write_bytes(raw)
+    return ["graph.bin"]
+
+
+def _corrupt_index_neighbor(index_dir) -> list[str]:
+    """Point the entry node's first neighbor in index.bin past n."""
+    from diskvec.diskstore import IndexReader, slot_size
+    from diskvec.layout import load_layout
+
+    with IndexReader(index_dir / "index.bin") as reader:
+        h = reader.header
+    lm = load_layout(index_dir / "layout.bin")
+    page, slot = lm.page_of(h.entry_id), lm.slot_of(h.entry_id)
+    off = (page + 1) * h.page_size + 2 + slot * slot_size(h.dim, h.R) + 8 + 4 * h.dim + 2
+    raw = bytearray((index_dir / "index.bin").read_bytes())
+    struct.pack_into("<q", raw, off, h.n + 3)
+    (index_dir / "index.bin").write_bytes(raw)
+    return ["index.bin", "neighbor id"]
+
+
+def _corrupt_index_total_pages(index_dir) -> list[str]:
+    """Make the index.bin header claim 40 pages fewer than it holds."""
+    raw = bytearray((index_dir / "index.bin").read_bytes())
+    (total_pages,) = struct.unpack_from("<Q", raw, 29)
+    struct.pack_into("<Q", raw, 29, total_pages - 40)
+    (index_dir / "index.bin").write_bytes(raw)
+    return ["index.bin", "total_pages"]
+
+
+@pytest.mark.parametrize(
+    "corrupt, command, budget",
+    [
+        (_corrupt_graph_neighbor, "layout", None),
+        (_corrupt_graph_neighbor, "query", "150"),
+        (_corrupt_index_neighbor, "query", "0"),
+        (_corrupt_index_neighbor, "query", "150"),
+        (_corrupt_index_total_pages, "bench", "150"),
+    ],
+    ids=["graph-layout", "graph-query", "index-query-uncached", "index-query-preload",
+         "total-pages-bench"],
+)
+def test_corrupt_graph_or_index_exits_3(foreign_sidecars, corrupt, command, budget, tmp_path,
+                                        capsys):
+    queries, index_dir, _ = foreign_sidecars
+    bad = tmp_path / "bad"
+    shutil.copytree(index_dir, bad)
+    named = corrupt(bad)
+    if command == "layout":
+        base = index_dir.parent / "base.fvecs"
+        argv = ["layout", "--index-dir", str(bad), "--dataset", str(base), "--page-size", "512"]
+    else:
+        argv = [command, "--index-dir", str(bad), "--queries", str(queries), "--k", "5",
+                "--l", "40", "--cache-budget", budget]
+        if command == "bench":
+            argv += ["--workers", "1"]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and all(word in err for word in named)
+    assert "Traceback" not in err

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diskvec.graphbuild import (
+    GraphIndex,
     build_graph,
     load_graph,
     medoid,
     save_graph,
     validate_graph,
 )
+from diskvec.errors import FormatError
 from diskvec.vecdata import VectorDataset
 
 from conftest import make_blobs
@@ -68,7 +74,7 @@ def test_no_duplicates_or_self_loops_on_blobs(smoke):
 
 
 def test_medoid_collinear():
-    # summed distances: 0->11, 1->10, 10->19
+    # summed squared distances: 0->101, 1->82, 10->181
     assert medoid(_ds([[0.0], [1.0], [10.0]])) == 1
 
 
@@ -85,21 +91,24 @@ def test_medoid_matches_exhaustive_oracle():
     rng = np.random.default_rng(72)
     pts = rng.normal(size=(40, 5))
     sums = [
-        sum(float(np.linalg.norm(pts[i] - pts[j])) for j in range(40)) for i in range(40)
+        sum(float(np.sum((pts[i] - pts[j]) ** 2)) for j in range(40)) for i in range(40)
     ]
     assert medoid(_ds(pts)) == int(np.argmin(sums))
 
 
-def test_medoid_sampled_path_above_exact_limit():
-    # n > 10,000 switches to seeded anchor sampling: deterministic, and the
-    # estimate lands near the distribution's center on a single blob
-    pts = np.random.default_rng(73).normal(size=(10_050, 4)).astype(np.float32)
+def test_medoid_peak_memory_is_linear_in_n():
+    # an n x n distance block would take about 100 MB here
+    pts = np.random.default_rng(73).normal(size=(10_050, 16)).astype(np.float32)
     ds = _ds(pts)
-    first = medoid(ds, seed=3)
-    assert first == medoid(ds, seed=3)
-    center_dist = float(np.linalg.norm(pts[first] - pts.mean(axis=0)))
-    typical = float(np.median(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
-    assert center_dist < typical
+    tracemalloc.start()
+    try:
+        got = medoid(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * pts.astype(np.float64).nbytes
+    mean = pts.astype(np.float64).mean(axis=0)
+    assert got == int(np.argmin(np.linalg.norm(pts - mean, axis=1)))
 
 
 def test_graph_save_load_round_trip(tmp_path, smoke):
@@ -111,3 +120,37 @@ def test_graph_save_load_round_trip(tmp_path, smoke):
     assert back.n == smoke.graph.n
     for x, y in zip(back.adjacency, smoke.graph.adjacency):
         assert np.array_equal(x, y)
+
+
+@st.composite
+def _random_graphs(draw) -> GraphIndex:
+    n = draw(st.integers(1, 20))
+    R = draw(st.integers(1, 6))
+    neighbors = st.lists(st.integers(0, n - 1), min_size=1, max_size=R, unique=True)
+    adjacency = [np.array(draw(neighbors), dtype=np.int64) for _ in range(n)]
+    return GraphIndex(adjacency=adjacency, entry_id=draw(st.integers(0, n - 1)), R=R)
+
+
+@given(graph=_random_graphs(), data=st.data())
+def test_corrupt_graph_file_is_a_format_error_or_in_range(tmp_path_factory, graph, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_graph.bin"
+    save_graph(path, graph)
+    raw = bytearray(path.read_bytes())
+    pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+    how = data.draw(st.sampled_from(["truncate", "flip", "overwrite"]), label="corruption")
+    if how == "truncate":
+        del raw[pos:]
+    elif how == "flip":
+        raw[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    else:
+        chunk = data.draw(st.binary(min_size=1, max_size=16), label="bytes")
+        raw[pos : pos + len(chunk)] = chunk[: len(raw) - pos]
+    path.write_bytes(bytes(raw))
+    try:
+        back = load_graph(path)
+    except FormatError:
+        return
+    assert 0 <= back.entry_id < back.n
+    for neigh in back.adjacency:
+        assert neigh.size <= back.R
+        assert all(0 <= j < back.n for j in neigh.tolist())

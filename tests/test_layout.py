@@ -89,6 +89,19 @@ def test_kmeans_determinism():
     assert np.array_equal(a_centroids, b_centroids)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 16])
+def test_kmeans_centroids_are_member_means(dim):
+    pts = make_blobs(300, dim, 4, seed=26).astype(np.float64)
+    centroids, assignment, _ = lloyd_cluster(pts, 7, 25, seed=4)
+    for j in range(7):
+        expect = pts[assignment == j].mean(axis=0)
+        if dim == 1:
+            # numpy sums one column pairwise, where the update adds row by row
+            assert np.allclose(centroids[j], expect, rtol=1e-12, atol=1e-12)
+        else:
+            assert np.array_equal(centroids[j], expect)
+
+
 def test_kmeans_k_out_of_range():
     with pytest.raises(ValueError):
         lloyd_cluster(np.zeros((4, 2)), 5, 25, seed=0)

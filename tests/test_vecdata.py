@@ -30,26 +30,33 @@ def test_load_fvecs_single_record(tmp_path):
     assert np.array_equal(ds.vectors[0], np.array([1.0, 2.0], dtype=np.float32))
 
 
+# each error test runs over both codecs: (reader, struct code of one element)
+CODECS = [(load_fvecs, "f"), (load_ivecs, "i")]
+
+
 def test_load_fvecs_inconsistent_dimension(tmp_path):
-    path = tmp_path / "bad.fvecs"
-    path.write_bytes(struct.pack("<iff", 2, 1.0, 2.0) + struct.pack("<ifff", 3, 1.0, 2.0, 3.0))
-    with pytest.raises(FormatError, match="declares 3, expected 2"):
-        load_fvecs(path)
+    path = tmp_path / "bad.vecs"
+    for load, e in CODECS:
+        path.write_bytes(struct.pack(f"<i2{e}", 2, 1, 2) + struct.pack(f"<i3{e}", 3, 1, 2, 3))
+        with pytest.raises(FormatError, match="declares 3, expected 2"):
+            load(path)
 
 
 def test_load_fvecs_truncated_names_offset(tmp_path):
-    path = tmp_path / "trunc.fvecs"
-    good = struct.pack("<iff", 2, 1.0, 2.0)
-    path.write_bytes(good + struct.pack("<if", 2, 1.0))  # second record cut short
-    with pytest.raises(FormatError, match=f"byte offset {len(good)}"):
-        load_fvecs(path)
+    path = tmp_path / "trunc.vecs"
+    for load, e in CODECS:
+        good = struct.pack(f"<i2{e}", 2, 1, 2)
+        path.write_bytes(good + struct.pack(f"<i{e}", 2, 1))  # second record cut short
+        with pytest.raises(FormatError, match=f"byte offset {len(good)}"):
+            load(path)
 
 
 def test_load_fvecs_empty_file(tmp_path):
-    path = tmp_path / "empty.fvecs"
+    path = tmp_path / "empty.vecs"
     path.write_bytes(b"")
-    with pytest.raises(FormatError, match="empty"):
-        load_fvecs(path)
+    for load, _ in CODECS:
+        with pytest.raises(FormatError, match="empty"):
+            load(path)
 
 
 def test_fvecs_round_trip_100_records(tmp_path):
