@@ -3,7 +3,7 @@ search, with a hybrid static/dynamic page cache, similarity-aware batched
 reads, and a vector-similarity disk layout, plus a benchmark CLI."""
 
 from .cache import CacheConfig, HitStats, HybridCache, preload_static
-from .diskstore import IndexReader, IoStats, write_index
+from .diskstore import Index, IndexReader, IoStats, write_index
 from .graphbuild import GraphIndex, build_graph, medoid
 from .layout import (
     LayoutMap,
@@ -37,6 +37,7 @@ __all__ = [
     "GraphIndex",
     "HitStats",
     "HybridCache",
+    "Index",
     "IndexReader",
     "IoStats",
     "LayoutMap",

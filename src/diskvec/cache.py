@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .diskstore import DiskPage, IndexReader, slot_size
+from .diskstore import DiskPage, Index, IndexReader, slot_size
 from .graphbuild import GraphIndex
 from .layout import LayoutMap
 
@@ -218,20 +218,18 @@ class HybridCache:
         self._lock = threading.Lock()
 
     @classmethod
-    def from_config(
-        cls, cfg: CacheConfig, graph: GraphIndex, reader: IndexReader, layout: LayoutMap
-    ) -> HybridCache:
+    def from_config(cls, cfg: CacheConfig, index: Index) -> HybridCache:
         """Preload the static share and size the dynamic share of cfg's budget.
 
         The preload reads are setup cost, not workload I/O, so the reader's
         totals are reset afterwards.
         """
-        entries = preload_static(graph, reader, layout, cfg.static_capacity_nodes)
-        reader.stats.reset()
+        entries = preload_static(index.graph, index.reader, index.layout, cfg.static_capacity_nodes)
+        index.reader.stats.reset()
         return cls(
             entries,
-            cfg.dynamic_capacity_pages(layout.page_capacity),
-            layout,
+            cfg.dynamic_capacity_pages(index.layout.page_capacity),
+            index.layout,
             policy=cfg.policy,
             seed=cfg.seed,
         )

@@ -21,14 +21,11 @@ import numpy as np
 
 from . import diskstore, graphbuild, layout as layoutmod, pqcodec, search, vecdata
 from .cache import CacheConfig, HybridCache, auto_budget_nodes
+from .diskstore import GRAPH_FILE, INDEX_FILE, LAYOUT_FILE, PQ_FILE, Index
 from .errors import FormatError, InvariantError
 
 ENV_PREFIX = "DISKVEC_"
 
-GRAPH_FILE = "graph.bin"
-PQ_FILE = "pq.bin"
-INDEX_FILE = "index.bin"
-LAYOUT_FILE = "layout.bin"
 THETA_FILE = "theta.txt"
 BUILD_META_FILE = "build_meta.txt"
 
@@ -86,17 +83,6 @@ def parse_report(path: str | Path) -> dict[str, str]:
     return out
 
 
-def _require_file(path: str, what: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"{what} not found: {p}")
-    return p
-
-
-def _load_dataset(path: str) -> vecdata.VectorDataset:
-    return vecdata.load_fvecs(_require_file(path, "dataset file"))
-
-
 # ---------------------------------------------------------------- subcommands
 
 
@@ -132,7 +118,7 @@ def cmd_synth(args: argparse.Namespace) -> None:
 
 
 def cmd_build(args: argparse.Namespace) -> None:
-    dataset = _load_dataset(args.dataset)
+    dataset = vecdata.load_fvecs(args.dataset)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -165,9 +151,9 @@ def cmd_build(args: argparse.Namespace) -> None:
 
 
 def cmd_layout(args: argparse.Namespace) -> None:
-    dataset = _load_dataset(args.dataset)
+    dataset = vecdata.load_fvecs(args.dataset)
     index_dir = Path(args.index_dir)
-    graph = graphbuild.load_graph(_require_file(str(index_dir / GRAPH_FILE), "graph file"))
+    graph = graphbuild.load_graph(index_dir / GRAPH_FILE)
     if graph.n != dataset.n:
         raise ValueError(
             f"graph has {graph.n} nodes but dataset has {dataset.n}; wrong --dataset?"
@@ -211,8 +197,8 @@ def cmd_layout(args: argparse.Namespace) -> None:
 
 
 def cmd_gt(args: argparse.Namespace) -> None:
-    dataset = _load_dataset(args.dataset)
-    queries = _load_dataset(args.queries)
+    dataset = vecdata.load_fvecs(args.dataset)
+    queries = vecdata.load_fvecs(args.queries)
     if queries.dim != dataset.dim:
         raise ValueError(f"query dim {queries.dim} != dataset dim {dataset.dim}")
     ids = vecdata.ground_truth_batch(dataset, queries.vectors, args.k)
@@ -230,60 +216,23 @@ def cmd_gt(args: argparse.Namespace) -> None:
     )
 
 
-def _open_index(index_dir: Path):
-    """Open the index file and load its sidecars, each checked against the
-    index header so that artifacts of different builds fail as bad data."""
-    reader = diskstore.IndexReader(_require_file(str(index_dir / INDEX_FILE), "index file"))
-    try:
-        lm = layoutmod.load_layout(_require_file(str(index_dir / LAYOUT_FILE), "layout sidecar"))
-        codebook, codes = pqcodec.load_pq(_require_file(str(index_dir / PQ_FILE), "PQ sidecar"))
-        graph = graphbuild.load_graph(_require_file(str(index_dir / GRAPH_FILE), "graph file"))
-        h = reader.header
-        for name, what, got, want in (
-            (LAYOUT_FILE, "n", lm.n, h.n),
-            (LAYOUT_FILE, "page_capacity", lm.page_capacity, h.page_capacity),
-            (PQ_FILE, "code count", codes.shape[0], h.n),
-            (PQ_FILE, "trained dim", codebook.trained_dim, h.dim),
-            (GRAPH_FILE, "n", graph.n, h.n),
-            (GRAPH_FILE, "R", graph.R, h.R),
-            (GRAPH_FILE, "entry_id", graph.entry_id, h.entry_id),
-        ):
-            if got != want:
-                raise FormatError(
-                    f"{index_dir / name}: {what} is {got} but {INDEX_FILE} has {want}"
-                )
-    except Exception:
-        reader.close()
-        raise
-    return reader, lm, codebook, codes, graph
-
-
 def cmd_calibrate(args: argparse.Namespace) -> None:
-    dataset = _load_dataset(args.dataset)
+    dataset = vecdata.load_fvecs(args.dataset)
     index_dir = Path(args.index_dir)
-    reader, lm, codebook, codes, _ = _open_index(index_dir)
-    try:
+    with Index.open(index_dir) as index:
         cal = search.calibrate_theta(
-            dataset,
-            reader,
-            lm,
-            codebook,
-            codes,
-            k=args.k,
-            l=args.l,
-            sample_fraction=args.fraction,
-            seed=args.seed,
-            beam_width=args.beam_width,
-            window_pages=args.window_pages,
+            dataset, index.reader, index.layout, index.codebook, index.codes,
+            k=args.k, l=args.l, sample_fraction=args.fraction, seed=args.seed,
+            beam_width=args.beam_width, window_pages=args.window_pages,
         )
-    finally:
-        reader.close()
     pairs = [
         ("theta", float(cal.theta)),
         ("k", args.k),
         ("l", args.l),
         ("fraction", float(args.fraction)),
         ("seed", args.seed),
+        ("beam_width", args.beam_width),
+        ("window_pages", args.window_pages),
         ("sample_count", cal.sample_count),
         ("usable_count", cal.usable_count),
         ("early_count", cal.early_count),
@@ -311,11 +260,11 @@ def _search_params(args: argparse.Namespace, index_dir: Path) -> tuple[search.Se
     return params, source
 
 
-def _build_cache(args, reader, lm, graph) -> tuple[HybridCache, list[tuple[str, object]]]:
+def _build_cache(args, index: Index) -> tuple[HybridCache, list[tuple[str, object]]]:
     """The cache the flags configure, and its report pairs."""
-    budget = args.cache_budget if args.cache_budget is not None else auto_budget_nodes(reader)
+    budget = args.cache_budget if args.cache_budget is not None else auto_budget_nodes(index.reader)
     cfg = CacheConfig(budget, args.static_frac, args.policy, args.cache_seed)
-    cache = HybridCache.from_config(cfg, graph, reader, lm)
+    cache = HybridCache.from_config(cfg, index)
     pairs: list[tuple[str, object]] = [
         ("cache_budget_nodes", budget),
         ("static_fraction", cfg.static_fraction),
@@ -333,18 +282,16 @@ def _trace_line(rec: search.TraceRecord) -> str:
 
 def cmd_query(args: argparse.Namespace) -> None:
     index_dir = Path(args.index_dir)
-    queries = _load_dataset(args.queries)
+    queries = vecdata.load_fvecs(args.queries)
     if not 0 <= args.qid < queries.n:
         raise ValueError(f"--qid {args.qid} out of range [0, {queries.n})")
-    reader, lm, codebook, codes, graph = _open_index(index_dir)
-    try:
+    with Index.open(index_dir) as index:
         params, theta_source = _search_params(args, index_dir)
-        cache, cache_pairs = _build_cache(args, reader, lm, graph)
+        cache, cache_pairs = _build_cache(args, index)
         results, st = search.beam_search(
-            queries.vectors[args.qid], params, reader, lm, cache, codebook, codes
+            queries.vectors[args.qid], params, index.reader, index.layout, cache,
+            index.codebook, index.codes,
         )
-    finally:
-        reader.close()
     if args.trace:
         Path(args.trace).write_text("".join(_trace_line(rec) for rec in st.trace))
     pairs: list[tuple[str, object]] = [
@@ -359,7 +306,7 @@ def cmd_query(args: argparse.Namespace) -> None:
         ("transition_iter_panns", st.transition_iter_panns),
         ("io_ops", st.io_ops),
         ("pages_read", st.pages_read),
-        ("bytes_read", st.bytes_read),
+        ("bytes_read", st.pages_read * index.reader.header.page_size),
         ("latency_ms", st.latency_s * 1e3),
     ]
     for rank, (nid, dist) in enumerate(results):
@@ -368,49 +315,33 @@ def cmd_query(args: argparse.Namespace) -> None:
 
 
 def _run_bench(args, index_dir: Path) -> tuple[list[tuple[str, object]], search.WorkloadReport]:
-    queries = _load_dataset(args.queries)
+    queries = vecdata.load_fvecs(args.queries)
     gt = None
     if args.gt:
-        gt = vecdata.load_ivecs(_require_file(args.gt, "ground truth file"))
+        gt = vecdata.load_ivecs(args.gt)
         if gt.shape[0] != queries.n:
             raise ValueError(
                 f"ground truth rows ({gt.shape[0]}) != query count ({queries.n})"
             )
-    reader, lm, codebook, codes, graph = _open_index(index_dir)
-    try:
-        if queries.dim != reader.header.dim:
-            raise ValueError(
-                f"query dim {queries.dim} != index dim {reader.header.dim}"
-            )
+    with Index.open(index_dir) as index:
         bypass = "inactive"
         if args.os_bypass:
-            bypass = "dontneed-advised" if reader.advise_drop_os_cache() else "unsupported"
+            bypass = "dontneed-advised" if index.reader.advise_drop_os_cache() else "unsupported"
         params, theta_source = _search_params(args, index_dir)
-        cache, cache_pairs = _build_cache(args, reader, lm, graph)
+        cache, cache_pairs = _build_cache(args, index)
         workers = args.workers if args.workers > 0 else min(32, os.cpu_count() or 1)
         report = search.run_workload(
-            queries.vectors,
-            params,
-            reader,
-            lm,
-            cache,
-            codebook,
-            codes,
-            gt=gt,
-            workers=workers,
-            repetitions=args.repetitions,
-            reset_per_query=args.reset_per_query,
+            queries.vectors, params, index, cache, gt=gt, workers=workers,
+            repetitions=args.repetitions, reset_per_query=args.reset_per_query,
         )
-        reader_totals = reader.stats.snapshot()
-    finally:
-        reader.close()
+        reader_totals = index.reader.stats.snapshot()
 
     pairs: list[tuple[str, object]] = [
         ("command", "bench"),
         ("index_dir", str(index_dir)),
         ("queries_file", args.queries),
         ("gt_file", args.gt or None),
-        *_fields(reader.header),
+        *_fields(index.reader.header),
         *_fields(params),
         ("theta_source", theta_source),
         *cache_pairs,

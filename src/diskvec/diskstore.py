@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InvariantError
-from .graphbuild import GraphIndex
-from .layout import LayoutMap, ReadInterval
+from .graphbuild import GraphIndex, load_graph
+from .layout import LayoutMap, ReadInterval, load_layout
+from .pqcodec import PQCodebook, load_pq
 from .vecdata import VectorDataset
 
 INDEX_MAGIC = b"GOVI1"
@@ -30,6 +31,12 @@ LAYOUT_KIND_CODES = {"insertion-order": 0, "similarity": 1}
 LAYOUT_KIND_NAMES = {v: k for k, v in LAYOUT_KIND_CODES.items()}
 
 DEFAULT_PAGE_SIZE = 4096
+
+# the files of an index directory
+INDEX_FILE = "index.bin"
+LAYOUT_FILE = "layout.bin"
+PQ_FILE = "pq.bin"
+GRAPH_FILE = "graph.bin"
 
 
 def slot_size(dim: int, R: int) -> int:
@@ -322,3 +329,52 @@ class IndexReader:
         """Convenience point read of one node's (vector, adjacency)."""
         page = self.read_page(layout.page_of(node_id))
         return page.slot(layout.slot_of(node_id), expect_node=node_id)
+
+
+@dataclass
+class Index:
+    """What a query needs, opened together: the paged index file, its layout,
+    the memory-resident PQ codebook and codes, and the graph that seeds the
+    static cache. Leaving its `with` block closes the reader."""
+
+    reader: IndexReader
+    layout: LayoutMap
+    codebook: PQCodebook
+    codes: np.ndarray
+    graph: GraphIndex
+
+    @classmethod
+    def open(cls, index_dir: str | Path) -> "Index":
+        """Open an index directory, checking each sidecar against the index
+        header so that artifacts of different builds fail as bad data. A
+        missing file raises the OS's FileNotFoundError, naming its path."""
+        index_dir = Path(index_dir)
+        reader = IndexReader(index_dir / INDEX_FILE)
+        try:
+            lm = load_layout(index_dir / LAYOUT_FILE)
+            codebook, codes = load_pq(index_dir / PQ_FILE)
+            graph = load_graph(index_dir / GRAPH_FILE)
+            h = reader.header
+            for name, what, got, want in (
+                (LAYOUT_FILE, "n", lm.n, h.n),
+                (LAYOUT_FILE, "page_capacity", lm.page_capacity, h.page_capacity),
+                (PQ_FILE, "code count", codes.shape[0], h.n),
+                (PQ_FILE, "trained dim", codebook.trained_dim, h.dim),
+                (GRAPH_FILE, "n", graph.n, h.n),
+                (GRAPH_FILE, "R", graph.R, h.R),
+                (GRAPH_FILE, "entry_id", graph.entry_id, h.entry_id),
+            ):
+                if got != want:
+                    raise FormatError(
+                        f"{index_dir / name}: {what} is {got} but {INDEX_FILE} has {want}"
+                    )
+        except Exception:
+            reader.close()
+            raise
+        return cls(reader, lm, codebook, codes, graph)
+
+    def __enter__(self) -> "Index":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.reader.close()

@@ -191,4 +191,6 @@ def load_pq(path: str | Path) -> tuple[PQCodebook, np.ndarray]:
         .reshape(n_codes, m)
         .copy()
     )
+    if int(codes.max(initial=0)) >= c:
+        raise FormatError(f"{path}: a PQ code is outside the codebook's [0, {c})")
     return PQCodebook(centroids=centroids), codes

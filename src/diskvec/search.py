@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cache import HitStats, HybridCache
-from .diskstore import IndexReader
+from .diskstore import Index, IndexReader
 from .errors import InvariantError
 from .layout import LayoutMap, ReadInterval, compute_read_interval
 from .pqcodec import PQCodebook, build_distance_table, pq_distance, pq_distance_batch
@@ -63,11 +63,14 @@ class SearchStats:
     transition_iter_theta: int = 0
     transition_iter_panns: int = 0
     trace: list[TraceRecord] = field(default_factory=list)
-    io_ops: int = 0
     pages_read: int = 0
-    bytes_read: int = 0
     hits: HitStats = field(default_factory=HitStats)
     latency_s: float = 0.0
+
+    @property
+    def io_ops(self) -> int:
+        """Read requests: each cache miss is served by exactly one read."""
+        return self.hits.phase1.misses + self.hits.phase2.misses
 
 
 def detect_transition(
@@ -119,7 +122,6 @@ def beam_search(
     if q64.shape[0] != header.dim:
         raise ValueError(f"query dimension {q64.shape[0]} != index dimension {header.dim}")
     table = build_distance_table(q64, codebook)
-    page_size = header.page_size
 
     stats = SearchStats()
     phase = 1  # 1 = convergence toward the query, 2 = top-k refinement
@@ -148,9 +150,7 @@ def beam_search(
                 page_id = layout.page_of(nid)
                 if phase == 1 or cache.dynamic_capacity_pages == 0:
                     page = reader.read_page(page_id)
-                    stats.io_ops += 1
                     stats.pages_read += 1
-                    stats.bytes_read += page_size
                     vec, adj = page.slot(layout.slot_of(nid), expect_node=nid)
                 else:
                     interval = _trim_interval(
@@ -159,9 +159,7 @@ def beam_search(
                         page_id,
                     )
                     pages = reader.read_page_range(interval)
-                    stats.io_ops += 1
                     stats.pages_read += interval.page_count
-                    stats.bytes_read += interval.page_count * page_size
                     cache.admit_pages(pages)
                     admitted_now.update(p.page_id for p in pages)
                     page = pages[page_id - interval.start_page]
@@ -293,11 +291,9 @@ class WorkloadReport:
 def run_workload(
     queries: np.ndarray,
     params: SearchParams,
-    reader: IndexReader,
-    layout: LayoutMap,
+    index: Index,
     cache: HybridCache,
-    codebook: PQCodebook,
-    codes: np.ndarray,
+    *,
     gt: np.ndarray | None = None,
     workers: int = 1,
     repetitions: int = 1,
@@ -326,7 +322,9 @@ def run_workload(
     workers = max(1, workers)
 
     def one(qi: int) -> tuple[list[tuple[int, float]], SearchStats]:
-        return beam_search(queries[qi], params, reader, layout, cache, codebook, codes)
+        return beam_search(
+            queries[qi], params, index.reader, index.layout, cache, index.codebook, index.codes
+        )
 
     first_results: list[list[int]] = []
     first_stats: list[SearchStats] = []
@@ -359,6 +357,7 @@ def run_workload(
         mean_recall = float(np.mean(recalls))
 
     lat = np.array([st.latency_s for st in all_stats]) * 1e3
+    page_size = index.reader.header.page_size
     hits_total = sum((st.hits for st in all_stats), HitStats())
 
     return WorkloadReport(
@@ -374,7 +373,7 @@ def run_workload(
         recall_at_k=mean_recall,
         mean_io_ops=float(np.mean([st.io_ops for st in all_stats])),
         mean_pages_read=float(np.mean([st.pages_read for st in all_stats])),
-        mean_bytes_read=float(np.mean([st.bytes_read for st in all_stats])),
+        mean_bytes_read=float(np.mean([st.pages_read * page_size for st in all_stats])),
         hit_rate_phase1=hits_total.phase1.hit_rate,
         hit_rate_phase2=hits_total.phase2.hit_rate,
         hits_total=hits_total,

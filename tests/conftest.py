@@ -1,5 +1,5 @@
 """Shared fixtures: a 500-point blob corpus with graph, PQ, layouts, and index
-files built once per session, plus helpers for handcrafted mini-indices."""
+files built once per session."""
 
 from __future__ import annotations
 
@@ -12,14 +12,7 @@ import pytest
 from diskvec import diskstore, graphbuild, layout as layoutmod, pqcodec, vecdata
 from diskvec.cache import CacheConfig, HybridCache
 
-
-def make_blobs(
-    n: int, dim: int, blobs: int, seed: int, spread: float = 1.0, center_spread: float = 10.0
-) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    centers = rng.normal(0.0, center_spread, size=(blobs, dim))
-    membership = rng.integers(0, blobs, size=n)
-    return (centers[membership] + rng.normal(0.0, spread, size=(n, dim))).astype(np.float32)
+from builders import make_blobs
 
 
 @dataclass
@@ -36,23 +29,19 @@ class SmokeAssets:
     gt10: np.ndarray
     page_size: int
 
-    def reader(self, kind: str = "sim") -> diskstore.IndexReader:
-        return diskstore.IndexReader(self.index_sim if kind == "sim" else self.index_ins)
+    def index(self, kind: str = "sim") -> diskstore.Index:
+        """The index of one layout kind over the shared graph and PQ, with a
+        fresh reader."""
+        sim = kind == "sim"
+        reader = diskstore.IndexReader(self.index_sim if sim else self.index_ins)
+        lm = self.layout_sim if sim else self.layout_ins
+        return diskstore.Index(reader, lm, self.codebook, self.codes, self.graph)
 
-    def layout_for(self, kind: str = "sim") -> layoutmod.LayoutMap:
-        return self.layout_sim if kind == "sim" else self.layout_ins
-
+    @staticmethod
     def cache(
-        self,
-        reader: diskstore.IndexReader,
-        kind: str = "sim",
-        budget: int = 0,
-        static_frac: float = 0.2,
-        policy: str = "LFU",
-        seed: int = 0,
+        index: diskstore.Index, budget: int = 0, static_frac: float = 0.2, policy: str = "LFU"
     ) -> HybridCache:
-        cfg = CacheConfig(budget, static_frac, policy, seed)
-        return HybridCache.from_config(cfg, self.graph, reader, self.layout_for(kind))
+        return HybridCache.from_config(CacheConfig(budget, static_frac, policy), index)
 
 
 @pytest.fixture(scope="session")
@@ -86,25 +75,3 @@ def smoke(tmp_path_factory) -> SmokeAssets:
         gt10=gt10,
         page_size=page_size,
     )
-
-
-def write_custom_index(
-    tmp_path: Path,
-    vectors: np.ndarray,
-    adjacency: list[list[int]],
-    entry: int,
-    R: int,
-    page_size: int = 256,
-):
-    """Assemble an index from explicit vectors/edges (insertion layout)."""
-    ds = vecdata.VectorDataset(np.asarray(vectors, dtype=np.float32))
-    graph = graphbuild.GraphIndex(
-        adjacency=[np.array(a, dtype=np.int64) for a in adjacency], entry_id=entry, R=R
-    )
-    cap = diskstore.page_capacity_for(page_size, ds.dim, R)
-    lm = layoutmod.build_insertion_layout(ds, cap)
-    path = tmp_path / "custom_index.bin"
-    diskstore.write_index(ds, graph, lm, path, page_size=page_size, layout_kind="insertion-order")
-    codebook = pqcodec.train(ds, m=1, c=ds.n, seed=0)
-    codes = pqcodec.encode_dataset(ds, codebook)
-    return ds, graph, lm, path, codebook, codes

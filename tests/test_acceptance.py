@@ -16,13 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diskvec import graphbuild, layout as layoutmod, pqcodec, vecdata
+from diskvec import layout as layoutmod, pqcodec, vecdata
 from diskvec.cache import CacheConfig, DynamicCache, HybridCache, auto_budget_nodes
 from diskvec.cli import TIMING_KEYS, main, parse_report
-from diskvec.diskstore import DiskPage, IndexReader
+from diskvec.diskstore import GRAPH_FILE, PQ_FILE, DiskPage, Index
 from diskvec.layout import compute_read_interval, mean_intra_page_distance, pack_pages
 from diskvec.search import SearchParams, run_workload
-from diskvec.vecdata import l2_distance
 
 K = 10
 L = 100
@@ -39,29 +38,13 @@ class Corpus:
     base: Path
     queries: Path
     gt: Path
-    idx_sim: Path
-    idx_ins: Path
+    index_dirs: dict[str, Path]  # by layout kind, "sim" or "ins"
     dataset: vecdata.VectorDataset
     query_vecs: np.ndarray
     gt_ids: np.ndarray
-    graph: graphbuild.GraphIndex
-    codebook: pqcodec.PQCodebook
-    codes: np.ndarray
     theta: float
     build_seconds: float
     auto_budget: int
-
-    def open(self, kind: str):
-        idx = self.idx_sim if kind == "sim" else self.idx_ins
-        reader = IndexReader(idx / "index.bin")
-        lm = layoutmod.load_layout(idx / "layout.bin")
-        return reader, lm
-
-    def cache_for(
-        self, reader, lm, budget: int, static_frac: float, policy: str = "LFU"
-    ) -> HybridCache:
-        cfg = CacheConfig(budget, static_frac, policy)
-        return HybridCache.from_config(cfg, self.graph, reader, lm)
 
 
 @pytest.fixture(scope="session")
@@ -86,8 +69,8 @@ def corpus(tmp_path_factory) -> Corpus:
         "--pq-m", "8",
     ]) == 0
     idx_ins.mkdir()
-    shutil.copy(idx_sim / "graph.bin", idx_ins / "graph.bin")
-    shutil.copy(idx_sim / "pq.bin", idx_ins / "pq.bin")
+    shutil.copy(idx_sim / GRAPH_FILE, idx_ins / GRAPH_FILE)
+    shutil.copy(idx_sim / PQ_FILE, idx_ins / PQ_FILE)
     assert main([
         "layout", "--index-dir", str(idx_sim), "--dataset", str(base),
         "--kind", "similarity", "--page-size", "4096", "--seed", "13",
@@ -109,15 +92,12 @@ def corpus(tmp_path_factory) -> Corpus:
     dataset = vecdata.load_fvecs(base)
     query_vecs = vecdata.load_fvecs(queries).vectors
     gt_ids = vecdata.load_ivecs(gt).astype(np.int64)
-    graph = graphbuild.load_graph(idx_sim / "graph.bin")
-    codebook, codes = pqcodec.load_pq(idx_sim / "pq.bin")
     theta = float(parse_report(idx_sim / "theta.txt")["theta"])
-    with IndexReader(idx_sim / "index.bin") as reader:
-        auto_budget = auto_budget_nodes(reader)
+    with Index.open(idx_sim) as index:
+        auto_budget = auto_budget_nodes(index.reader)
     return Corpus(
-        root=root, base=base, queries=queries, gt=gt, idx_sim=idx_sim, idx_ins=idx_ins,
-        dataset=dataset, query_vecs=query_vecs, gt_ids=gt_ids, graph=graph,
-        codebook=codebook, codes=codes, theta=theta,
+        root=root, base=base, queries=queries, gt=gt, index_dirs={"sim": idx_sim, "ins": idx_ins},
+        dataset=dataset, query_vecs=query_vecs, gt_ids=gt_ids, theta=theta,
         build_seconds=build_seconds, auto_budget=auto_budget,
     )
 
@@ -125,18 +105,13 @@ def corpus(tmp_path_factory) -> Corpus:
 def _workload(corpus: Corpus, kind: str, budget: int, static_frac: float,
               queries: np.ndarray, gt: np.ndarray | None, theta: float | None = None,
               policy: str = "LFU"):
-    reader, lm = corpus.open(kind)
-    try:
-        cache = corpus.cache_for(reader, lm, budget, static_frac, policy=policy)
+    with Index.open(corpus.index_dirs[kind]) as index:
+        cache = HybridCache.from_config(CacheConfig(budget, static_frac, policy), index)
         params = SearchParams(
             k=K, l=L, beam_width=4,
             theta=theta if theta is not None else corpus.theta, window_pages=2,
         )
-        return run_workload(
-            queries, params, reader, lm, cache, corpus.codebook, corpus.codes, gt=gt
-        )
-    finally:
-        reader.close()
+        return run_workload(queries, params, index, cache, gt=gt)
 
 
 def test_criterion_01_oracle_recall_floor(corpus):
@@ -345,8 +320,8 @@ def test_criterion_09_pq_saturation_oracle(corpus):
 
 
 def test_criterion_10_layout_locality(corpus):
-    lm_sim = layoutmod.load_layout(corpus.idx_sim / "layout.bin")
-    lm_ins = layoutmod.load_layout(corpus.idx_ins / "layout.bin")
+    with Index.open(corpus.index_dirs["sim"]) as sim, Index.open(corpus.index_dirs["ins"]) as ins:
+        lm_sim, lm_ins = sim.layout, ins.layout
     sim_val = mean_intra_page_distance(corpus.dataset, lm_sim)
     ins_val = mean_intra_page_distance(corpus.dataset, lm_ins)
     assert lm_sim.k_clusters > 1
@@ -356,14 +331,11 @@ def test_criterion_10_layout_locality(corpus):
 
 def test_criterion_11_round_trip_integrity(corpus):
     for kind in ("sim", "ins"):
-        reader, lm = corpus.open(kind)
-        try:
+        with Index.open(corpus.index_dirs[kind]) as index:
             for node in range(corpus.dataset.n):
-                vec, adj = reader.read_node(node, lm)
+                vec, adj = index.reader.read_node(node, index.layout)
                 assert vec.tobytes() == corpus.dataset.vectors[node].tobytes()
-                assert np.array_equal(adj, corpus.graph.adjacency[node])
-        finally:
-            reader.close()
+                assert np.array_equal(adj, index.graph.adjacency[node])
     _ok(11, "bit-exact vector and adjacency round trip under both layout kinds")
 
 

@@ -20,7 +20,7 @@ from diskvec.cache import (
 from diskvec.diskstore import DiskPage
 from diskvec.layout import ReadInterval
 
-from conftest import write_custom_index
+from builders import write_custom_index
 
 
 def _page(pid: int) -> DiskPage:
@@ -236,7 +236,7 @@ def test_preload_star_graph_truncates_final_hop_by_id(tmp_path):
 
 def test_lookup_static_dynamic_miss_paths(smoke):
     lm = smoke.layout_sim
-    with smoke.reader("sim") as r:
+    with smoke.index("sim").reader as r:
         entries = preload_static(smoke.graph, r, lm, 5)
         cache = HybridCache(entries, 2, lm)
         stats = HitStats()
@@ -269,7 +269,7 @@ def test_lookup_static_dynamic_miss_paths(smoke):
 def test_hits_return_bytes_identical_to_direct_reads(smoke):
     lm = smoke.layout_sim
     rng = np.random.default_rng(81)
-    with smoke.reader("sim") as r:
+    with smoke.index("sim").reader as r:
         entries = preload_static(smoke.graph, r, lm, 20)
         cache = HybridCache(entries, 8, lm)
         cache.admit_pages(r.read_page_range(ReadInterval(0, 8)))
@@ -284,7 +284,7 @@ def test_hits_return_bytes_identical_to_direct_reads(smoke):
 
 def test_static_contents_frozen_under_admissions(smoke):
     lm = smoke.layout_sim
-    with smoke.reader("sim") as r:
+    with smoke.index("sim").reader as r:
         entries = preload_static(smoke.graph, r, lm, 10)
         cache = HybridCache(entries, 2, lm)
         before = {k: (v[0].tobytes(), v[1].tobytes()) for k, v in cache.static.items()}

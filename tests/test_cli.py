@@ -102,17 +102,26 @@ def test_gt_self_queries_and_k_too_large(tmp_path):
                  "--out", str(out)]) == 2
 
 
-def test_calibrate_writes_reproducible_sidecar(tmp_path):
+def test_calibrate_writes_reproducible_sidecar(tmp_path, capsys):
     base, queries, index_dir, gt = _pipeline(tmp_path, seed=3)
     theta_file = index_dir / "theta.txt"
     first = theta_file.read_bytes()
-    assert main([
+    calibrate = [
         "calibrate", "--index-dir", str(index_dir), "--dataset", str(base),
         "--k", "10", "--l", "40", "--fraction", "0.05", "--seed", "3",
-    ]) == 0
+    ]
+    assert main(calibrate) == 0
     assert theta_file.read_bytes() == first
-    theta = float(parse_report(theta_file)["theta"])
-    assert 0.0 < theta < 1.0
+    sidecar = parse_report(theta_file)
+    assert 0.0 < float(sidecar["theta"]) < 1.0
+    assert (sidecar["beam_width"], sidecar["window_pages"]) == ("4", "2")
+    # the search knobs the calibration ran with are recorded, on file and stdout
+    capsys.readouterr()
+    assert main(calibrate + ["--beam-width", "2", "--window-pages", "3"]) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    sidecar = parse_report(theta_file)
+    assert (sidecar["beam_width"], sidecar["window_pages"]) == ("2", "3")
+    assert {"beam_width=2", "window_pages=3"} <= set(stdout)
 
 
 def test_bench_budget_zero_hit_rates_zero_results_unchanged(tmp_path):
@@ -330,6 +339,17 @@ def _corrupt_index_neighbor(index_dir) -> list[str]:
     return ["index.bin", "neighbor id"]
 
 
+def _corrupt_pq_code(index_dir) -> list[str]:
+    """Set the entry node's first PQ code past the codebook's c centroids."""
+    raw = bytearray((index_dir / "pq.bin").read_bytes())
+    m, c, sub_dim, _, _ = struct.unpack_from("<IIIIQ", raw, 5)
+    _, _, entry = struct.unpack_from("<QIQ", (index_dir / "graph.bin").read_bytes(), 5)
+    assert c < 200
+    raw[29 + 4 * m * c * sub_dim + entry * m] = 200
+    (index_dir / "pq.bin").write_bytes(raw)
+    return ["pq.bin", "code"]
+
+
 def _corrupt_index_total_pages(index_dir) -> list[str]:
     """Make the index.bin header claim 40 pages fewer than it holds."""
     raw = bytearray((index_dir / "index.bin").read_bytes())
@@ -347,9 +367,12 @@ def _corrupt_index_total_pages(index_dir) -> list[str]:
         (_corrupt_index_neighbor, "query", "0"),
         (_corrupt_index_neighbor, "query", "150"),
         (_corrupt_index_total_pages, "bench", "150"),
+        (_corrupt_pq_code, "query", "0"),
+        (_corrupt_pq_code, "query", "150"),
+        (_corrupt_pq_code, "bench", "150"),
     ],
     ids=["graph-layout", "graph-query", "index-query-uncached", "index-query-preload",
-         "total-pages-bench"],
+         "total-pages-bench", "pq-query-uncached", "pq-query-preload", "pq-bench"],
 )
 def test_corrupt_graph_or_index_exits_3(foreign_sidecars, corrupt, command, budget, tmp_path,
                                         capsys):

@@ -40,16 +40,15 @@ def test_single_node_index(tmp_path):
 
 def test_round_trip_every_node(tmp_path, smoke):
     for kind in ("sim", "ins"):
-        lm = smoke.layout_for(kind)
-        with smoke.reader(kind) as r:
+        with smoke.index(kind) as index:
             for node in range(smoke.dataset.n):
-                vec, adj = r.read_node(node, lm)
+                vec, adj = index.reader.read_node(node, index.layout)
                 assert vec.tobytes() == smoke.dataset.vectors[node].tobytes()  # bit-exact
                 assert np.array_equal(adj, smoke.graph.adjacency[node])
 
 
 def test_page_coverage_partitions_nodes(tmp_path, smoke):
-    with smoke.reader("sim") as r:
+    with smoke.index("sim").reader as r:
         seen: list[int] = []
         for pid in range(r.header.total_pages):
             seen.extend(r.read_page(pid).slots["node_id"].tolist())
@@ -59,7 +58,7 @@ def test_page_coverage_partitions_nodes(tmp_path, smoke):
 def test_same_slots_under_both_layouts(smoke):
     def slot_multiset(kind):
         out = []
-        with smoke.reader(kind) as r:
+        with smoke.index(kind).reader as r:
             for pid in range(r.header.total_pages):
                 page = r.read_page(pid)
                 for s in range(len(page.slots)):
@@ -71,7 +70,7 @@ def test_same_slots_under_both_layouts(smoke):
 
 
 def test_read_accounting(smoke):
-    with smoke.reader("sim") as r:
+    with smoke.index("sim").reader as r:
         r.read_page(0)
         r.read_page(0)
         assert r.stats.snapshot()[:2] == (2, 2)
@@ -90,7 +89,7 @@ def test_read_accounting(smoke):
 
 
 def test_range_of_one_equals_single_read(smoke):
-    with smoke.reader("sim") as r:
+    with smoke.index("sim").reader as r:
         single = r.read_page(3)
         ops0, pages0, _ = r.stats.snapshot()
         ranged = r.read_page_range(ReadInterval(3, 1))
@@ -100,7 +99,7 @@ def test_range_of_one_equals_single_read(smoke):
 
 
 def test_reads_identical_bytes(smoke):
-    with smoke.reader("sim") as r:
+    with smoke.index("sim").reader as r:
         p1 = r.read_page(5)
         p2 = r.read_page(5)
         assert p1.slots["vector"].tobytes() == p2.slots["vector"].tobytes()
@@ -108,7 +107,7 @@ def test_reads_identical_bytes(smoke):
 
 
 def test_out_of_range_reads(smoke):
-    with smoke.reader("sim") as r:
+    with smoke.index("sim").reader as r:
         with pytest.raises(ValueError):
             r.read_page(r.header.total_pages)
         with pytest.raises(ValueError):
@@ -134,7 +133,7 @@ def test_bad_magic_rejected(tmp_path):
 
 
 def test_slot_node_id_mismatch_is_corruption(smoke):
-    with smoke.reader("sim") as r:
+    with smoke.index("sim").reader as r:
         page = r.read_page(0)
         wrong = int(page.slots["node_id"][0]) + 1
         with pytest.raises(FormatError):

@@ -20,7 +20,7 @@ from diskvec.graphbuild import (
 from diskvec.errors import FormatError
 from diskvec.vecdata import VectorDataset
 
-from conftest import make_blobs
+from builders import make_blobs
 
 
 def _ds(arr) -> VectorDataset:

@@ -26,7 +26,7 @@ from diskvec.layout import (
 )
 from diskvec.vecdata import VectorDataset
 
-from conftest import make_blobs
+from builders import make_blobs
 
 
 def _ds(arr) -> VectorDataset:

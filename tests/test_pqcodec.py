@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from diskvec.errors import FormatError
 from diskvec.pqcodec import (
     build_distance_table,
     decode,
@@ -214,3 +215,18 @@ def test_pq_sidecar_round_trip(tmp_path):
     cb2, codes2 = load_pq(path)
     assert np.array_equal(cb2.centroids, cb.centroids)
     assert np.array_equal(codes2, codes)
+
+
+def test_pq_sidecar_with_code_outside_codebook_is_a_format_error(tmp_path):
+    pts = np.random.default_rng(65).normal(size=(30, 8)).astype(np.float32)
+    cb = train(_ds(pts), m=2, c=16, seed=13)
+    codes = encode_dataset(_ds(pts), cb)
+    path = tmp_path / "pq.bin"
+    for bad in (16, 255):
+        codes[7, 1] = bad
+        save_pq(path, cb, codes)
+        with pytest.raises(FormatError, match="code"):
+            load_pq(path)
+    codes[7, 1] = 15  # the last centroid is in range
+    save_pq(path, cb, codes)
+    assert np.array_equal(load_pq(path)[1], codes)

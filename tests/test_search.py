@@ -15,9 +15,9 @@ from diskvec.search import (
     detect_transition,
     run_workload,
 )
-from diskvec.vecdata import ground_truth_topk, recall_at_k
+from diskvec.vecdata import recall_at_k
 
-from conftest import write_custom_index
+from builders import write_custom_index
 
 
 # -------------------------------------------------------- transition rule
@@ -85,13 +85,13 @@ def test_walkthrough_expansion_order(tmp_path):
 
 
 def test_query_of_dataset_vector_returns_itself(smoke):
-    with smoke.reader("sim") as r:
-        cache = smoke.cache(r, "sim", budget=0)
+    with smoke.index("sim") as index:
+        cache = smoke.cache(index, budget=0)
         params = SearchParams(k=10, l=20, theta=0.5)
         for node in (3, 250, 499):
             res, _ = beam_search(
-                smoke.dataset.vectors[node], params, r, smoke.layout_sim,
-                cache, smoke.codebook, smoke.codes,
+                smoke.dataset.vectors[node], params, index.reader, index.layout,
+                cache, index.codebook, index.codes,
             )
             assert res[0][0] == node
             assert res[0][1] == pytest.approx(0.0, abs=1e-6)
@@ -99,13 +99,13 @@ def test_query_of_dataset_vector_returns_itself(smoke):
 
 def test_exhaustive_queue_reaches_full_recall(smoke):
     n = smoke.dataset.n
-    with smoke.reader("sim") as r:
-        cache = smoke.cache(r, "sim", budget=200)
+    with smoke.index("sim") as index:
+        cache = smoke.cache(index, budget=200)
         params = SearchParams(k=10, l=n, theta=0.5)
         for qi in range(0, 50, 10):
             res, _ = beam_search(
-                smoke.queries[qi], params, r, smoke.layout_sim,
-                cache, smoke.codebook, smoke.codes,
+                smoke.queries[qi], params, index.reader, index.layout,
+                cache, index.codebook, index.codes,
             )
             ids = np.array([nid for nid, _ in res])
             assert recall_at_k(ids, smoke.gt10[qi]) == 1.0
@@ -114,25 +114,22 @@ def test_exhaustive_queue_reaches_full_recall(smoke):
 def test_graph_quality_floor_exact_nn_at_full_queue(smoke):
     # searching with l = n must land every query's exact nearest neighbor
     n = smoke.dataset.n
-    with smoke.reader("sim") as r:
-        cache = smoke.cache(r, "sim", budget=200)
+    with smoke.index("sim") as index:
+        cache = smoke.cache(index, budget=200)
         params = SearchParams(k=1, l=n, theta=0.5)
         for qi in range(50):
             res, _ = beam_search(
-                smoke.queries[qi], params, r, smoke.layout_sim,
-                cache, smoke.codebook, smoke.codes,
+                smoke.queries[qi], params, index.reader, index.layout,
+                cache, index.codebook, index.codes,
             )
             assert res[0][0] == int(smoke.gt10[qi][0])
 
 
 def test_smoke_recall_floor(smoke):
-    with smoke.reader("sim") as r:
-        cache = smoke.cache(r, "sim", budget=100)
+    with smoke.index("sim") as index:
+        cache = smoke.cache(index, budget=100)
         params = SearchParams(k=10, l=100, theta=0.5)
-        report = run_workload(
-            smoke.queries, params, r, smoke.layout_sim, cache,
-            smoke.codebook, smoke.codes, gt=smoke.gt10,
-        )
+        report = run_workload(smoke.queries, params, index, cache, gt=smoke.gt10)
     assert report.recall_at_k is not None and report.recall_at_k >= 0.95
 
 
@@ -140,12 +137,9 @@ def test_smoke_recall_floor(smoke):
 
 
 def _run_config(smoke, kind: str, budget: int, static_frac: float, params: SearchParams):
-    with smoke.reader(kind) as r:
-        cache = smoke.cache(r, kind, budget=budget, static_frac=static_frac)
-        report = run_workload(
-            smoke.queries, params, r, smoke.layout_for(kind), cache,
-            smoke.codebook, smoke.codes, gt=smoke.gt10,
-        )
+    with smoke.index(kind) as index:
+        cache = smoke.cache(index, budget=budget, static_frac=static_frac)
+        report = run_workload(smoke.queries, params, index, cache, gt=smoke.gt10)
     return report
 
 
@@ -159,13 +153,13 @@ def test_results_identical_across_cache_configs(smoke):
 
 
 def test_phase_monotone_and_termination(smoke):
-    with smoke.reader("sim") as r:
-        cache = smoke.cache(r, "sim", budget=80)
+    with smoke.index("sim") as index:
+        cache = smoke.cache(index, budget=80)
         params = SearchParams(k=10, l=40, theta=0.5)
         for qi in range(10):
             _, st = beam_search(
-                smoke.queries[qi], params, r, smoke.layout_sim,
-                cache, smoke.codebook, smoke.codes,
+                smoke.queries[qi], params, index.reader, index.layout,
+                cache, index.codebook, index.codes,
             )
             assert st.iterations <= smoke.dataset.n
             phases = [rec.phase for rec in st.trace]
@@ -174,15 +168,15 @@ def test_phase_monotone_and_termination(smoke):
 
 
 def test_distance_trace_minimum_at_truth_transition(smoke):
-    with smoke.reader("sim") as r:
-        cache = smoke.cache(r, "sim", budget=0)
+    with smoke.index("sim") as index:
+        cache = smoke.cache(index, budget=0)
         params = SearchParams(k=10, l=60, theta=0.5)
         reached_count = 0
         for qi in range(8):
             true_nn = int(smoke.gt10[qi][0])
             _, st = beam_search(
-                smoke.queries[qi], params, r, smoke.layout_sim,
-                cache, smoke.codebook, smoke.codes,
+                smoke.queries[qi], params, index.reader, index.layout,
+                cache, index.codebook, index.codes,
             )
             # each node is expanded once, so the truth transition is the one
             # trace record of the true nearest neighbor; the trace minimum is
@@ -203,12 +197,12 @@ def test_distance_trace_minimum_at_truth_transition(smoke):
 
 def test_theta_rule_fires_no_later_than_baseline(smoke):
     params = SearchParams(k=10, l=40, theta=0.3)
-    with smoke.reader("sim") as r:
-        cache = smoke.cache(r, "sim", budget=80)
+    with smoke.index("sim") as index:
+        cache = smoke.cache(index, budget=80)
         for qi in range(20):
             _, st = beam_search(
-                smoke.queries[qi], params, r, smoke.layout_sim,
-                cache, smoke.codebook, smoke.codes,
+                smoke.queries[qi], params, index.reader, index.layout,
+                cache, index.codebook, index.codes,
             )
             assert st.transition_iter_theta <= st.transition_iter_panns
 
@@ -228,9 +222,9 @@ def test_aggregate_transition_ratios_clamps_and_falls_back():
 
 
 def test_calibrate_theta_on_smoke(smoke):
-    with smoke.reader("sim") as r:
+    with smoke.index("sim") as index:
         cal = calibrate_theta(
-            smoke.dataset, r, smoke.layout_sim, smoke.codebook, smoke.codes,
+            smoke.dataset, index.reader, index.layout, index.codebook, index.codes,
             k=10, l=40, sample_fraction=0.05, seed=3,
         )
     assert 0.0 < cal.theta < 1.0
@@ -239,23 +233,23 @@ def test_calibrate_theta_on_smoke(smoke):
 
 
 def test_calibrate_theta_determinism(smoke):
-    with smoke.reader("sim") as r:
+    with smoke.index("sim") as index:
         a = calibrate_theta(
-            smoke.dataset, r, smoke.layout_sim, smoke.codebook, smoke.codes,
+            smoke.dataset, index.reader, index.layout, index.codebook, index.codes,
             k=10, l=40, sample_fraction=0.02, seed=4,
         )
         b = calibrate_theta(
-            smoke.dataset, r, smoke.layout_sim, smoke.codebook, smoke.codes,
+            smoke.dataset, index.reader, index.layout, index.codebook, index.codes,
             k=10, l=40, sample_fraction=0.02, seed=4,
         )
     assert a == b
 
 
 def test_calibrate_theta_empty_sample_is_an_error(smoke):
-    with smoke.reader("sim") as r:
+    with smoke.index("sim") as index:
         with pytest.raises(ValueError):
             calibrate_theta(
-                smoke.dataset, r, smoke.layout_sim, smoke.codebook, smoke.codes,
+                smoke.dataset, index.reader, index.layout, index.codebook, index.codes,
                 k=10, l=40, sample_fraction=0.0001, seed=5,
             )
 
@@ -264,11 +258,11 @@ def test_entry_point_query_transitions_at_iteration_one(smoke):
     # the entry node is expanded first; when it is its own nearest neighbor
     # the truth transition, its first trace record, lands on iteration 1
     entry = smoke.graph.entry_id
-    with smoke.reader("sim") as r:
-        cache = smoke.cache(r, "sim", budget=0)
+    with smoke.index("sim") as index:
+        cache = smoke.cache(index, budget=0)
         _, st = beam_search(
             smoke.dataset.vectors[entry], SearchParams(k=10, l=40, theta=0.5),
-            r, smoke.layout_sim, cache, smoke.codebook, smoke.codes,
+            index.reader, index.layout, cache, index.codebook, index.codes,
         )
     assert (st.trace[0].node_id, st.trace[0].iteration) == (entry, 1)
 
@@ -290,12 +284,9 @@ def test_search_params_validation():
 
 
 def test_workload_single_query_qps_sanity(smoke):
-    with smoke.reader("sim") as r:
-        cache = smoke.cache(r, "sim", budget=0)
-        report = run_workload(
-            smoke.queries[:1], SearchParams(k=5, l=20, theta=0.5),
-            r, smoke.layout_sim, cache, smoke.codebook, smoke.codes,
-        )
+    with smoke.index("sim") as index:
+        cache = smoke.cache(index, budget=0)
+        report = run_workload(smoke.queries[:1], SearchParams(k=5, l=20, theta=0.5), index, cache)
     assert report.query_count == 1
     assert report.qps > 0
     assert report.qps * report.wall_time_s == pytest.approx(1.0, rel=1e-6)
@@ -305,25 +296,19 @@ def test_workload_workers_do_not_change_results(smoke):
     params = SearchParams(k=10, l=40, theta=0.5)
     outs = []
     for workers in (1, 4):
-        with smoke.reader("sim") as r:
-            cache = smoke.cache(r, "sim", budget=80)
+        with smoke.index("sim") as index:
+            cache = smoke.cache(index, budget=80)
             outs.append(
-                run_workload(
-                    smoke.queries, params, r, smoke.layout_sim, cache,
-                    smoke.codebook, smoke.codes, workers=workers,
-                ).results
+                run_workload(smoke.queries, params, index, cache, workers=workers).results
             )
     assert outs[0] == outs[1]
 
 
 def test_workload_mean_recall_matches_independent_mean(smoke):
     params = SearchParams(k=10, l=100, theta=0.5)
-    with smoke.reader("sim") as r:
-        cache = smoke.cache(r, "sim", budget=80)
-        report = run_workload(
-            smoke.queries, params, r, smoke.layout_sim, cache,
-            smoke.codebook, smoke.codes, gt=smoke.gt10,
-        )
+    with smoke.index("sim") as index:
+        cache = smoke.cache(index, budget=80)
+        report = run_workload(smoke.queries, params, index, cache, gt=smoke.gt10)
     manual = float(
         np.mean(
             [recall_at_k(np.array(ids), smoke.gt10[qi]) for qi, ids in enumerate(report.results)]
@@ -333,28 +318,19 @@ def test_workload_mean_recall_matches_independent_mean(smoke):
 
 
 def test_workload_without_gt_reports_no_recall(smoke):
-    with smoke.reader("sim") as r:
-        cache = smoke.cache(r, "sim", budget=0)
-        report = run_workload(
-            smoke.queries[:5], SearchParams(k=5, l=20, theta=0.5),
-            r, smoke.layout_sim, cache, smoke.codebook, smoke.codes,
-        )
+    with smoke.index("sim") as index:
+        cache = smoke.cache(index, budget=0)
+        report = run_workload(smoke.queries[:5], SearchParams(k=5, l=20, theta=0.5), index, cache)
     assert report.recall_at_k is None
 
 
 def test_workload_repetitions_reset_dynamic_cache(smoke):
     params = SearchParams(k=10, l=40, theta=0.5)
-    with smoke.reader("sim") as r:
-        cache = smoke.cache(r, "sim", budget=80)
-        once = run_workload(
-            smoke.queries[:10], params, r, smoke.layout_sim, cache,
-            smoke.codebook, smoke.codes,
-        )
+    with smoke.index("sim") as index:
+        cache = smoke.cache(index, budget=80)
+        once = run_workload(smoke.queries[:10], params, index, cache)
         cache.reset_dynamic()
-        twice = run_workload(
-            smoke.queries[:10], params, r, smoke.layout_sim, cache,
-            smoke.codebook, smoke.codes, repetitions=2,
-        )
+        twice = run_workload(smoke.queries[:10], params, index, cache, repetitions=2)
     # a reset between repetitions makes each pass identical to a single run
     assert twice.mean_io_ops == pytest.approx(once.mean_io_ops, abs=1e-9)
     assert twice.results == once.results
@@ -362,17 +338,11 @@ def test_workload_repetitions_reset_dynamic_cache(smoke):
 
 def test_workload_reset_per_query_mode(smoke):
     params = SearchParams(k=10, l=40, theta=0.5)
-    with smoke.reader("sim") as r:
-        cache = smoke.cache(r, "sim", budget=120)
-        persist = run_workload(
-            smoke.queries[:20], params, r, smoke.layout_sim, cache,
-            smoke.codebook, smoke.codes,
-        )
+    with smoke.index("sim") as index:
+        cache = smoke.cache(index, budget=120)
+        persist = run_workload(smoke.queries[:20], params, index, cache)
         cache.reset_dynamic()
-        isolated = run_workload(
-            smoke.queries[:20], params, r, smoke.layout_sim, cache,
-            smoke.codebook, smoke.codes, reset_per_query=True,
-        )
+        isolated = run_workload(smoke.queries[:20], params, index, cache, reset_per_query=True)
     assert persist.results == isolated.results  # transparency again
 
 
@@ -382,13 +352,12 @@ def test_workload_reset_per_query_mode(smoke):
 def test_workload_counters_reconcile(smoke, workers, budget, policy):
     params = SearchParams(k=10, l=40, theta=0.5)
     reps = 2
-    with smoke.reader("sim") as r:
-        cache = smoke.cache(r, "sim", budget=budget, policy=policy)
+    with smoke.index("sim") as index:
+        cache = smoke.cache(index, budget=budget, policy=policy)
         report = run_workload(
-            smoke.queries, params, r, smoke.layout_sim, cache,
-            smoke.codebook, smoke.codes, workers=workers, repetitions=reps,
+            smoke.queries, params, index, cache, workers=workers, repetitions=reps,
         )
-        io_ops, pages_read, _ = r.stats.snapshot()
+        io_ops, pages_read, _ = index.reader.stats.snapshot()
     executed = report.query_count * reps
     assert report.mean_io_ops * executed == pytest.approx(io_ops, abs=1e-6)
     assert report.mean_pages_read * executed == pytest.approx(pages_read, abs=1e-6)
