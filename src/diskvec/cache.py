@@ -2,6 +2,11 @@
 point, plus a dynamic page cache fed by batch reads during the refinement
 phase, with FIFO / Random / LFU replacement.
 
+FIFO is the default: a page that a batch read brings in stays until the pages
+admitted after it push it out. Under LFU a new page starts at count 0 among
+pages that hits have already counted up, so it is the next victim, and the
+refinement phase's batch reads serve almost no hits.
+
 The budget is expressed in node records; the dynamic share is converted to
 whole pages. Lookups and admissions are linearizable under an internal lock so
 concurrent query workers can share one cache.
@@ -20,6 +25,7 @@ from .graphbuild import GraphIndex
 from .layout import LayoutMap
 
 POLICIES = ("LFU", "FIFO", "RANDOM")
+DEFAULT_POLICY = "FIFO"
 
 
 @dataclass
@@ -28,7 +34,7 @@ class CacheConfig:
 
     total_budget_nodes: int
     static_fraction: float = 0.2
-    policy: str = "LFU"
+    policy: str = DEFAULT_POLICY
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -47,10 +53,26 @@ class CacheConfig:
         return (self.total_budget_nodes - self.static_capacity_nodes) // page_capacity
 
 
-def auto_budget_nodes(reader: IndexReader) -> int:
-    """The default budget: 1% of the index file, in whole node records."""
+def auto_budget_nodes(
+    reader: IndexReader, static_fraction: float = CacheConfig.static_fraction, window_pages: int = 0
+) -> int:
+    """The default budget: 1% of the index file, in whole node records.
+
+    When that leaves the dynamic share fewer than window_pages whole pages
+    and static_fraction is below 1, it is raised to the smallest budget whose
+    dynamic share holds them, so refinement-phase batch reads have a cache to
+    fill.
+    """
     header = reader.header
-    return int(0.01 * reader.path.stat().st_size) // slot_size(header.dim, header.R)
+    budget = int(0.01 * reader.path.stat().st_size) // slot_size(header.dim, header.R)
+    if static_fraction < 1:
+        # the dynamic share, budget - round(f * budget), never falls as the
+        # budget grows; start the search at a lower bound on the answer
+        cap = header.page_capacity
+        budget = max(budget, int((window_pages * cap - 0.5) / (1 - static_fraction)) - 1)
+        while CacheConfig(budget, static_fraction).dynamic_capacity_pages(cap) < window_pages:
+            budget += 1
+    return budget
 
 
 @dataclass
@@ -146,7 +168,7 @@ class DynamicCache:
     overwriting a resident page keeps its place.
     """
 
-    def __init__(self, capacity_pages: int, policy: str = "LFU", seed: int = 0):
+    def __init__(self, capacity_pages: int, policy: str = DEFAULT_POLICY, seed: int = 0):
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
         if capacity_pages < 0:
@@ -209,7 +231,7 @@ class HybridCache:
         static_entries: dict[int, tuple[np.ndarray, np.ndarray]],
         dynamic_capacity_pages: int,
         layout: LayoutMap,
-        policy: str = "LFU",
+        policy: str = DEFAULT_POLICY,
         seed: int = 0,
     ):
         self.static = dict(static_entries)
@@ -257,6 +279,11 @@ class HybridCache:
                 return ("dynamic", vec, adj)
             hits.record(phase, None)
             return None
+
+    def resident(self, page_id: int) -> bool:
+        """Whether the dynamic store holds the page now."""
+        with self._lock:
+            return page_id in self.dynamic
 
     def admit_pages(self, pages: list[DiskPage]) -> list[int]:
         """Write batch-read pages into the dynamic store; returns evictions in

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diskstore, graphbuild, layout as layoutmod, pqcodec, search, vecdata
-from .cache import CacheConfig, HybridCache, auto_budget_nodes
+from .cache import DEFAULT_POLICY, POLICIES, CacheConfig, HybridCache, auto_budget_nodes
 from .diskstore import GRAPH_FILE, INDEX_FILE, LAYOUT_FILE, PQ_FILE, Index
 from .errors import FormatError, InvariantError
 
@@ -40,11 +40,44 @@ TIMING_KEYS = (
 )
 
 
+class _Preset(str):
+    """A flag default read from the environment variable `var`."""
+
+    var: str
+
+
 def _env_default(flag: str, fallback):
     """The flag's default: the raw DISKVEC_<FLAG> string when set, which
     argparse converts with the flag's own type only when the subcommand runs
     without the flag; otherwise fallback."""
-    return os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"), fallback)
+    var = ENV_PREFIX + flag.upper().replace("-", "_")
+    if var not in os.environ:
+        return fallback
+    preset = _Preset(os.environ[var])
+    preset.var = var
+    return preset
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors about a preset name its variable.
+
+    argparse converts a string default with the flag's type, but checks no
+    default against the flag's choices; a preset is checked here.
+    """
+
+    def _get_value(self, action, arg_string):
+        if not isinstance(arg_string, _Preset):
+            return super()._get_value(action, arg_string)
+        try:
+            value = super()._get_value(action, arg_string)
+        except argparse.ArgumentError as exc:
+            raise argparse.ArgumentError(action, f"{exc.message} (from {arg_string.var})") from None
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice {value!r} from {arg_string.var} (choose from {choices})"
+            )
+        return value
 
 
 def _fmt(v) -> str:
@@ -262,7 +295,9 @@ def _search_params(args: argparse.Namespace, index_dir: Path) -> tuple[search.Se
 
 def _build_cache(args, index: Index) -> tuple[HybridCache, list[tuple[str, object]]]:
     """The cache the flags configure, and its report pairs."""
-    budget = args.cache_budget if args.cache_budget is not None else auto_budget_nodes(index.reader)
+    budget = args.cache_budget
+    if budget is None:
+        budget = auto_budget_nodes(index.reader, args.static_frac, args.window_pages)
     cfg = CacheConfig(budget, args.static_frac, args.policy, args.cache_seed)
     cache = HybridCache.from_config(cfg, index)
     pairs: list[tuple[str, object]] = [
@@ -412,9 +447,9 @@ def _add_cache_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--policy",
-        choices=("LFU", "FIFO", "RANDOM"),
-        default=_env_default("policy", "LFU"),
-        help="dynamic cache replacement policy (default LFU)",
+        choices=POLICIES,
+        default=_env_default("policy", DEFAULT_POLICY),
+        help=f"dynamic cache replacement policy (default {DEFAULT_POLICY})",
     )
     p.add_argument(
         "--cache-seed",
@@ -451,7 +486,7 @@ def _add_workload_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diskvec",
         description="Disk-resident ANN graph index benchmark tool",
     )

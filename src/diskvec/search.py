@@ -14,6 +14,7 @@ import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -88,14 +89,14 @@ def detect_transition(
 
 
 def _trim_interval(
-    interval: ReadInterval, already: set[int], target_page: int
+    interval: ReadInterval, skip: Callable[[int], bool], target_page: int
 ) -> ReadInterval:
-    """Drop edge pages fetched earlier in this beam iteration, keeping the
-    range contiguous and covering the target page."""
+    """Drop the edge pages that skip names, keeping the range contiguous and
+    covering the target page."""
     start, end = interval.start_page, interval.end_page
-    while start < target_page and start in already:
+    while start < target_page and skip(start):
         start += 1
-    while end > target_page and end in already:
+    while end > target_page and skip(end):
         end -= 1
     return ReadInterval(start_page=start, page_count=end - start + 1)
 
@@ -153,9 +154,11 @@ def beam_search(
                     stats.pages_read += 1
                     vec, adj = page.slot(layout.slot_of(nid), expect_node=nid)
                 else:
+                    # pages this iteration fetched, or the dynamic cache holds,
+                    # are not read again
                     interval = _trim_interval(
                         compute_read_interval(nid, params.window_pages, layout),
-                        admitted_now,
+                        lambda p: p in admitted_now or cache.resident(p),
                         page_id,
                     )
                     pages = reader.read_page_range(interval)

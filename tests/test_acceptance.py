@@ -114,6 +114,13 @@ def _workload(corpus: Corpus, kind: str, budget: int, static_frac: float,
         return run_workload(queries, params, index, cache, gt=gt)
 
 
+def test_auto_budget_floor_leaves_the_corpus_budget(corpus):
+    # the 1% budget already holds a window of dynamic pages here, so the
+    # budgets of criteria 01, 02 and 08 are the plain 1% of index.bin
+    with Index.open(corpus.index_dirs["sim"]) as index:
+        assert auto_budget_nodes(index.reader, 0.2, 2) == corpus.auto_budget
+
+
 def test_criterion_01_oracle_recall_floor(corpus):
     started = time.perf_counter()
     report = _workload(

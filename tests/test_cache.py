@@ -15,6 +15,7 @@ from diskvec.cache import (
     DynamicCache,
     HitStats,
     HybridCache,
+    auto_budget_nodes,
     preload_static,
 )
 from diskvec.diskstore import DiskPage
@@ -43,6 +44,16 @@ def test_fifo_ignores_readmission():
     dc.admit(_page(11))
     dc.admit(_page(10))  # re-admission must not refresh FIFO position
     assert dc.admit(_page(12)) == [10]
+
+
+def test_default_policy_keeps_fresh_admission():
+    dc = DynamicCache(3)
+    for pid in (1, 2, 3):
+        dc.admit(_page(pid))
+    for pid in (1, 2, 3):
+        dc.touch(pid)
+    dc.admit(_page(4))
+    assert 4 in dc
 
 
 def test_lfu_scripted_trace():
@@ -202,6 +213,23 @@ def test_cache_config_validation():
         CacheConfig(total_budget_nodes=10, policy="LRU")
     with pytest.raises(ValueError):
         CacheConfig(total_budget_nodes=10, static_fraction=1.5)
+
+
+@pytest.mark.parametrize("static_fraction", [0.0, 0.2, 0.9, 1.0])
+@pytest.mark.parametrize("window_pages", [0, 2, 5])
+def test_auto_budget_is_the_smallest_that_holds_a_window(smoke, static_fraction, window_pages):
+    with smoke.index("sim") as index:
+        plain = auto_budget_nodes(index.reader)
+        budget = auto_budget_nodes(index.reader, static_fraction, window_pages)
+    cap = index.layout.page_capacity
+
+    def pages(b: int) -> int:
+        return CacheConfig(b, static_fraction).dynamic_capacity_pages(cap)
+
+    if static_fraction == 1.0 or pages(plain) >= window_pages:
+        assert budget == plain
+    else:
+        assert pages(budget) >= window_pages > pages(budget - 1)
 
 
 # ------------------------------------------------------------------- preload

@@ -223,7 +223,15 @@ def test_env_variable_overrides_flag_default(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--index-dir", str(tmp_path), "--queries", str(out)])
     assert exc.value.code == 2
-    assert "--workers" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--workers" in err and "DISKVEC_WORKERS" in err
+    # argparse checks no string default against choices; a preset is checked
+    monkeypatch.delenv("DISKVEC_WORKERS")
+    monkeypatch.setenv("DISKVEC_POLICY", "LRU")
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--index-dir", str(tmp_path), "--queries", str(out)])
+    assert exc.value.code == 2
+    assert "DISKVEC_POLICY" in capsys.readouterr().err
 
 
 def test_layout_insertion_identity_and_content_preserved(tmp_path):
@@ -301,6 +309,17 @@ def test_corrupt_layout_exits_3(foreign_sidecars, corruption, tmp_path, capsys):
     assert rc == 3
     assert err.startswith("error:") and "layout.bin" in err
     assert "Traceback" not in err
+
+
+def test_auto_budget_holds_a_window_of_dynamic_pages(foreign_sidecars, capsys):
+    queries, index_dir, _ = foreign_sidecars
+    for window in ("2", "3"):
+        assert main([
+            "query", "--index-dir", str(index_dir), "--queries", str(queries),
+            "--k", "5", "--l", "40", "--window-pages", window,
+        ]) == 0
+        report = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        assert report["dynamic_capacity_pages"] == window
 
 
 def test_negative_cache_budget_exits_2(foreign_sidecars, capsys):

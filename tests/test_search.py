@@ -152,6 +152,31 @@ def test_results_identical_across_cache_configs(smoke):
     assert none.hit_rate_phase1 == 0.0 and none.hit_rate_phase2 == 0.0
 
 
+def test_range_reads_skip_resident_pages(smoke, monkeypatch):
+    params = SearchParams(k=10, l=60, theta=0.5, window_pages=3)
+    reads = []  # (first page, last page, dynamic pages resident at the read)
+    with smoke.index("sim") as index:
+        cache = smoke.cache(index, budget=60, policy="FIFO")
+        read_page_range = IndexReader.read_page_range
+
+        def recording(reader, interval):
+            reads.append((interval.start_page, interval.end_page, set(cache.dynamic.pages)))
+            return read_page_range(reader, interval)
+
+        monkeypatch.setattr(IndexReader, "read_page_range", recording)
+        cached = run_workload(smoke.queries, params, index, cache)
+        monkeypatch.undo()
+        uncached = run_workload(smoke.queries, params, index, smoke.cache(index, budget=0))
+    assert cache.dynamic_capacity_pages > 0 and len(reads) > len(smoke.queries)
+    # a range read serves a miss, so its target page is never resident either
+    assert all(not {first, last} & resident for first, last, resident in reads)
+    assert cached.results == uncached.results
+    for got, want in zip(cached.stats, uncached.stats):
+        assert [(r.node_id, r.exact_dist) for r in got.trace] == [
+            (r.node_id, r.exact_dist) for r in want.trace
+        ]
+
+
 def test_phase_monotone_and_termination(smoke):
     with smoke.index("sim") as index:
         cache = smoke.cache(index, budget=80)
@@ -348,7 +373,7 @@ def test_workload_reset_per_query_mode(smoke):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("budget", [0, 80, 200])
-@pytest.mark.parametrize("policy", ["LFU", "FIFO"])
+@pytest.mark.parametrize("policy", ["LFU", "FIFO", "RANDOM"])
 def test_workload_counters_reconcile(smoke, workers, budget, policy):
     params = SearchParams(k=10, l=40, theta=0.5)
     reps = 2
