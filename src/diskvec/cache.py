@@ -124,22 +124,22 @@ class HitStats:
 
 
 def preload_static(
-    graph: GraphIndex,
+    graph: GraphIndex | None,
     reader: IndexReader,
     layout: LayoutMap,
     capacity_nodes: int,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """BFS from the entry point, admitting whole hops while they fit and
-    truncating the final hop by ascending node id.
+    """BFS from the entry point over the on-disk adjacency, admitting whole
+    hops while they fit and truncating the final hop by ascending node id.
 
     Entries carry the on-disk (vector, adjacency) bytes so cached answers are
-    identical to direct reads.
+    identical to direct reads. `graph` is unused; bench/ still passes one.
     """
     entries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     if capacity_nodes <= 0:
         return entries
-    visited = {graph.entry_id}
-    hop = [graph.entry_id]
+    hop = [reader.header.entry_id]
+    visited = set(hop)
     while hop and len(entries) < capacity_nodes:
         room = capacity_nodes - len(entries)
         admit = hop if len(hop) <= room else hop[:room]
@@ -150,7 +150,7 @@ def preload_static(
             break
         nxt: set[int] = set()
         for node in hop:
-            for j in graph.adjacency[node].tolist():
+            for j in entries[node][1].tolist():
                 if j not in visited:
                     visited.add(j)
                     nxt.add(j)
@@ -246,7 +246,7 @@ class HybridCache:
         The preload reads are setup cost, not workload I/O, so the reader's
         totals are reset afterwards.
         """
-        entries = preload_static(index.graph, index.reader, index.layout, cfg.static_capacity_nodes)
+        entries = preload_static(None, index.reader, index.layout, cfg.static_capacity_nodes)
         index.reader.stats.reset()
         return cls(
             entries,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InvariantError
-from .graphbuild import GraphIndex, load_graph
+from .graphbuild import GraphIndex
 from .layout import LayoutMap, ReadInterval, load_layout
 from .pqcodec import PQCodebook, load_pq
 from .vecdata import VectorDataset
@@ -230,6 +230,13 @@ class IndexReader:
                     f"{self.path}: total_pages {total_pages} is not "
                     f"ceil(n {n} / page_capacity {cap})"
                 )
+            if entry_id >= n:
+                raise FormatError(f"{self.path}: entry_id {entry_id} is not below n {n}")
+            if PAGE_HEADER_SIZE + cap * slot_size(dim, R) > page_size:
+                raise FormatError(
+                    f"{self.path}: {cap} slots of dim {dim}, R {R} do not fit "
+                    f"a {page_size}-byte page"
+                )
             size = os.fstat(self._fd).st_size
             if size != (total_pages + 1) * page_size:
                 raise FormatError(
@@ -333,15 +340,14 @@ class IndexReader:
 
 @dataclass
 class Index:
-    """What a query needs, opened together: the paged index file, its layout,
-    the memory-resident PQ codebook and codes, and the graph that seeds the
-    static cache. Leaving its `with` block closes the reader."""
+    """What a query needs, opened together: the paged index file, which holds
+    the graph, its layout, and the memory-resident PQ codebook and codes.
+    Leaving its `with` block closes the reader."""
 
     reader: IndexReader
     layout: LayoutMap
     codebook: PQCodebook
     codes: np.ndarray
-    graph: GraphIndex
 
     @classmethod
     def open(cls, index_dir: str | Path) -> "Index":
@@ -353,16 +359,12 @@ class Index:
         try:
             lm = load_layout(index_dir / LAYOUT_FILE)
             codebook, codes = load_pq(index_dir / PQ_FILE)
-            graph = load_graph(index_dir / GRAPH_FILE)
             h = reader.header
             for name, what, got, want in (
                 (LAYOUT_FILE, "n", lm.n, h.n),
                 (LAYOUT_FILE, "page_capacity", lm.page_capacity, h.page_capacity),
                 (PQ_FILE, "code count", codes.shape[0], h.n),
                 (PQ_FILE, "trained dim", codebook.trained_dim, h.dim),
-                (GRAPH_FILE, "n", graph.n, h.n),
-                (GRAPH_FILE, "R", graph.R, h.R),
-                (GRAPH_FILE, "entry_id", graph.entry_id, h.entry_id),
             ):
                 if got != want:
                     raise FormatError(
@@ -371,7 +373,7 @@ class Index:
         except Exception:
             reader.close()
             raise
-        return cls(reader, lm, codebook, codes, graph)
+        return cls(reader, lm, codebook, codes)
 
     def __enter__(self) -> "Index":
         return self

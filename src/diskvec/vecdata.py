@@ -44,9 +44,6 @@ class VectorDataset:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def vector(self, node_id: int) -> np.ndarray:
-        return self.vectors[node_id]
-
 
 _ELEM = {"fvecs": "<f4", "ivecs": "<i4"}  # element type after each int32 length
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from diskvec import diskstore, graphbuild, layout as layoutmod, pqcodec, vecdata
 
@@ -42,3 +43,20 @@ def write_custom_index(
     codebook = pqcodec.train(ds, m=1, c=ds.n, seed=0)
     codes = pqcodec.encode_dataset(ds, codebook)
     return ds, graph, lm, path, codebook, codes
+
+
+def mutate(data: st.DataObject, raw: bytearray, header_size: int) -> bytearray:
+    """Truncate raw, flip one of its bits or overwrite a few of its bytes, as
+    drawn from data; half the mutations start inside its first header_size
+    bytes."""
+    end = header_size if data.draw(st.booleans(), label="in header") else len(raw)
+    pos = data.draw(st.integers(0, end - 1), label="position")
+    how = data.draw(st.sampled_from(["truncate", "flip", "overwrite"]), label="corruption")
+    if how == "truncate":
+        del raw[pos:]
+    elif how == "flip":
+        raw[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    else:
+        chunk = data.draw(st.binary(min_size=1, max_size=16), label="bytes")
+        raw[pos : pos + len(chunk)] = chunk[: len(raw) - pos]
+    return raw

@@ -30,12 +30,12 @@ class SmokeAssets:
     page_size: int
 
     def index(self, kind: str = "sim") -> diskstore.Index:
-        """The index of one layout kind over the shared graph and PQ, with a
-        fresh reader."""
+        """The index of one layout kind over the shared PQ, with a fresh
+        reader."""
         sim = kind == "sim"
         reader = diskstore.IndexReader(self.index_sim if sim else self.index_ins)
         lm = self.layout_sim if sim else self.layout_ins
-        return diskstore.Index(reader, lm, self.codebook, self.codes, self.graph)
+        return diskstore.Index(reader, lm, self.codebook, self.codes)
 
     @staticmethod
     def cache(

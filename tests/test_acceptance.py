@@ -20,6 +20,7 @@ from diskvec import layout as layoutmod, pqcodec, vecdata
 from diskvec.cache import CacheConfig, DynamicCache, HybridCache, auto_budget_nodes
 from diskvec.cli import TIMING_KEYS, main, parse_report
 from diskvec.diskstore import GRAPH_FILE, PQ_FILE, DiskPage, Index
+from diskvec.graphbuild import load_graph
 from diskvec.layout import compute_read_interval, mean_intra_page_distance, pack_pages
 from diskvec.search import SearchParams, run_workload
 
@@ -338,11 +339,12 @@ def test_criterion_10_layout_locality(corpus):
 
 def test_criterion_11_round_trip_integrity(corpus):
     for kind in ("sim", "ins"):
+        graph = load_graph(corpus.index_dirs[kind] / GRAPH_FILE)
         with Index.open(corpus.index_dirs[kind]) as index:
             for node in range(corpus.dataset.n):
                 vec, adj = index.reader.read_node(node, index.layout)
                 assert vec.tobytes() == corpus.dataset.vectors[node].tobytes()
-                assert np.array_equal(adj, index.graph.adjacency[node])
+                assert np.array_equal(adj, graph.adjacency[node])
     _ok(11, "bit-exact vector and adjacency round trip under both layout kinds")
 
 

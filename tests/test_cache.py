@@ -19,6 +19,7 @@ from diskvec.cache import (
     preload_static,
 )
 from diskvec.diskstore import DiskPage
+from diskvec.graphbuild import GraphIndex
 from diskvec.layout import ReadInterval
 
 from builders import write_custom_index
@@ -257,6 +258,20 @@ def test_preload_star_graph_truncates_final_hop_by_id(tmp_path):
     with IndexReader(path) as r:
         got = preload_static(graph, r, lm, 4)
     assert set(got) == {0, 1, 2, 3}  # entry plus the three lowest-id leaves
+
+
+def test_preload_walks_the_adjacency_it_reads_not_the_graph(smoke):
+    hollow = GraphIndex(
+        adjacency=[np.empty(0, dtype=np.int64)] * smoke.dataset.n, entry_id=0, R=smoke.graph.R
+    )
+    with smoke.index("sim").reader as r:
+        for capacity in (1, 5, 37, 150, smoke.dataset.n):
+            want = preload_static(smoke.graph, r, smoke.layout_sim, capacity)
+            got = preload_static(hollow, r, smoke.layout_sim, capacity)
+            assert list(got) == list(want)
+            for node, (vec, adj) in want.items():
+                assert got[node][0].tobytes() == vec.tobytes()
+                assert got[node][1].tobytes() == adj.tobytes()
 
 
 # ------------------------------------------------------------ hybrid lookups

@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from diskvec.cli import main, parse_report
+from diskvec.cli import TIMING_KEYS, main, parse_report
 from diskvec.vecdata import load_fvecs, load_ivecs
 
 
@@ -181,6 +181,42 @@ def test_query_subcommand_with_trace(tmp_path):
     assert int(phase) in (1, 2)
 
 
+def test_queries_run_without_graph_file(tmp_path):
+    base, queries, index_dir, gt = _pipeline(tmp_path, seed=9)
+
+    def outputs(label: str) -> dict[str, object]:
+        out = tmp_path / label
+        out.mkdir()
+        assert main([
+            "calibrate", "--index-dir", str(index_dir), "--dataset", str(base),
+            "--k", "10", "--l", "40", "--fraction", "0.05", "--seed", "9",
+        ]) == 0
+        assert main([
+            "query", "--index-dir", str(index_dir), "--queries", str(queries), "--qid", "3",
+            "--k", "5", "--l", "40", "--cache-budget", "80",
+            "--trace", str(out / "trace.csv"), "--out", str(out / "query.txt"),
+        ]) == 0
+        assert main([
+            "bench", "--index-dir", str(index_dir), "--queries", str(queries), "--gt", str(gt),
+            "--k", "10", "--l", "60", "--workers", "1", "--cache-budget", "80",
+            "--results-out", str(out / "results.txt"), "--trace-out", str(out / "traces.csv"),
+            "--out", str(out / "bench.txt"),
+        ]) == 0
+        got: dict[str, object] = {
+            name: (out / name).read_bytes() for name in ("trace.csv", "results.txt", "traces.csv")
+        }
+        got["theta.txt"] = (index_dir / "theta.txt").read_bytes()
+        for report in ("query.txt", "bench.txt"):
+            values = parse_report(out / report)
+            got[report] = {k: v for k, v in values.items()
+                           if k not in TIMING_KEYS and k != "latency_ms"}
+        return got
+
+    with_graph = outputs("with_graph")
+    (index_dir / "graph.bin").unlink()
+    assert outputs("without_graph") == with_graph
+
+
 def test_compare_emits_ratio_block(tmp_path):
     base, queries, index_dir_sim, gt = _pipeline(tmp_path, seed=8, kind="similarity")
     index_dir_ins = tmp_path / "idx_insertion"
@@ -245,7 +281,7 @@ def test_layout_insertion_identity_and_content_preserved(tmp_path):
 @pytest.fixture(scope="module")
 def foreign_sidecars(tmp_path_factory):
     """An index dir, plus sidecars that disagree with its index.bin: a layout
-    written with another page size, and graph/PQ files of a 300-node build."""
+    written with another page size, and the PQ file of a 300-node build."""
     root = tmp_path_factory.mktemp("foreign")
     base, queries, index_dir, _ = _pipeline(root)
     other_pages = root / "other_pages"
@@ -261,15 +297,11 @@ def foreign_sidecars(tmp_path_factory):
         "build", "--dataset", str(small), "--out-dir", str(other_build),
         "--r", "8", "--l-build", "16", "--seed", "1", "--pq-c", "32",
     ]) == 0
-    foreign = {
-        "layout.bin": other_pages / "layout.bin",
-        "pq.bin": other_build / "pq.bin",
-        "graph.bin": other_build / "graph.bin",
-    }
+    foreign = {"layout.bin": other_pages / "layout.bin", "pq.bin": other_build / "pq.bin"}
     return queries, index_dir, foreign
 
 
-@pytest.mark.parametrize("sidecar", ["layout.bin", "pq.bin", "graph.bin"])
+@pytest.mark.parametrize("sidecar", ["layout.bin", "pq.bin"])
 def test_sidecar_disagreeing_with_index_exits_3(foreign_sidecars, sidecar, tmp_path, capsys):
     queries, index_dir, foreign = foreign_sidecars
     mixed = tmp_path / "mixed"
@@ -358,6 +390,24 @@ def _corrupt_index_neighbor(index_dir) -> list[str]:
     return ["index.bin", "neighbor id"]
 
 
+def _corrupt_index_entry(index_dir) -> list[str]:
+    """Make the index.bin header's entry_id n + 5."""
+    raw = bytearray((index_dir / "index.bin").read_bytes())
+    (n,) = struct.unpack_from("<Q", raw, 13)
+    struct.pack_into("<Q", raw, 37, n + 5)
+    (index_dir / "index.bin").write_bytes(raw)
+    return ["index.bin", "entry_id"]
+
+
+def _corrupt_index_R(index_dir) -> list[str]:
+    """Raise the index.bin header's R by one."""
+    raw = bytearray((index_dir / "index.bin").read_bytes())
+    (R,) = struct.unpack_from("<I", raw, 21)
+    struct.pack_into("<I", raw, 21, R + 1)
+    (index_dir / "index.bin").write_bytes(raw)
+    return ["index.bin"]
+
+
 def _corrupt_pq_code(index_dir) -> list[str]:
     """Set the entry node's first PQ code past the codebook's c centroids."""
     raw = bytearray((index_dir / "pq.bin").read_bytes())
@@ -382,7 +432,8 @@ def _corrupt_index_total_pages(index_dir) -> list[str]:
     "corrupt, command, budget",
     [
         (_corrupt_graph_neighbor, "layout", None),
-        (_corrupt_graph_neighbor, "query", "150"),
+        (_corrupt_index_entry, "query", "150"),
+        (_corrupt_index_R, "query", "150"),
         (_corrupt_index_neighbor, "query", "0"),
         (_corrupt_index_neighbor, "query", "150"),
         (_corrupt_index_total_pages, "bench", "150"),
@@ -390,8 +441,9 @@ def _corrupt_index_total_pages(index_dir) -> list[str]:
         (_corrupt_pq_code, "query", "150"),
         (_corrupt_pq_code, "bench", "150"),
     ],
-    ids=["graph-layout", "graph-query", "index-query-uncached", "index-query-preload",
-         "total-pages-bench", "pq-query-uncached", "pq-query-preload", "pq-bench"],
+    ids=["graph-layout", "index-entry-query", "index-R-query", "index-query-uncached",
+         "index-query-preload", "total-pages-bench", "pq-query-uncached", "pq-query-preload",
+         "pq-bench"],
 )
 def test_corrupt_graph_or_index_exits_3(foreign_sidecars, corrupt, command, budget, tmp_path,
                                         capsys):

@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diskvec.errors import FormatError
 from diskvec.graphbuild import GraphIndex
 from diskvec.layout import ReadInterval, build_insertion_layout
 from diskvec.diskstore import (
+    _INDEX_HEADER,
     IndexReader,
     page_capacity_for,
     slot_size,
     write_index,
 )
 from diskvec.vecdata import VectorDataset
+
+from builders import mutate, write_custom_index
 
 
 def test_slot_and_capacity_arithmetic():
@@ -138,3 +145,43 @@ def test_slot_node_id_mismatch_is_corruption(smoke):
         wrong = int(page.slots["node_id"][0]) + 1
         with pytest.raises(FormatError):
             page.slot(0, expect_node=wrong)
+
+
+@pytest.fixture(scope="module")
+def custom_index(tmp_path_factory):
+    """A two-page index of ten nodes."""
+    rng = np.random.default_rng(17)
+    adjacency = [[(i + 1) % 10, (i + 3) % 10][: i % 3] for i in range(10)]
+    return write_custom_index(
+        tmp_path_factory.mktemp("custom"), rng.normal(size=(10, 4)), adjacency, entry=4, R=3
+    )[3]
+
+
+@pytest.mark.parametrize(
+    "offset, fmt, value, named",
+    [(37, "<Q", 10, "entry_id"), (21, "<I", 4, "do not fit")],  # entry_id = n; R 3 -> 4
+)
+def test_header_fields_the_pages_contradict_are_format_errors(
+    custom_index, tmp_path, offset, fmt, value, named
+):
+    raw = bytearray(custom_index.read_bytes())
+    struct.pack_into(fmt, raw, offset, value)
+    (tmp_path / "bad.bin").write_bytes(raw)
+    with pytest.raises(FormatError, match=named):
+        IndexReader(tmp_path / "bad.bin")
+
+
+@given(data=st.data())
+def test_corrupt_index_file_is_a_format_error_or_readable(custom_index, data):
+    fuzzed = custom_index.with_name("fuzzed_index.bin")
+    fuzzed.write_bytes(mutate(data, bytearray(custom_index.read_bytes()), _INDEX_HEADER.size))
+    try:
+        with IndexReader(fuzzed) as r:
+            assert 0 <= r.header.entry_id < r.header.n
+            for pid in range(r.header.total_pages):
+                page = r.read_page(pid)
+                for s in range(len(page.slots)):
+                    _, adj = page.slot(s)
+                    assert all(0 <= j < r.header.n for j in adj.tolist())
+    except FormatError:
+        return

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diskvec.graphbuild import (
+    _GRAPH_HEADER,
     GraphIndex,
     build_graph,
     load_graph,
@@ -20,7 +21,7 @@ from diskvec.graphbuild import (
 from diskvec.errors import FormatError
 from diskvec.vecdata import VectorDataset
 
-from builders import make_blobs
+from builders import make_blobs, mutate
 
 
 def _ds(arr) -> VectorDataset:
@@ -135,17 +136,7 @@ def _random_graphs(draw) -> GraphIndex:
 def test_corrupt_graph_file_is_a_format_error_or_in_range(tmp_path_factory, graph, data):
     path = tmp_path_factory.getbasetemp() / "fuzzed_graph.bin"
     save_graph(path, graph)
-    raw = bytearray(path.read_bytes())
-    pos = data.draw(st.integers(0, len(raw) - 1), label="position")
-    how = data.draw(st.sampled_from(["truncate", "flip", "overwrite"]), label="corruption")
-    if how == "truncate":
-        del raw[pos:]
-    elif how == "flip":
-        raw[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
-    else:
-        chunk = data.draw(st.binary(min_size=1, max_size=16), label="bytes")
-        raw[pos : pos + len(chunk)] = chunk[: len(raw) - pos]
-    path.write_bytes(bytes(raw))
+    path.write_bytes(mutate(data, bytearray(path.read_bytes()), _GRAPH_HEADER.size))
     try:
         back = load_graph(path)
     except FormatError:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from diskvec.errors import FormatError
 
 from diskvec.layout import (
+    _HEADER,
     LayoutMap,
     build_insertion_layout,
     build_similarity_layout,
@@ -26,7 +27,7 @@ from diskvec.layout import (
 )
 from diskvec.vecdata import VectorDataset
 
-from builders import make_blobs
+from builders import make_blobs, mutate
 
 
 def _ds(arr) -> VectorDataset:
@@ -354,17 +355,7 @@ def test_random_layouts_round_trip(tmp_path_factory, lm):
 def test_corrupt_layout_sidecar_is_a_format_error_or_a_valid_layout(tmp_path_factory, lm, data):
     path = tmp_path_factory.getbasetemp() / "fuzzed_layout.bin"
     save_layout(path, lm)
-    raw = bytearray(path.read_bytes())
-    pos = data.draw(st.integers(0, len(raw) - 1), label="position")
-    how = data.draw(st.sampled_from(["truncate", "flip", "overwrite"]), label="corruption")
-    if how == "truncate":
-        del raw[pos:]
-    elif how == "flip":
-        raw[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
-    else:
-        chunk = data.draw(st.binary(min_size=1, max_size=16), label="bytes")
-        raw[pos : pos + len(chunk)] = chunk[: len(raw) - pos]
-    path.write_bytes(bytes(raw))
+    path.write_bytes(mutate(data, bytearray(path.read_bytes()), _HEADER.size))
     try:
         back = load_layout(path)
     except FormatError:

@@ -6,9 +6,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diskvec.errors import FormatError
 from diskvec.pqcodec import (
+    _PQ_HEADER,
     build_distance_table,
     decode,
     default_subspace_count,
@@ -21,6 +24,8 @@ from diskvec.pqcodec import (
     train,
 )
 from diskvec.vecdata import VectorDataset, l2_distance
+
+from builders import mutate, write_custom_index
 
 
 def _ds(arr) -> VectorDataset:
@@ -230,3 +235,27 @@ def test_pq_sidecar_with_code_outside_codebook_is_a_format_error(tmp_path):
     codes[7, 1] = 15  # the last centroid is in range
     save_pq(path, cb, codes)
     assert np.array_equal(load_pq(path)[1], codes)
+
+
+@pytest.fixture(scope="module")
+def custom_pq(tmp_path_factory):
+    """The PQ sidecar of a ten-node index."""
+    root = tmp_path_factory.mktemp("custom_pq")
+    vectors = np.random.default_rng(17).normal(size=(10, 4))
+    adjacency = [[(i + 1) % 10] for i in range(10)]
+    codebook, codes = write_custom_index(root, vectors, adjacency, entry=4, R=3)[4:]
+    save_pq(root / "pq.bin", codebook, codes)
+    return root / "pq.bin"
+
+
+@given(data=st.data())
+def test_corrupt_pq_sidecar_is_a_format_error_or_in_range(custom_pq, data):
+    fuzzed = custom_pq.with_name("fuzzed_pq.bin")
+    fuzzed.write_bytes(mutate(data, bytearray(custom_pq.read_bytes()), _PQ_HEADER.size))
+    try:
+        codebook, codes = load_pq(fuzzed)
+    except FormatError:
+        return
+    assert codebook.centroids.shape == (codebook.m, codebook.c, codebook.sub_dim)
+    assert codes.shape[1] == codebook.m
+    assert int(codes.max(initial=0)) < codebook.c
