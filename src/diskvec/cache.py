@@ -132,19 +132,27 @@ def preload_static(
     """BFS from the entry point over the on-disk adjacency, admitting whole
     hops while they fit and truncating the final hop by ascending node id.
 
-    Entries carry the on-disk (vector, adjacency) bytes so cached answers are
-    identical to direct reads. `graph` is unused; bench/ still passes one.
+    Each page is read once: per hop, the pages of the admitted nodes that no
+    earlier hop read, one request per run of consecutive page ids. Entries
+    are copies of the on-disk (vector, adjacency) bytes, so cached answers are
+    identical to direct reads and the page buffers are freed on return.
+    `graph` is unused; bench/ still passes one.
     """
     entries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     if capacity_nodes <= 0:
         return entries
+    pages: dict[int, DiskPage] = {}
     hop = [reader.header.entry_id]
     visited = set(hop)
     while hop and len(entries) < capacity_nodes:
         room = capacity_nodes - len(entries)
         admit = hop if len(hop) <= room else hop[:room]
+        unread = {layout.page_of(node) for node in admit} - pages.keys()
+        for run in reader.read_pages(unread):
+            pages.update((page.page_id, page) for page in run)
         for node in admit:
-            vec, adj = reader.read_node(node, layout)
+            page = pages[layout.page_of(node)]
+            vec, adj = page.slot(layout.slot_of(node), expect_node=node)
             entries[node] = (vec.copy(), adj.copy())
         if len(hop) > room:
             break
@@ -238,23 +246,32 @@ class HybridCache:
         self.dynamic = DynamicCache(dynamic_capacity_pages, policy=policy, seed=seed)
         self.layout = layout
         self._lock = threading.Lock()
+        # the reads that filled static_entries, when from_config made them
+        self.preload_io_ops = 0
+        self.preload_pages_read = 0
 
     @classmethod
     def from_config(cls, cfg: CacheConfig, index: Index) -> HybridCache:
         """Preload the static share and size the dynamic share of cfg's budget.
 
-        The preload reads are setup cost, not workload I/O, so the reader's
-        totals are reset afterwards.
+        The preload reads are setup cost, not workload I/O: the cache keeps
+        them as preload_io_ops and preload_pages_read, and the reader's totals
+        are reset afterwards.
         """
+        before = index.reader.stats.snapshot()
         entries = preload_static(None, index.reader, index.layout, cfg.static_capacity_nodes)
+        after = index.reader.stats.snapshot()
         index.reader.stats.reset()
-        return cls(
+        cache = cls(
             entries,
             cfg.dynamic_capacity_pages(index.layout.page_capacity),
             index.layout,
             policy=cfg.policy,
             seed=cfg.seed,
         )
+        cache.preload_io_ops = after[0] - before[0]
+        cache.preload_pages_read = after[1] - before[1]
+        return cache
 
     @property
     def dynamic_capacity_pages(self) -> int:

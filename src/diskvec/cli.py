@@ -29,15 +29,22 @@ ENV_PREFIX = "DISKVEC_"
 THETA_FILE = "theta.txt"
 BUILD_META_FILE = "build_meta.txt"
 
-# report keys that vary run to run even under fixed seeds
-TIMING_KEYS = (
+_TIMING_KEYS = frozenset({
     "qps",
     "wall_time_s",
+    "latency_ms",
     "latency_mean_ms",
     "latency_p50_ms",
     "latency_p95_ms",
     "latency_p99_ms",
-)
+    "compare_qps_ratio_a_over_b",
+})
+
+
+def is_timing_key(key: str) -> bool:
+    """Whether a report key holds a wall-clock figure, which varies run to
+    run even under fixed seeds; compare's a_/b_ prefixes are looked through."""
+    return key in _TIMING_KEYS or (key[:2] in ("a_", "b_") and key[2:] in _TIMING_KEYS)
 
 
 class _Preset(str):
@@ -325,7 +332,7 @@ def cmd_query(args: argparse.Namespace) -> None:
         cache, cache_pairs = _build_cache(args, index)
         results, st = search.beam_search(
             queries.vectors[args.qid], params, index.reader, index.layout, cache,
-            index.codebook, index.codes,
+            index.codebook, index.codes, trace=bool(args.trace),
         )
     if args.trace:
         Path(args.trace).write_text("".join(_trace_line(rec) for rec in st.trace))
@@ -349,7 +356,9 @@ def cmd_query(args: argparse.Namespace) -> None:
     _emit_report(pairs, args.out)
 
 
-def _run_bench(args, index_dir: Path) -> tuple[list[tuple[str, object]], search.WorkloadReport]:
+def _run_bench(
+    args, index_dir: Path, trace: bool = False
+) -> tuple[list[tuple[str, object]], search.WorkloadReport]:
     queries = vecdata.load_fvecs(args.queries)
     gt = None
     if args.gt:
@@ -368,6 +377,7 @@ def _run_bench(args, index_dir: Path) -> tuple[list[tuple[str, object]], search.
         report = search.run_workload(
             queries.vectors, params, index, cache, gt=gt, workers=workers,
             repetitions=args.repetitions, reset_per_query=args.reset_per_query,
+            trace=trace,
         )
         reader_totals = index.reader.stats.snapshot()
 
@@ -380,6 +390,8 @@ def _run_bench(args, index_dir: Path) -> tuple[list[tuple[str, object]], search.
         *_fields(params),
         ("theta_source", theta_source),
         *cache_pairs,
+        ("preload_io_ops", cache.preload_io_ops),
+        ("preload_pages_read", cache.preload_pages_read),
         ("reset_per_query", bool(args.reset_per_query)),
         ("os_cache_bypass", bypass),
         *_fields(report),
@@ -391,7 +403,7 @@ def _run_bench(args, index_dir: Path) -> tuple[list[tuple[str, object]], search.
 
 
 def cmd_bench(args: argparse.Namespace) -> None:
-    pairs, report = _run_bench(args, Path(args.index_dir))
+    pairs, report = _run_bench(args, Path(args.index_dir), trace=bool(args.trace_out))
     if args.results_out:
         lines = [
             " ".join([str(qi)] + [str(nid) for nid in ids])

@@ -13,6 +13,7 @@ import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -331,6 +332,23 @@ class IndexReader:
             self._decode_page(start + i, buf[i * ps : (i + 1) * ps])
             for i in range(count)
         ]
+
+    def read_pages(self, page_ids: Iterable[int]) -> list[list[DiskPage]]:
+        """Each distinct page once, with one request per run of consecutive
+        page ids, in ascending order; returns the pages of each request."""
+        ids = sorted(set(page_ids))
+        runs: list[list[DiskPage]] = []
+        start = 0
+        while start < len(ids):
+            end = start + 1
+            while end < len(ids) and ids[end] == ids[end - 1] + 1:
+                end += 1
+            if end - start == 1:
+                runs.append([self.read_page(ids[start])])
+            else:
+                runs.append(self.read_page_range(ReadInterval(ids[start], end - start)))
+            start = end
+        return runs
 
     def read_node(self, node_id: int, layout: LayoutMap) -> tuple[np.ndarray, np.ndarray]:
         """Convenience point read of one node's (vector, adjacency)."""

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .cache import HitStats, HybridCache
-from .diskstore import Index, IndexReader
+from .diskstore import DiskPage, Index, IndexReader
 from .errors import InvariantError
 from .layout import LayoutMap, ReadInterval, compute_read_interval
 from .pqcodec import PQCodebook, build_distance_table, pq_distance, pq_distance_batch
@@ -60,18 +60,19 @@ class TraceRecord:
 
 @dataclass
 class SearchStats:
+    """One query's counters. io_ops counts read requests: one per run of
+    consecutive missed pages in an iteration that admits nothing, and one per
+    refinement-phase window read, so it is at most the misses. trace is filled
+    only when beam_search is asked for it."""
+
     iterations: int = 0
     transition_iter_theta: int = 0
     transition_iter_panns: int = 0
     trace: list[TraceRecord] = field(default_factory=list)
+    io_ops: int = 0
     pages_read: int = 0
     hits: HitStats = field(default_factory=HitStats)
     latency_s: float = 0.0
-
-    @property
-    def io_ops(self) -> int:
-        """Read requests: each cache miss is served by exactly one read."""
-        return self.hits.phase1.misses + self.hits.phase2.misses
 
 
 def detect_transition(
@@ -109,14 +110,19 @@ def beam_search(
     cache: HybridCache,
     codebook: PQCodebook,
     codes: np.ndarray,
+    *,
+    trace: bool = False,
 ) -> tuple[list[tuple[int, float]], SearchStats]:
     """Search the disk index; returns (top-k (id, exact distance), stats).
 
     The loop seeds the queue with the entry node, expands up to beam_width
     unvisited candidates per iteration in PQ-distance order, fetches their
-    pages through the cache (single page while converging; a sequential window
-    admitted to the dynamic cache during refinement), and stops once the whole
-    queue prefix has been expanded.
+    pages through the cache, scores the beam's fresh neighbours in one PQ
+    call, and stops once the whole queue prefix has been expanded. An
+    iteration that admits nothing (converging, or with no dynamic pages) reads
+    each page its beam missed once, one request per run of consecutive pages;
+    during refinement each miss reads a sequential window that the dynamic
+    cache admits. With trace, stats.trace records every expansion.
     """
     header = reader.header
     q64 = np.asarray(query, dtype=np.float64).ravel()
@@ -141,44 +147,57 @@ def beam_search(
         stats.iterations += 1
         if stats.iterations > header.n:
             raise InvariantError("beam search exceeded the iteration bound n")
-        admitted_now: set[int] = set()
-        for nid in batch:
-            hit = cache.lookup(nid, phase, hits=stats.hits)
-            if hit is not None:
-                kind, vec, adj = hit
-            else:
-                kind = "miss"
-                page_id = layout.page_of(nid)
-                if phase == 1 or cache.dynamic_capacity_pages == 0:
-                    page = reader.read_page(page_id)
-                    stats.pages_read += 1
-                    vec, adj = page.slot(layout.slot_of(nid), expect_node=nid)
-                else:
-                    # pages this iteration fetched, or the dynamic cache holds,
-                    # are not read again
+        if phase == 2 and cache.dynamic_capacity_pages > 0:
+            # each miss reads a window that the dynamic cache admits; pages
+            # this iteration fetched, or the dynamic cache holds, are not
+            # read again
+            fetched = []
+            admitted_now: set[int] = set()
+            for nid in batch:
+                hit = cache.lookup(nid, phase, hits=stats.hits)
+                if hit is None:
+                    page_id = layout.page_of(nid)
                     interval = _trim_interval(
                         compute_read_interval(nid, params.window_pages, layout),
                         lambda p: p in admitted_now or cache.resident(p),
                         page_id,
                     )
                     pages = reader.read_page_range(interval)
+                    stats.io_ops += 1
                     stats.pages_read += interval.page_count
                     cache.admit_pages(pages)
                     admitted_now.update(p.page_id for p in pages)
                     page = pages[page_id - interval.start_page]
-                    vec, adj = page.slot(layout.slot_of(nid), expect_node=nid)
+                    hit = ("miss", *page.slot(layout.slot_of(nid), expect_node=nid))
+                fetched.append(hit)
+        else:
+            # nothing is admitted, so the whole beam is looked up first and
+            # each missed page is read once, one request per run of pages
+            fetched = [cache.lookup(nid, phase, hits=stats.hits) for nid in batch]
+            missed = [layout.page_of(nid) for nid, hit in zip(batch, fetched) if hit is None]
+            pages: dict[int, DiskPage] = {}
+            for run in reader.read_pages(missed):
+                stats.io_ops += 1
+                stats.pages_read += len(run)
+                pages.update((page.page_id, page) for page in run)
+            for i, nid in enumerate(batch):
+                if fetched[i] is None:
+                    page = pages[layout.page_of(nid)]
+                    fetched[i] = ("miss", *page.slot(layout.slot_of(nid), expect_node=nid))
 
+        fresh: list[int] = []
+        for nid, (kind, vec, adj) in zip(batch, fetched):
             diff = q64 - vec
             exact = float(np.sqrt(diff @ diff))
             visited[nid] = exact
-            stats.trace.append(TraceRecord(stats.iterations, nid, exact, phase, kind))
-
-            fresh = [j for j in adj.tolist() if j not in seen]
-            if fresh:
-                dists = pq_distance_batch(table, codes[fresh])
-                for dj, j in zip(dists.tolist(), fresh):
-                    queue.append((dj, j))
+            if trace:
+                stats.trace.append(TraceRecord(stats.iterations, nid, exact, phase, kind))
+            for j in adj.tolist():
+                if j not in seen:
                     seen.add(j)
+                    fresh.append(j)
+        if fresh:
+            queue.extend(zip(pq_distance_batch(table, codes[fresh]).tolist(), fresh))
 
         queue.sort()
         del queue[params.l :]
@@ -251,7 +270,7 @@ def calibrate_theta(
     for qid in sample_ids.tolist():
         q = dataset.vectors[qid]
         nn1 = int(ground_truth_topk(dataset, q, 1)[0])
-        _, st = beam_search(q, params, reader, layout, blank, codebook, codes)
+        _, st = beam_search(q, params, reader, layout, blank, codebook, codes, trace=True)
         t = next((rec.iteration for rec in st.trace if rec.node_id == nn1), None)
         if t is not None:
             pairs.append((t, st.transition_iter_panns))
@@ -301,6 +320,7 @@ def run_workload(
     workers: int = 1,
     repetitions: int = 1,
     reset_per_query: bool = False,
+    trace: bool = False,
 ) -> WorkloadReport:
     """Execute the query set, optionally across concurrent workers.
 
@@ -308,7 +328,8 @@ def run_workload(
     transparent to results); only timing and cache/I/O counters depend on
     interleaving. The dynamic cache is emptied between repetitions;
     reset_per_query isolates queries and therefore runs them sequentially.
-    Missing ground truth leaves recall unreported.
+    Missing ground truth leaves recall unreported; trace fills each query's
+    stats.trace.
     """
     queries = np.asarray(queries, dtype=np.float32)
     if queries.ndim != 2:
@@ -326,7 +347,8 @@ def run_workload(
 
     def one(qi: int) -> tuple[list[tuple[int, float]], SearchStats]:
         return beam_search(
-            queries[qi], params, index.reader, index.layout, cache, index.codebook, index.codes
+            queries[qi], params, index.reader, index.layout, cache, index.codebook, index.codes,
+            trace=trace,
         )
 
     first_results: list[list[int]] = []

@@ -18,7 +18,7 @@ import pytest
 
 from diskvec import layout as layoutmod, pqcodec, vecdata
 from diskvec.cache import CacheConfig, DynamicCache, HybridCache, auto_budget_nodes
-from diskvec.cli import TIMING_KEYS, main, parse_report
+from diskvec.cli import is_timing_key, main, parse_report
 from diskvec.diskstore import GRAPH_FILE, PQ_FILE, DiskPage, Index
 from diskvec.graphbuild import load_graph
 from diskvec.layout import compute_read_interval, mean_intra_page_distance, pack_pages
@@ -391,7 +391,7 @@ def test_criterion_12_pipeline_determinism(corpus, tmp_path):
     rb = parse_report(tmp_path / "run2" / "report.txt")
     assert set(ra) == set(rb)
     for key in ra:
-        if key in TIMING_KEYS:
+        if is_timing_key(key):
             continue
         assert ra[key] == rb[key], f"report field {key} differs: {ra[key]} vs {rb[key]}"
     _ok(12, "byte-identical artifacts and non-timing report fields across two seeded runs")

@@ -274,6 +274,47 @@ def test_preload_walks_the_adjacency_it_reads_not_the_graph(smoke):
                 assert got[node][1].tobytes() == adj.tobytes()
 
 
+def _runs(pages: set[int]) -> int:
+    ids = sorted(pages)
+    return sum(1 for i, p in enumerate(ids) if i == 0 or p != ids[i - 1] + 1)
+
+
+def test_preload_reads_each_page_once_in_runs_per_hop(smoke):
+    lm, graph = smoke.layout_sim, smoke.graph
+    with smoke.index("sim").reader as r:
+        for capacity in (1, 5, 37, 150, smoke.dataset.n):
+            r.stats.reset()
+            entries = preload_static(graph, r, lm, capacity)
+            ops, pages_read, _ = r.stats.snapshot()
+            assert pages_read == len({lm.page_of(node) for node in entries})
+            # the hops of the BFS as the preload admits them, from the graph
+            # the index was written from
+            want_ops, read, hop, visited = 0, set(), [graph.entry_id], {graph.entry_id}
+            admitted = 0
+            while hop and admitted < capacity:
+                admit = hop[: capacity - admitted]
+                admitted += len(admit)
+                new = {lm.page_of(node) for node in admit} - read
+                want_ops += _runs(new)
+                read |= new
+                nxt = {j for node in hop for j in graph.adjacency[node].tolist()} - visited
+                visited |= nxt
+                hop = sorted(nxt)
+            assert admitted == len(entries)
+            assert ops == want_ops
+
+
+def test_from_config_keeps_the_preload_cost(smoke):
+    with smoke.index("sim") as index:
+        cache = HybridCache.from_config(CacheConfig(150, static_fraction=0.5), index)
+        assert index.reader.stats.snapshot() == (0, 0, 0)
+        want = len({index.layout.page_of(node) for node in cache.static})
+        assert cache.preload_pages_read == want
+        assert 0 < cache.preload_io_ops <= want
+        blank = HybridCache.from_config(CacheConfig(0), index)
+        assert (blank.preload_io_ops, blank.preload_pages_read) == (0, 0)
+
+
 # ------------------------------------------------------------ hybrid lookups
 
 

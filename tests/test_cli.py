@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from diskvec.cli import TIMING_KEYS, main, parse_report
+from diskvec.cli import is_timing_key, main, parse_report
 from diskvec.vecdata import load_fvecs, load_ivecs
 
 
@@ -64,6 +64,17 @@ def test_full_pipeline_and_bench_report(tmp_path):
     assert float(report["mean_io_ops"]) > 0
     assert report["theta_source"] == "sidecar"
     assert 0.0 < float(report["theta"]) < 1.0
+    # the static preload's reads, which the workload counters leave out
+    assert 0 < int(report["preload_io_ops"]) <= int(report["preload_pages_read"])
+
+
+def test_is_timing_key():
+    for key in ("qps", "latency_ms", "latency_p99_ms", "wall_time_s", "a_qps",
+                "b_latency_p50_ms", "compare_qps_ratio_a_over_b"):
+        assert is_timing_key(key), key
+    for key in ("mean_io_ops", "a_mean_io_ops", "compare_io_ops_ratio_a_over_b", "a_",
+                "recall_at_k", "preload_io_ops"):
+        assert not is_timing_key(key), key
 
 
 def test_synth_is_deterministic(tmp_path):
@@ -209,7 +220,7 @@ def test_queries_run_without_graph_file(tmp_path):
         for report in ("query.txt", "bench.txt"):
             values = parse_report(out / report)
             got[report] = {k: v for k, v in values.items()
-                           if k not in TIMING_KEYS and k != "latency_ms"}
+                           if not is_timing_key(k)}
         return got
 
     with_graph = outputs("with_graph")

@@ -95,6 +95,19 @@ def test_read_accounting(smoke):
         assert got == want
 
 
+def test_read_pages_reads_each_page_once_per_run(smoke):
+    with smoke.index("sim").reader as r:
+        runs = r.read_pages([8, 2, 3, 1, 5, 2, 7, 3])
+        assert [[p.page_id for p in run] for run in runs] == [[1, 2, 3], [5], [7, 8]]
+        assert r.stats.snapshot()[:2] == (3, 6)
+        for run in runs:
+            for page in run:
+                assert page.slots.tobytes() == r.read_page(page.page_id).slots.tobytes()
+        r.stats.reset()
+        assert r.read_pages([]) == []
+        assert r.stats.snapshot()[:2] == (0, 0)
+
+
 def test_range_of_one_equals_single_read(smoke):
     with smoke.index("sim").reader as r:
         single = r.read_page(3)
