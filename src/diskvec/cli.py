@@ -263,7 +263,7 @@ def cmd_calibrate(args: argparse.Namespace) -> None:
         cal = search.calibrate_theta(
             dataset, index.reader, index.layout, index.codebook, index.codes,
             k=args.k, l=args.l, sample_fraction=args.fraction, seed=args.seed,
-            beam_width=args.beam_width, window_pages=args.window_pages,
+            beam_width=args.beam_width,
         )
     pairs = [
         ("theta", float(cal.theta)),
@@ -272,7 +272,6 @@ def cmd_calibrate(args: argparse.Namespace) -> None:
         ("fraction", float(args.fraction)),
         ("seed", args.seed),
         ("beam_width", args.beam_width),
-        ("window_pages", args.window_pages),
         ("sample_count", cal.sample_count),
         ("usable_count", cal.usable_count),
         ("early_count", cal.early_count),
@@ -283,11 +282,18 @@ def cmd_calibrate(args: argparse.Namespace) -> None:
 
 def _search_params(args: argparse.Namespace, index_dir: Path) -> tuple[search.SearchParams, str]:
     """The search flags, with theta from --theta, else the calibrated sidecar,
-    else 0.5; also returns which of the three supplied theta."""
+    else 0.5; also returns which of the three supplied theta. A sidecar theta
+    that is missing, not a number or outside (0, 1) is bad data in that file."""
     theta, source = args.theta, "flag"
     sidecar = index_dir / THETA_FILE
     if theta is None and sidecar.is_file():
         theta, source = parse_report(sidecar).get("theta"), "sidecar"
+        try:
+            valid = 0.0 < float(theta) < 1.0  # False for nan, TypeError if missing
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise FormatError(f"{sidecar}: theta must be a number in (0, 1), got {theta!r}")
     if theta is None:
         theta, source = 0.5, "default"
     params = search.SearchParams(
@@ -557,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=float, default=_env_default("fraction", 0.01))
     p.add_argument("--seed", type=int, default=_env_default("seed", 0))
     p.add_argument("--beam-width", type=int, default=_env_default("beam-width", 4))
-    p.add_argument("--window-pages", type=int, default=_env_default("window-pages", 2))
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("query", help="run one query and print results plus stats")

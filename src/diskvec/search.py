@@ -60,10 +60,10 @@ class TraceRecord:
 
 @dataclass
 class SearchStats:
-    """One query's counters. io_ops counts read requests: one per run of
-    consecutive missed pages in an iteration that admits nothing, and one per
-    refinement-phase window read, so it is at most the misses. trace is filled
-    only when beam_search is asked for it."""
+    """One query's counters. io_ops counts read requests, one per run of
+    consecutive pages an iteration planned, so it is at most the misses: the
+    nodes whose page no cache held at their iteration's look-up. trace is
+    filled only when beam_search is asked for it."""
 
     iterations: int = 0
     transition_iter_theta: int = 0
@@ -118,11 +118,11 @@ def beam_search(
     The loop seeds the queue with the entry node, expands up to beam_width
     unvisited candidates per iteration in PQ-distance order, fetches their
     pages through the cache, scores the beam's fresh neighbours in one PQ
-    call, and stops once the whole queue prefix has been expanded. An
-    iteration that admits nothing (converging, or with no dynamic pages) reads
-    each page its beam missed once, one request per run of consecutive pages;
-    during refinement each miss reads a sequential window that the dynamic
-    cache admits. With trace, stats.trace records every expansion.
+    call, and stops once the whole queue prefix has been expanded. Each
+    iteration looks up its whole beam, plans one page per miss (during
+    refinement with dynamic pages, a window that the dynamic cache admits) and
+    reads each planned page once, one request per run of consecutive pages.
+    With trace, stats.trace records every expansion.
     """
     header = reader.header
     q64 = np.asarray(query, dtype=np.float64).ravel()
@@ -147,43 +147,33 @@ def beam_search(
         stats.iterations += 1
         if stats.iterations > header.n:
             raise InvariantError("beam search exceeded the iteration bound n")
-        if phase == 2 and cache.dynamic_capacity_pages > 0:
-            # each miss reads a window that the dynamic cache admits; pages
-            # this iteration fetched, or the dynamic cache holds, are not
-            # read again
-            fetched = []
-            admitted_now: set[int] = set()
-            for nid in batch:
-                hit = cache.lookup(nid, phase, hits=stats.hits)
-                if hit is None:
-                    page_id = layout.page_of(nid)
-                    interval = _trim_interval(
-                        compute_read_interval(nid, params.window_pages, layout),
-                        lambda p: p in admitted_now or cache.resident(p),
-                        page_id,
-                    )
-                    pages = reader.read_page_range(interval)
-                    stats.io_ops += 1
-                    stats.pages_read += interval.page_count
-                    cache.admit_pages(pages)
-                    admitted_now.update(p.page_id for p in pages)
-                    page = pages[page_id - interval.start_page]
-                    hit = ("miss", *page.slot(layout.slot_of(nid), expect_node=nid))
-                fetched.append(hit)
-        else:
-            # nothing is admitted, so the whole beam is looked up first and
-            # each missed page is read once, one request per run of pages
-            fetched = [cache.lookup(nid, phase, hits=stats.hits) for nid in batch]
-            missed = [layout.page_of(nid) for nid, hit in zip(batch, fetched) if hit is None]
-            pages: dict[int, DiskPage] = {}
-            for run in reader.read_pages(missed):
-                stats.io_ops += 1
-                stats.pages_read += len(run)
-                pages.update((page.page_id, page) for page in run)
-            for i, nid in enumerate(batch):
-                if fetched[i] is None:
-                    page = pages[layout.page_of(nid)]
-                    fetched[i] = ("miss", *page.slot(layout.slot_of(nid), expect_node=nid))
+        # look up the whole beam, plan the missed pages (when admitting, a
+        # window per miss, trimmed of edge pages already planned or resident),
+        # then read the plan in runs
+        admit = phase == 2 and cache.dynamic_capacity_pages > 0
+        fetched = [cache.lookup(nid, phase, hits=stats.hits) for nid in batch]
+        planned: set[int] = set()
+        for nid in [nid for nid, hit in zip(batch, fetched) if hit is None]:
+            page_id = layout.page_of(nid)
+            if admit and page_id not in planned:
+                interval = _trim_interval(
+                    compute_read_interval(nid, params.window_pages, layout),
+                    lambda p: p in planned or cache.resident(p),
+                    page_id,
+                )
+                planned.update(range(interval.start_page, interval.end_page + 1))
+            planned.add(page_id)
+        pages: dict[int, DiskPage] = {}
+        for run in reader.read_pages(planned):
+            stats.io_ops += 1
+            stats.pages_read += len(run)
+            pages.update((page.page_id, page) for page in run)
+            if admit:
+                cache.admit_pages(run)
+        for i, nid in enumerate(batch):
+            if fetched[i] is None:
+                page = pages[layout.page_of(nid)]
+                fetched[i] = ("miss", *page.slot(layout.slot_of(nid), expect_node=nid))
 
         fresh: list[int] = []
         for nid, (kind, vec, adj) in zip(batch, fetched):
@@ -253,7 +243,8 @@ def calibrate_theta(
     Per sample, t is the iteration of the first trace record that expands the
     query's true nearest neighbor (brute-force oracle) and t' the first
     iteration the baseline all-top-k rule fires; theta aggregates t/t' per
-    aggregate_transition_ratios. Runs uncached and single-threaded.
+    aggregate_transition_ratios. Runs uncached and single-threaded, so it
+    reads no window: window_pages has no effect.
     """
     if not 0.0 < sample_fraction <= 1.0:
         raise ValueError("sample_fraction must be in (0, 1]")
@@ -265,7 +256,7 @@ def calibrate_theta(
     rng = np.random.default_rng(seed)
     sample_ids = np.sort(rng.choice(dataset.n, size=count, replace=False))
     blank = HybridCache({}, 0, layout)
-    params = SearchParams(k=k, l=l, beam_width=beam_width, theta=0.5, window_pages=window_pages)
+    params = SearchParams(k=k, l=l, beam_width=beam_width, theta=0.5)
     pairs: list[tuple[int, int]] = []
     for qid in sample_ids.tolist():
         q = dataset.vectors[qid]

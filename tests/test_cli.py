@@ -125,14 +125,17 @@ def test_calibrate_writes_reproducible_sidecar(tmp_path, capsys):
     assert theta_file.read_bytes() == first
     sidecar = parse_report(theta_file)
     assert 0.0 < float(sidecar["theta"]) < 1.0
-    assert (sidecar["beam_width"], sidecar["window_pages"]) == ("4", "2")
-    # the search knobs the calibration ran with are recorded, on file and stdout
+    assert sidecar["beam_width"] == "4"
+    # the search knobs the calibration ran with are recorded, on file and
+    # stdout; an uncached calibration reads no window, so no window size is
+    # recorded
     capsys.readouterr()
-    assert main(calibrate + ["--beam-width", "2", "--window-pages", "3"]) == 0
+    assert main(calibrate + ["--beam-width", "2"]) == 0
     stdout = capsys.readouterr().out.splitlines()
     sidecar = parse_report(theta_file)
-    assert (sidecar["beam_width"], sidecar["window_pages"]) == ("2", "3")
-    assert {"beam_width=2", "window_pages=3"} <= set(stdout)
+    assert sidecar["beam_width"] == "2" and "beam_width=2" in stdout
+    assert "window_pages" not in sidecar
+    assert not any(line.startswith("window_pages=") for line in stdout)
 
 
 def test_bench_budget_zero_hit_rates_zero_results_unchanged(tmp_path):
@@ -363,6 +366,23 @@ def test_auto_budget_holds_a_window_of_dynamic_pages(foreign_sidecars, capsys):
         ]) == 0
         report = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
         assert report["dynamic_capacity_pages"] == window
+
+
+@pytest.mark.parametrize("content", ["theta=abc", "theta=1.5", "theta=nan", "k=10"])
+def test_bad_theta_sidecar_exits_3_naming_it(foreign_sidecars, content, tmp_path, capsys):
+    queries, index_dir, _ = foreign_sidecars
+    bad = tmp_path / "bad_theta"
+    shutil.copytree(index_dir, bad)
+    (bad / "theta.txt").write_text(content + "\n")
+    query = ["query", "--index-dir", str(bad), "--queries", str(queries), "--k", "5", "--l", "40"]
+    rc = main(query)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and "theta.txt" in err
+    assert "Traceback" not in err
+    # a bad --theta flag is still a usage error, and a good one skips the sidecar
+    assert main(query + ["--theta", "1.5"]) == 2
+    assert main(query + ["--theta", "0.5"]) == 0
 
 
 def test_negative_cache_budget_exits_2(foreign_sidecars, capsys):

@@ -8,6 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from diskvec.cache import HybridCache
 from diskvec.diskstore import IndexReader
 from diskvec.search import (
     SearchParams,
@@ -71,8 +72,6 @@ def test_walkthrough_expansion_order(tmp_path):
     _, _, lm, path, codebook, codes = write_custom_index(
         tmp_path, vecs, adjacency, entry=0, R=3
     )
-    from diskvec.cache import HybridCache
-
     with IndexReader(path) as r:
         cache = HybridCache({}, 0, lm)
         params = SearchParams(k=1, l=4, beam_width=1, theta=0.5, window_pages=1)
@@ -95,8 +94,6 @@ def test_beam_reads_each_missed_page_once_in_runs(tmp_path):
         tmp_path, vecs, adjacency, entry=0, R=3
     )
     assert [lm.page_of(node) for node in (0, 6, 7, 12)] == [0, 1, 1, 2]
-    from diskvec.cache import HybridCache
-
     with IndexReader(path) as r:
         params = SearchParams(k=1, l=4, beam_width=4, theta=0.5, window_pages=1)
         _, st = beam_search(
@@ -109,9 +106,10 @@ def test_beam_reads_each_missed_page_once_in_runs(tmp_path):
     assert (st.io_ops, st.pages_read) == (reader_ops, reader_pages) == (2, 3)
 
 
-def _digest(smoke, budget: int) -> str:
+def _digest(smoke, budget: int, hit_kinds: bool = True) -> str:
     """sha256 over the ids, exact distances and traces of 20 queries under
-    FIFO, distances as exact float hex."""
+    FIFO, distances as exact float hex; hit_kinds adds each expansion's hit
+    kind to its trace line."""
     params = SearchParams(k=10, l=40, theta=0.5)
     h = hashlib.sha256()
     with smoke.index("sim") as index:
@@ -124,20 +122,85 @@ def _digest(smoke, budget: int) -> str:
             for nid, dist in results:
                 h.update(f"r {nid} {dist.hex()}\n".encode())
             for rec in st.trace:
-                h.update(f"t {rec.iteration} {rec.node_id} {rec.exact_dist.hex()} "
-                         f"{rec.phase} {rec.hit_kind}\n".encode())
+                line = f"t {rec.iteration} {rec.node_id} {rec.exact_dist.hex()} {rec.phase}"
+                if hit_kinds:
+                    line += f" {rec.hit_kind}"
+                h.update(f"{line}\n".encode())
     return h.hexdigest()
 
 
 @pytest.mark.parametrize("budget, want", [
     (0, "8eb8af524589e0d315546a064eb7c9fffb1aeb6b0567f66829cb1b55d9d14872"),
-    (80, "68d0589bd03b5875a94f8be171fcf726b206c41149aed752ccb9aedbd52436a1"),
+    (80, "f67350eecab010f505b3087b964aa2eb93f609699554366b9d102e4333a08ca5"),
 ])
 def test_results_and_traces_match_pinned_digest(smoke, budget, want):
     # pinned from the search that read one page per miss and scored each
     # expansion's neighbours separately; planning reads and batching the PQ
-    # scoring must change neither results nor the expansion trace
+    # scoring must change neither results nor the expansion trace. Budget 80
+    # was pinned again when refinement windows came to be planned per
+    # iteration: a node on a page that an earlier window of its own iteration
+    # reads is now a miss, not a dynamic hit, and the admissions that follow
+    # change later cache contents, so hit kinds move (34 dynamic hits became
+    # misses and 35 misses dynamic hits) while the digest without hit kinds
+    # below stays as it was
     assert _digest(smoke, budget) == want
+
+
+@pytest.mark.parametrize("budget", [0, 80])
+def test_results_and_traces_without_hit_kinds_match_pinned_digest(smoke, budget):
+    # how reads are planned and cached changes hit kinds at most: the ids,
+    # exact distances, iterations and phases hash the same at either budget
+    want = "d55b72470ff61092e4be8909db071dfdcefe6c637acdff315af33753d76cbdf2"
+    assert _digest(smoke, budget, hit_kinds=False) == want
+
+
+def test_refinement_reads_of_one_iteration_neither_overlap_nor_abut(smoke, monkeypatch):
+    params = SearchParams(k=10, l=40, theta=0.5, window_pages=2)
+    events = []  # a looked-up node id, or the (first, last) pages of a read
+    lookup = HybridCache.lookup
+    read_page = IndexReader.read_page
+    read_page_range = IndexReader.read_page_range
+
+    def recording_lookup(cache, node_id, phase, *, hits):
+        events.append(node_id)
+        return lookup(cache, node_id, phase, hits=hits)
+
+    def recording_read_page(reader, page_id):
+        events.append((page_id, page_id))
+        return read_page(reader, page_id)
+
+    def recording_read_page_range(reader, interval):
+        events.append((interval.start_page, interval.end_page))
+        return read_page_range(reader, interval)
+
+    windows = 0
+    with smoke.index("sim") as index:
+        cache = smoke.cache(index, budget=80, policy="FIFO")
+        assert cache.dynamic_capacity_pages > 0
+        monkeypatch.setattr(HybridCache, "lookup", recording_lookup)
+        monkeypatch.setattr(IndexReader, "read_page", recording_read_page)
+        monkeypatch.setattr(IndexReader, "read_page_range", recording_read_page_range)
+        for q in smoke.queries[:20]:
+            events.clear()
+            _, st = beam_search(
+                q, params, index.reader, index.layout, cache, index.codebook, index.codes,
+                trace=True,
+            )
+            # a read belongs to the iteration of the node looked up last
+            expanded = {rec.node_id: (rec.iteration, rec.phase) for rec in st.trace}
+            reads: dict[int, list[tuple[int, int]]] = {}
+            iteration = phase = 0
+            for event in events:
+                if isinstance(event, tuple):
+                    if phase == 2:
+                        reads.setdefault(iteration, []).append(event)
+                else:
+                    iteration, phase = expanded[event]
+            for spans in reads.values():
+                spans.sort()
+                windows += sum(last > first for first, last in spans)
+                assert all(b[0] > a[1] + 1 for a, b in zip(spans, spans[1:])), spans
+    assert windows > 0
 
 
 def test_trace_is_opt_in(smoke):
