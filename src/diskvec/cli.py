@@ -113,9 +113,14 @@ def _fields(obj, prefix: str = "") -> list[tuple[str, object]]:
 
 
 def parse_report(path: str | Path) -> dict[str, str]:
-    """Read a key=value report back into a dict (keys keep file order)."""
+    """Read a key=value report back into a dict (keys keep file order); a
+    file that is not UTF-8 text is bad data in that file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     out: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         if not line.strip():
             continue
         key, _, value = line.partition("=")
@@ -162,7 +167,7 @@ def cmd_build(args: argparse.Namespace) -> None:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        graph = graphbuild.build_graph(
+        graph, repair_edges = graphbuild.build_graph_counting_repairs(
             dataset, R=args.r, L_build=args.l_build, alpha=args.alpha, seed=args.seed
         )
         pq_m = args.pq_m if args.pq_m > 0 else pqcodec.default_subspace_count(dataset.dim)
@@ -173,6 +178,7 @@ def cmd_build(args: argparse.Namespace) -> None:
         raise ValueError(f"build failed: {exc}") from exc
     graphbuild.save_graph(out_dir / GRAPH_FILE, graph)
     pqcodec.save_pq(out_dir / PQ_FILE, codebook, codes)
+    degrees = np.array([neigh.size for neigh in graph.adjacency])
     pairs = [
         ("command", "build"),
         ("n", dataset.n),
@@ -185,6 +191,9 @@ def cmd_build(args: argparse.Namespace) -> None:
         ("pq_c", pq_c),
         ("pq_iters", args.pq_iters),
         ("entry_id", graph.entry_id),
+        ("mean_degree", float(degrees.mean())),
+        ("max_degree", int(degrees.max())),
+        ("repair_edges", repair_edges),
     ]
     _emit_report(pairs, out_dir / BUILD_META_FILE)
     _emit_report(pairs + [("out_dir", str(out_dir))], None)

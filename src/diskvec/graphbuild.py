@@ -1,15 +1,21 @@
 """Bounded-degree proximity graph construction (Vamana-style) and medoid
 selection.
 
-Build is single-threaded and fully deterministic for a fixed seed: random
-initial edges, then two passes of greedy-search-plus-robust-prune (slack 1.0,
-then alpha), then a connectivity repair that guarantees every node is
-reachable from the medoid entry point.
+The build is Vamana's (DiskANN; Subramanya et al., NeurIPS 2019) run in
+batches as ParlayANN runs it (Manohar et al., PPoPP 2024): random initial
+edges, then two passes (slack 1.0, then alpha) over a seed-fixed permutation
+of the points, then a connectivity repair that guarantees every node is
+reachable from the medoid entry point. Each pass walks its permutation in
+batches that double in size from 1 up to 2% of n. A batch's greedy searches
+run in lockstep against the graph as it stood at the batch start; each point
+of the batch then takes the robust prune of what its search expanded plus
+its old neighbours. The reverse edges are grouped by target: a target with
+room takes its new sources as they are, and an over-full one is pruned once
+per batch. The build is fully deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
-import heapq
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +27,9 @@ from .vecdata import VectorDataset
 
 GRAPH_MAGIC = b"GOVG1"
 _GRAPH_HEADER = struct.Struct("<5sQIQ")  # magic, n, R, entry_id
+
+_BATCH_FRACTION = 0.02  # the largest batch, as a share of n (ParlayANN's)
+_PRUNE_CHUNK = 1 << 17  # entries in the prune's largest temporary: 1 MB of float64
 
 
 @dataclass
@@ -47,92 +56,180 @@ def medoid(dataset: VectorDataset) -> int:
     return int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
 
 
-def _greedy_search_build(
+def _padded_points(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 points with one zero row appended for the padding id n,
+    and their squared norms, inf for the padding: a distance to it is inf."""
+    pts = np.zeros((vectors.shape[0] + 1, vectors.shape[1]))
+    pts[:-1] = vectors
+    pts_sq = np.einsum("ij,ij->i", pts, pts)
+    pts_sq[-1] = np.inf
+    return pts, pts_sq
+
+
+def _search_batch(
     pts: np.ndarray,
     pts_sq: np.ndarray,
-    adjacency: list[np.ndarray],
+    adj: np.ndarray,
     entry: int,
-    query: np.ndarray,
+    points: np.ndarray,
     L: int,
-) -> list[int]:
-    """In-memory greedy search used during construction.
+) -> np.ndarray:
+    """Greedy-search each of `points` in lockstep over the (n, R) adjacency
+    `adj` (padded with n; pts and pts_sq from _padded_points).
 
-    Returns the ids visited (expanded), which form the prune candidate pool.
-    Deterministic: ties everywhere break toward the lower node id.
+    Every row keeps its top-L candidates sorted by (distance, id). A step
+    expands, in each row, the best candidate not yet expanded and merges in
+    the neighbours that beat the row's L-th candidate and are not listed
+    yet; a row is done when all its candidates are expanded. Returns the ids
+    each row expanded, in order, padded with n: the prune's candidate pool.
     """
-    q = query.astype(np.float64)
-    q_sq = float(q @ q)
-    d0 = float(np.sqrt(max(pts_sq[entry] - 2.0 * (pts[entry] @ q) + q_sq, 0.0)))
-
-    frontier = [(d0, entry)]  # min-heap of unexpanded candidates
-    # max-heap of the running top-L; (-d, -id) so ties evict the higher id
-    best: list[tuple[float, int]] = [(-d0, -entry)]
-    in_queue = np.zeros(pts.shape[0], dtype=bool)
-    in_queue[entry] = True
-    visited: list[int] = []
-
-    while frontier:
-        d, node = heapq.heappop(frontier)
-        if len(best) >= L and d > -best[0][0]:
-            break
-        visited.append(node)
-        neigh = adjacency[node]
-        fresh = neigh[~in_queue[neigh]]
-        if fresh.size == 0:
+    n = adj.shape[0]
+    rows = np.arange(points.size)  # the rows still searching
+    q2, q_sq = -2.0 * pts[points], pts_sq[points]  # -2 q, so each dot is -2 q.x
+    # each candidate as 2 * id + expanded; the padding, 2n + 1, sorts last
+    code = np.full((rows.size, L), 2 * n + 1, dtype=np.int64)
+    code[:, 0] = 2 * entry
+    dist = np.full((rows.size, L), np.inf)
+    d2 = pts_sq[entry] + np.einsum("bd,d->b", q2, pts[entry]) + q_sq
+    dist[:, 0] = np.sqrt(np.maximum(d2, 0.0))
+    expanded = []
+    while True:
+        open_ = (code & 1) == 0
+        live = open_.any(axis=1)
+        if not live.all():
+            if not live.any():
+                break
+            rows, q2, q_sq = rows[live], q2[live], q_sq[live]
+            code, dist, open_ = code[live], dist[live], open_[live]
+        at = np.arange(rows.size)
+        pos = open_.argmax(axis=1)
+        node = code[at, pos] >> 1
+        code[at, pos] += 1
+        expanded.append((rows, node))
+        nb = adj[node]
+        nbp = pts.take(nb.ravel(), axis=0).reshape(nb.shape + (pts.shape[1],))
+        d2 = np.einsum("brd,bd->br", nbp, q2)
+        d2 += pts_sq[nb]
+        d2 += q_sq[:, None]
+        nd = np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+        worst_d, worst_id = dist[:, -1:], code[:, -1:] >> 1
+        # the padding lies at distance inf, so it never beats
+        beats = (nd < worst_d) | ((nd == worst_d) & (nb < worst_id))
+        r, c = np.nonzero(beats)
+        if r.size == 0:
             continue
-        in_queue[fresh] = True
-        d2 = pts_sq[fresh] - 2.0 * (pts[fresh] @ q) + q_sq
-        np.maximum(d2, 0.0, out=d2)
-        dists = np.sqrt(d2)
-        worst = -best[0][0]
-        for dj, j in zip(dists.tolist(), fresh.tolist()):
-            if len(best) < L or dj < worst:
-                heapq.heappush(frontier, (dj, j))
-                heapq.heappush(best, (-dj, -j))
-                if len(best) > L:
-                    heapq.heappop(best)
-                worst = -best[0][0]
-    return visited
+        # drop the neighbours already listed: one search in the rows' sorted
+        # ids, kept apart by a per-row offset of 2n + 2
+        listed = np.sort(code + (2 * n + 2) * at[:, None], axis=1).ravel() >> 1
+        key = nb[r, c] + (n + 1) * r
+        hit = np.minimum(np.searchsorted(listed, key), listed.size - 1)
+        dup = listed[hit] == key
+        beats[r[dup], c[dup]] = False
+        m = np.flatnonzero(beats.any(axis=1))  # the rows that change
+        if m.size == 0:
+            continue
+        fresh = beats[m]
+        all_code = np.concatenate([code[m], np.where(fresh, 2 * nb[m], 2 * n + 1)], axis=1)
+        all_dist = np.concatenate([dist[m], np.where(fresh, nd[m], np.inf)], axis=1)
+        order = _sort_rows(all_dist, all_code)[:, :L]
+        mi = np.arange(m.size)[:, None]
+        code[m] = all_code[mi, order]
+        dist[m] = all_dist[mi, order]
+    out = np.full((points.size, len(expanded)), n, dtype=np.int64)
+    for step, (rows, node) in enumerate(expanded):
+        out[rows, step] = node
+    return out
 
 
-def _robust_prune(
+def _sort_rows(dist: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Per-row order by (dist, key): one argsort by distance (a stable one,
+    which is fastest on rows that are mostly sorted already), then a lexsort
+    of the rows where two finite distances tie."""
+    order = np.argsort(dist, axis=1, kind="stable")
+    d = dist[np.arange(dist.shape[0])[:, None], order]
+    tied = ((d[:, 1:] == d[:, :-1]) & (d[:, 1:] < np.inf)).any(axis=1)
+    if tied.any():
+        order[tied] = np.lexsort((key[tied], dist[tied]), axis=-1)
+    return order
+
+
+def _prune_rows(
     pts: np.ndarray,
-    point: int,
-    candidates: np.ndarray,
+    pts_sq: np.ndarray,
+    points: np.ndarray,
+    cands: np.ndarray,
     alpha: float,
     R: int,
 ) -> np.ndarray:
-    """DiskANN-style pruning: keep the closest candidate, drop everything the
-    kept one dominates (alpha slack), repeat until R survivors."""
-    cand = np.unique(candidates)
-    cand = cand[cand != point]
-    if cand.size == 0:
-        return cand
-    cpts = pts[cand]
-    diff = cpts - pts[point]
-    d_point = np.einsum("ij,ij->i", diff, diff)
-    order = np.lexsort((cand, d_point))
-    cand = cand[order]
-    d_point = d_point[order]
-    cpts = cpts[order]
-    # full pairwise squared distances among candidates, computed once
-    sq = np.einsum("ij,ij->i", cpts, cpts)
-    gram = sq[:, None] - 2.0 * (cpts @ cpts.T) + sq[None, :]
-    np.maximum(gram, 0.0, out=gram)
+    """DiskANN's robust prune of each row of candidate ids for its point.
 
-    kept: list[int] = []
-    alive = np.ones(cand.shape[0], dtype=bool)
+    Drops the point itself, repeats and the padding id n, sorts the rest by
+    (squared distance to the point, id), then keeps the closest candidate,
+    drops every later one it alpha-dominates, and repeats until R are kept.
+    Returns (rows, R) ids in keep order, padded with n. Rows go in chunks
+    whose largest temporary holds about _PRUNE_CHUNK entries.
+    """
+    n = pts.shape[0] - 1
+    out = np.full((points.size, R), n, dtype=np.int64)
     alpha_sq = alpha * alpha
-    for i in range(cand.shape[0]):
-        if not alive[i]:
-            continue
-        kept.append(int(cand[i]))
-        if len(kept) >= R:
-            break
-        kill = alpha_sq * gram[i] <= d_point
-        kill[: i + 1] = False
-        alive &= ~kill
-    return np.array(kept, dtype=np.int64)
+    step = max(1, _PRUNE_CHUNK // (cands.shape[1] * pts.shape[1]))
+    for lo in range(0, points.size, step):
+        p, c = points[lo:lo + step], np.sort(cands[lo:lo + step], axis=1)
+        c[:, 1:][c[:, 1:] == c[:, :-1]] = n
+        c[c == p[:, None]] = n
+        diff = pts[c] - pts[p][:, None, :]
+        dp = np.where(c < n, np.einsum("bcd,bcd->bc", diff, diff), np.inf)
+        # a stable sort of id-sorted rows breaks distance ties by id
+        order = np.argsort(dp, axis=1, kind="stable")[:, : int((c < n).sum(axis=1).max())]
+        c = np.take_along_axis(c, order, axis=1)
+        dp = np.take_along_axis(dp, order, axis=1)
+        alive = c < n
+        cp, sq = pts[c], pts_sq[c]
+        at = np.arange(c.shape[0])
+        for k in range(R):
+            left = alive.any(axis=1)
+            if not left.any():
+                break
+            pos = alive.argmax(axis=1)
+            out[lo + at[left], k] = c[left, pos[left]]
+            alive[at, pos] = False
+            gram = sq[at, pos][:, None] - 2.0 * np.einsum("bcd,bd->bc", cp, cp[at, pos]) + sq
+            np.maximum(gram, 0.0, out=gram)
+            alive &= ~(alpha_sq * gram <= dp)
+    return out
+
+
+def _add_reverse_edges(
+    pts: np.ndarray,
+    pts_sq: np.ndarray,
+    adj: np.ndarray,
+    deg: np.ndarray,
+    batch: np.ndarray,
+    alpha: float,
+) -> None:
+    """Mirror the batch's new out-edges: each target with room for its new
+    sources appends them in batch order; each over-full target is pruned
+    once over its old neighbours and all its new sources."""
+    n, R = adj.shape
+    src, tgt = np.repeat(batch, R), adj[batch].ravel()
+    keep = tgt < n
+    src, tgt = src[keep], tgt[keep]
+    keep = ~(adj[tgt] == src[:, None]).any(axis=1)
+    order = np.argsort(tgt[keep], kind="stable")
+    src, tgt = src[keep][order], tgt[keep][order]
+    targets, first, count = np.unique(tgt, return_index=True, return_counts=True)
+    rank = np.arange(tgt.size) - np.repeat(first, count)
+    room = deg[targets] + count <= R
+    fits = np.repeat(room, count)
+    adj[tgt[fits], deg[tgt[fits]] + rank[fits]] = src[fits]
+    deg[targets[room]] += count[room]
+    full = targets[~room]
+    if full.size:
+        cands = np.full((full.size, R + int(count[~room].max())), n, dtype=np.int64)
+        cands[:, :R] = adj[full]
+        cands[np.repeat(np.arange(full.size), count[~room]), R + rank[~fits]] = src[~fits]
+        adj[full] = _prune_rows(pts, pts_sq, full, cands, alpha, R)
+        deg[full] = (adj[full] < n).sum(axis=1)
 
 
 def build_graph(
@@ -143,6 +240,17 @@ def build_graph(
     seed: int = 0,
 ) -> GraphIndex:
     """Construct the proximity graph; degree <= R, connected from the medoid."""
+    return build_graph_counting_repairs(dataset, R, L_build, alpha, seed)[0]
+
+
+def build_graph_counting_repairs(
+    dataset: VectorDataset,
+    R: int = 32,
+    L_build: int = 64,
+    alpha: float = 1.2,
+    seed: int = 0,
+) -> tuple[GraphIndex, int]:
+    """build_graph, and the number of edges its connectivity repair added."""
     n = dataset.n
     if n < 2:
         raise ValueError(f"graph construction needs at least 2 vectors, got {n}")
@@ -153,36 +261,33 @@ def build_graph(
     if alpha < 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
 
-    pts = dataset.vectors.astype(np.float64)
-    pts_sq = np.einsum("ij,ij->i", pts, pts)
+    pts, pts_sq = _padded_points(dataset.vectors)
     rng = np.random.default_rng(seed)
 
     degree = min(R, n - 1)
-    adjacency: list[np.ndarray] = []
+    adj = np.full((n, R), n, dtype=np.int64)  # rows left-packed, padded with n
     for i in range(n):
         pick = rng.choice(n - 1, size=degree, replace=False)
-        pick = np.where(pick >= i, pick + 1, pick).astype(np.int64)
-        adjacency.append(np.sort(pick))
+        adj[i, :degree] = np.sort(np.where(pick >= i, pick + 1, pick))
+    deg = np.full(n, degree, dtype=np.int64)
 
     entry = medoid(dataset)
-
+    cap = max(1, int(n * _BATCH_FRACTION))
     for pass_alpha in (1.0, alpha):
         order = rng.permutation(n)
-        for i in order.tolist():
-            visited = _greedy_search_build(pts, pts_sq, adjacency, entry, pts[i], L_build)
-            pool = np.concatenate([np.array(visited, dtype=np.int64), adjacency[i]])
-            adjacency[i] = _robust_prune(pts, i, pool, pass_alpha, R)
-            for j in adjacency[i].tolist():
-                if i in adjacency[j]:
-                    continue
-                grown = np.append(adjacency[j], i)
-                if grown.size > R:
-                    adjacency[j] = _robust_prune(pts, j, grown, pass_alpha, R)
-                else:
-                    adjacency[j] = grown
+        start, size = 0, 1
+        while start < n:
+            batch = order[start:start + size]
+            start, size = start + size, min(2 * size, cap)
+            pool = _search_batch(pts, pts_sq, adj, entry, batch, L_build)
+            pool = np.concatenate([pool, adj[batch]], axis=1)
+            adj[batch] = _prune_rows(pts, pts_sq, batch, pool, pass_alpha, R)
+            deg[batch] = (adj[batch] < n).sum(axis=1)
+            _add_reverse_edges(pts, pts_sq, adj, deg, batch, pass_alpha)
 
-    _repair_connectivity(pts, adjacency, entry, R)
-    return GraphIndex(adjacency=adjacency, entry_id=entry, R=R)
+    adjacency = [row[:d].copy() for row, d in zip(adj, deg.tolist())]
+    repairs = _repair_connectivity(pts[:n], adjacency, entry, R)
+    return GraphIndex(adjacency=adjacency, entry_id=entry, R=R), repairs
 
 
 def _reachable_from(
@@ -205,10 +310,12 @@ def _reachable_from(
 
 def _repair_connectivity(
     pts: np.ndarray, adjacency: list[np.ndarray], entry: int, R: int
-) -> None:
+) -> int:
     """Attach every unreachable node via an edge from its nearest reachable
-    node, evicting that node's farthest neighbor when at capacity."""
+    node, evicting that node's farthest neighbor when at capacity; returns
+    the number of edges added."""
     seen = _reachable_from(adjacency, entry)
+    added = 0
     while not bool(seen.all()):
         u = int(np.nonzero(~seen)[0][0])
         reach_ids = np.nonzero(seen)[0]
@@ -222,7 +329,9 @@ def _repair_connectivity(
             drop = np.lexsort((-neigh, -dv))[0]  # farthest, ties to the higher id
             neigh = np.delete(neigh, drop)
         adjacency[v] = np.append(neigh, u)
+        added += 1
         _reachable_from(adjacency, u, seen)  # everything reachable through u
+    return added
 
 
 def validate_graph(graph: GraphIndex, n: int) -> None:

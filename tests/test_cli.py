@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from diskvec.cli import is_timing_key, main, parse_report
+from diskvec.graphbuild import load_graph
 from diskvec.vecdata import load_fvecs, load_ivecs
 
 
@@ -42,8 +43,17 @@ def _pipeline(tmp_path, seed=0, n=400, kind="similarity"):
     return base, queries, index_dir, gt
 
 
-def test_full_pipeline_and_bench_report(tmp_path):
+def test_full_pipeline_and_bench_report(tmp_path, capsys):
     base, queries, index_dir, gt = _pipeline(tmp_path)
+    # the build's graph-quality report, on file and on stdout
+    meta = parse_report(index_dir / "build_meta.txt")
+    degrees = [neigh.size for neigh in load_graph(index_dir / "graph.bin").adjacency]
+    assert float(meta["mean_degree"]) == pytest.approx(np.mean(degrees), abs=1e-6)
+    assert int(meta["max_degree"]) == max(degrees) <= 8
+    assert int(meta["repair_edges"]) >= 0
+    stdout = capsys.readouterr().out.splitlines()
+    for key in ("mean_degree", "max_degree", "repair_edges"):
+        assert f"{key}={meta[key]}" in stdout
     report_path = tmp_path / "report.txt"
     rc = main([
         "bench", "--index-dir", str(index_dir), "--queries", str(queries),
@@ -383,6 +393,18 @@ def test_bad_theta_sidecar_exits_3_naming_it(foreign_sidecars, content, tmp_path
     # a bad --theta flag is still a usage error, and a good one skips the sidecar
     assert main(query + ["--theta", "1.5"]) == 2
     assert main(query + ["--theta", "0.5"]) == 0
+
+
+def test_non_utf8_theta_sidecar_exits_3_naming_it(foreign_sidecars, tmp_path, capsys):
+    queries, index_dir, _ = foreign_sidecars
+    bad = tmp_path / "bad_theta"
+    shutil.copytree(index_dir, bad)
+    (bad / "theta.txt").write_bytes(b"\xff\xfetheta=0.5\n")
+    rc = main(["query", "--index-dir", str(bad), "--queries", str(queries), "--k", "5", "--l", "40"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and "theta.txt" in err
+    assert "Traceback" not in err
 
 
 def test_negative_cache_budget_exits_2(foreign_sidecars, capsys):

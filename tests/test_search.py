@@ -130,9 +130,9 @@ def _digest(smoke, budget: int, hit_kinds: bool = True) -> str:
 
 
 @pytest.mark.parametrize("budget, want", [
-    (0, "8eb8af524589e0d315546a064eb7c9fffb1aeb6b0567f66829cb1b55d9d14872"),
-    (80, "f67350eecab010f505b3087b964aa2eb93f609699554366b9d102e4333a08ca5"),
-])
+    (0, "5eaee220899d92dd3e9bd03a2048b5f3de72df80cab53a1cf9f2574b4e4330a3"),
+    (80, "0c71f61e503a1ef197156ff740b987a36ba0b1f538406e0812bd60f84b779b51"),
+], ids=["0", "80"])
 def test_results_and_traces_match_pinned_digest(smoke, budget, want):
     # pinned from the search that read one page per miss and scored each
     # expansion's neighbours separately; planning reads and batching the PQ
@@ -142,7 +142,11 @@ def test_results_and_traces_match_pinned_digest(smoke, budget, want):
     # reads is now a miss, not a dynamic hit, and the admissions that follow
     # change later cache contents, so hit kinds move (34 dynamic hits became
     # misses and 35 misses dynamic hits) while the digest without hit kinds
-    # below stays as it was
+    # below stays as it was. Both were pinned again when the graph came to be
+    # built in batches: the smoke graph changed (its own digest is pinned in
+    # test_graphbuild.py), and over the graph built before that, this search
+    # still hashes to the old values, 8eb8af52... at budget 0 and
+    # f67350ee... at budget 80
     assert _digest(smoke, budget) == want
 
 
@@ -150,7 +154,8 @@ def test_results_and_traces_match_pinned_digest(smoke, budget, want):
 def test_results_and_traces_without_hit_kinds_match_pinned_digest(smoke, budget):
     # how reads are planned and cached changes hit kinds at most: the ids,
     # exact distances, iterations and phases hash the same at either budget
-    want = "d55b72470ff61092e4be8909db071dfdcefe6c637acdff315af33753d76cbdf2"
+    # (d55b7247... over the graph built before the batched build)
+    want = "9be3cd88d87fc169448b93896df10f4f90dec870f22ced1d131e15f055334189"
     assert _digest(smoke, budget, hit_kinds=False) == want
 
 
