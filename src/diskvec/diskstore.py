@@ -1,6 +1,11 @@
 """Paged on-disk index file: fixed-size slots holding each node's id, vector,
 and padded adjacency, packed in layout order.
 
+The format is version 2 (`GOVI2`): node ids are u32, so n must fit in 32 bits
+and a slot of dim 16, R 32 is 198 bytes, 20 to a 4 KiB page. In-memory graphs
+keep int64 ids; a reader hands out u32 adjacency views. A version-1 file
+(u64 ids) is refused as bad data.
+
 Accounting treats one read request as one I/O operation regardless of how many
 contiguous pages it transfers; pages_read tracks the transfer volume so both
 interpretations stay reportable.
@@ -23,7 +28,9 @@ from .layout import LayoutMap, ReadInterval, load_layout
 from .pqcodec import PQCodebook, load_pq
 from .vecdata import VectorDataset
 
-INDEX_MAGIC = b"GOVI1"
+INDEX_MAGIC = b"GOVI2"
+_V1_MAGIC = b"GOVI1"
+MAX_NODES = 2**32  # ids are u32
 # magic, page_size, dim, n, R, page_capacity, total_pages, entry_id, layout_kind
 _INDEX_HEADER = struct.Struct("<5sIIQIIQQB")
 PAGE_HEADER_SIZE = 2  # u16 node count
@@ -41,8 +48,9 @@ GRAPH_FILE = "graph.bin"
 
 
 def slot_size(dim: int, R: int) -> int:
-    """node_id (8) + vector (4*dim) + degree (2) + neighbors (8*R)."""
-    return 8 + 4 * dim + 2 + 8 * R
+    """Bytes per slot: node_id u32 (4) + vector f32 (4*dim) + degree u16 (2) +
+    neighbors u32 (4*R), unaligned; `_slot_dtype(dim, R).itemsize` agrees."""
+    return 4 + 4 * dim + 2 + 4 * R
 
 
 def page_capacity_for(page_size: int, dim: int, R: int) -> int:
@@ -58,10 +66,10 @@ def page_capacity_for(page_size: int, dim: int, R: int) -> int:
 def _slot_dtype(dim: int, R: int) -> np.dtype:
     return np.dtype(
         [
-            ("node_id", "<i8"),
+            ("node_id", "<u4"),
             ("vector", "<f4", (dim,)),
             ("degree", "<u2"),
-            ("neighbors", "<i8", (R,)),
+            ("neighbors", "<u4", (R,)),
         ]
     )
 
@@ -144,6 +152,8 @@ def write_index(
     if layout_kind not in LAYOUT_KIND_CODES:
         raise ValueError(f"unknown layout kind {layout_kind!r}")
     n, dim, R = dataset.n, dataset.dim, graph.R
+    if n > MAX_NODES:
+        raise ValueError(f"n {n} exceeds 2**32: index.bin node ids are u32")
     if graph.n != n or layout.n != n:
         raise ValueError("dataset, graph, and layout disagree on node count")
     ssize = slot_size(dim, R)
@@ -159,7 +169,7 @@ def write_index(
     degrees = np.array([a.size for a in graph.adjacency], dtype=np.uint16)
     if int(degrees.max(initial=0)) > R:
         raise InvariantError("graph degree exceeds R")
-    padded = np.zeros((n, R), dtype=np.int64)
+    padded = np.zeros((n, R), dtype=np.uint32)
     for i, neigh in enumerate(graph.adjacency):
         padded[i, : neigh.size] = neigh
 
@@ -222,6 +232,11 @@ class IndexReader:
                 entry_id,
                 kind_code,
             ) = _INDEX_HEADER.unpack(raw)
+            if magic == _V1_MAGIC:
+                raise FormatError(
+                    f"{self.path}: index.bin is version 1 (64-bit ids); "
+                    "run `diskvec layout` again"
+                )
             if magic != INDEX_MAGIC:
                 raise FormatError(f"{self.path}: bad index magic {magic!r}")
             if kind_code not in LAYOUT_KIND_NAMES:
@@ -287,8 +302,8 @@ class IndexReader:
                 f"capacity is {self.header.page_capacity}"
             )
         slots = np.frombuffer(buf, dtype=self._dtype, count=count, offset=PAGE_HEADER_SIZE)
-        # every id that leaves the reader passes here; negative ids wrap above n
-        if int(slots["neighbors"].view(np.uint64).max(initial=0)) >= self.header.n:
+        # every id that leaves the reader passes here
+        if int(slots["neighbors"].max(initial=0)) >= self.header.n:
             raise FormatError(
                 f"{self.path}: page {page_id} holds a neighbor id outside [0, {self.header.n})"
             )

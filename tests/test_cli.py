@@ -429,18 +429,27 @@ def _corrupt_graph_neighbor(index_dir) -> list[str]:
 
 def _corrupt_index_neighbor(index_dir) -> list[str]:
     """Point the entry node's first neighbor in index.bin past n."""
-    from diskvec.diskstore import IndexReader, slot_size
+    from diskvec.diskstore import IndexReader, _slot_dtype
     from diskvec.layout import load_layout
 
     with IndexReader(index_dir / "index.bin") as reader:
         h = reader.header
     lm = load_layout(index_dir / "layout.bin")
     page, slot = lm.page_of(h.entry_id), lm.slot_of(h.entry_id)
-    off = (page + 1) * h.page_size + 2 + slot * slot_size(h.dim, h.R) + 8 + 4 * h.dim + 2
+    dtype = _slot_dtype(h.dim, h.R)
+    off = (page + 1) * h.page_size + 2 + slot * dtype.itemsize + dtype.fields["neighbors"][1]
     raw = bytearray((index_dir / "index.bin").read_bytes())
-    struct.pack_into("<q", raw, off, h.n + 3)
+    struct.pack_into("<I", raw, off, h.n + 3)
     (index_dir / "index.bin").write_bytes(raw)
     return ["index.bin", "neighbor id"]
+
+
+def _index_version_1(index_dir) -> list[str]:
+    """Give index.bin the version-1 magic."""
+    raw = bytearray((index_dir / "index.bin").read_bytes())
+    raw[:5] = b"GOVI1"
+    (index_dir / "index.bin").write_bytes(raw)
+    return ["index.bin", "version 1", "run `diskvec layout` again"]
 
 
 def _corrupt_index_entry(index_dir) -> list[str]:
@@ -490,13 +499,14 @@ def _corrupt_index_total_pages(index_dir) -> list[str]:
         (_corrupt_index_neighbor, "query", "0"),
         (_corrupt_index_neighbor, "query", "150"),
         (_corrupt_index_total_pages, "bench", "150"),
+        (_index_version_1, "query", "0"),
         (_corrupt_pq_code, "query", "0"),
         (_corrupt_pq_code, "query", "150"),
         (_corrupt_pq_code, "bench", "150"),
     ],
     ids=["graph-layout", "index-entry-query", "index-R-query", "index-query-uncached",
-         "index-query-preload", "total-pages-bench", "pq-query-uncached", "pq-query-preload",
-         "pq-bench"],
+         "index-query-preload", "total-pages-bench", "index-v1-query", "pq-query-uncached",
+         "pq-query-preload", "pq-bench"],
 )
 def test_corrupt_graph_or_index_exits_3(foreign_sidecars, corrupt, command, budget, tmp_path,
                                         capsys):

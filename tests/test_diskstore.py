@@ -14,7 +14,9 @@ from diskvec.graphbuild import GraphIndex
 from diskvec.layout import ReadInterval, build_insertion_layout
 from diskvec.diskstore import (
     _INDEX_HEADER,
+    MAX_NODES,
     IndexReader,
+    _slot_dtype,
     page_capacity_for,
     slot_size,
     write_index,
@@ -25,9 +27,18 @@ from builders import mutate, write_custom_index
 
 
 def test_slot_and_capacity_arithmetic():
-    # dim=128, R=32: slot = 8 + 512 + 2 + 256 = 778; five fit in a 4 KiB page
-    assert slot_size(128, 32) == 778
-    assert page_capacity_for(4096, 128, 32) == 5
+    # dim=128, R=32: slot = 4 + 512 + 2 + 128 = 646; six fit in a 4 KiB page
+    assert slot_size(128, 32) == 646
+    assert page_capacity_for(4096, 128, 32) == 6
+    # the benchmark's dim 16, R 32: 198-byte slots, twenty to a 4 KiB page
+    assert slot_size(16, 32) == 198
+    assert page_capacity_for(4096, 16, 32) == 20
+
+
+def test_slot_size_is_the_slot_dtype_itemsize():
+    for dim in (1, 2, 3, 8, 16, 100, 128, 960):
+        for R in (1, 3, 16, 32, 64, 255):
+            assert slot_size(dim, R) == _slot_dtype(dim, R).itemsize, (dim, R)
 
 
 def test_single_node_index(tmp_path):
@@ -150,6 +161,67 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOTANINDEX" + b"\x00" * 100)
     with pytest.raises(FormatError):
         IndexReader(path)
+
+
+class _HugeDataset:
+    """Reports more nodes than u32 ids can name, without holding any."""
+
+    n = MAX_NODES + 1
+    dim = 2
+
+
+def test_write_refuses_more_nodes_than_u32_ids_name(tmp_path):
+    graph = GraphIndex(adjacency=[np.empty(0, dtype=np.int64)], entry_id=0, R=4)
+    lm = build_insertion_layout(VectorDataset(np.zeros((1, 2), dtype=np.float32)), 1)
+    with pytest.raises(ValueError, match="u32"):
+        write_index(_HugeDataset(), graph, lm, tmp_path / "x.bin")
+    assert not (tmp_path / "x.bin").exists()
+
+
+@st.composite
+def small_graphs(draw):
+    """A random graph of 1-40 nodes, dim 1-6, R 1-8, whose adjacency lists
+    favour ids near n - 1, with a page size that fits 1-5 slots (more when
+    the index header needs a larger page)."""
+    n = draw(st.integers(1, 40), label="n")
+    dim = draw(st.integers(1, 6), label="dim")
+    R = draw(st.integers(1, 8), label="R")
+    ids = st.one_of(st.integers(0, n - 1), st.integers(max(0, n - 3), n - 1))
+    adjacency = [
+        draw(st.lists(ids, max_size=R, unique=True), label=f"adj {i}") for i in range(n)
+    ]
+    vectors = draw(
+        st.lists(
+            st.lists(st.floats(-1e6, 1e6, width=32), min_size=dim, max_size=dim),
+            min_size=n, max_size=n,
+        ),
+        label="vectors",
+    )
+    entry = draw(st.integers(0, n - 1), label="entry")
+    slots = draw(st.integers(1, 5), label="slots per page")
+    slack = draw(st.integers(0, 3), label="slack")
+    page_size = max(2 + slots * slot_size(dim, R) + slack, _INDEX_HEADER.size)
+    return np.array(vectors, dtype=np.float32), adjacency, entry, R, page_size
+
+
+@given(g=small_graphs())
+def test_write_then_read_round_trips_every_slot(tmp_path_factory, g):
+    vectors, adjacency, entry, R, page_size = g
+    ds, _, lm, path, _, _ = write_custom_index(
+        tmp_path_factory.mktemp("round"), vectors, adjacency, entry, R, page_size
+    )
+    with IndexReader(path) as r:
+        assert (r.header.n, r.header.dim, r.header.R) == (ds.n, ds.dim, R)
+        assert r.header.entry_id == entry
+        assert r.header.page_capacity == lm.page_capacity
+        for node in range(ds.n):
+            page = r.read_page(lm.page_of(node))
+            s = lm.slot_of(node)
+            assert int(page.slots["node_id"][s]) == node
+            assert int(page.slots["degree"][s]) == len(adjacency[node])
+            vec, adj = page.slot(s, expect_node=node)
+            assert vec.tobytes() == ds.vectors[node].tobytes()
+            assert adj.tolist() == adjacency[node]
 
 
 def test_slot_node_id_mismatch_is_corruption(smoke):
