@@ -1,10 +1,12 @@
 """Paged on-disk index file: fixed-size slots holding each node's id, vector,
 and padded adjacency, packed in layout order.
 
-The format is version 2 (`GOVI2`): node ids are u32, so n must fit in 32 bits
+The format is version 3 (`GOVI3`): node ids are u32, so n must fit in 32 bits
 and a slot of dim 16, R 32 is 198 bytes, 20 to a 4 KiB page. In-memory graphs
-keep int64 ids; a reader hands out u32 adjacency views. A version-1 file
-(u64 ids) is refused as bad data.
+keep int64 ids; a reader hands out u32 adjacency views. Each fact is stored
+once: pages have no header, since page p holds min(page_capacity,
+n - p * page_capacity) slots, and the page count ceil(n / page_capacity) is
+derived, not stored. Version-1 and version-2 files are refused as bad data.
 
 Accounting treats one read request as one I/O operation regardless of how many
 contiguous pages it transfers; pages_read tracks the transfer volume so both
@@ -16,7 +18,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -28,12 +30,10 @@ from .layout import LayoutMap, ReadInterval, load_layout
 from .pqcodec import PQCodebook, load_pq
 from .vecdata import VectorDataset
 
-INDEX_MAGIC = b"GOVI2"
-_V1_MAGIC = b"GOVI1"
+INDEX_MAGIC = b"GOVI3"
 MAX_NODES = 2**32  # ids are u32
-# magic, page_size, dim, n, R, page_capacity, total_pages, entry_id, layout_kind
-_INDEX_HEADER = struct.Struct("<5sIIQIIQQB")
-PAGE_HEADER_SIZE = 2  # u16 node count
+# magic, page_size, dim, n, R, page_capacity, entry_id, layout_kind
+_INDEX_HEADER = struct.Struct("<5sIIQIIQB")
 
 LAYOUT_KIND_CODES = {"insertion-order": 0, "similarity": 1}
 LAYOUT_KIND_NAMES = {v: k for k, v in LAYOUT_KIND_CODES.items()}
@@ -54,11 +54,11 @@ def slot_size(dim: int, R: int) -> int:
 
 
 def page_capacity_for(page_size: int, dim: int, R: int) -> int:
-    cap = (page_size - PAGE_HEADER_SIZE) // slot_size(dim, R)
+    cap = page_size // slot_size(dim, R)
     if cap < 1:
         raise ValueError(
             f"page_size {page_size} too small for dim={dim}, R={R}: "
-            f"need at least {PAGE_HEADER_SIZE + slot_size(dim, R)} bytes"
+            f"need at least {slot_size(dim, R)} bytes"
         )
     return cap
 
@@ -81,9 +81,12 @@ class IndexHeader:
     n: int
     R: int
     page_capacity: int
-    total_pages: int
+    total_pages: int = field(init=False)  # ceil(n / page_capacity), not stored
     entry_id: int
     layout_kind: str
+
+    def __post_init__(self) -> None:
+        self.total_pages = -(-self.n // self.page_capacity)
 
 
 @dataclass
@@ -156,15 +159,18 @@ def write_index(
         raise ValueError(f"n {n} exceeds 2**32: index.bin node ids are u32")
     if graph.n != n or layout.n != n:
         raise ValueError("dataset, graph, and layout disagree on node count")
-    ssize = slot_size(dim, R)
-    needed = PAGE_HEADER_SIZE + ssize * layout.page_capacity
-    if needed > page_size:
+    if page_size < _INDEX_HEADER.size:
         raise ValueError(
-            f"page_size {page_size} cannot hold {layout.page_capacity} slots of "
-            f"{ssize} bytes; need page_size >= {needed}"
+            f"page_size {page_size} is smaller than the {_INDEX_HEADER.size}-byte "
+            "index.bin header"
         )
+    ssize = slot_size(dim, R)
     cap = layout.page_capacity
-    total_pages = layout.total_pages
+    if ssize * cap > page_size:
+        raise ValueError(
+            f"page_size {page_size} cannot hold {cap} slots of "
+            f"{ssize} bytes; need page_size >= {ssize * cap}"
+        )
 
     degrees = np.array([a.size for a in graph.adjacency], dtype=np.uint16)
     if int(degrees.max(initial=0)) > R:
@@ -174,38 +180,31 @@ def write_index(
         padded[i, : neigh.size] = neigh
 
     dtype = _slot_dtype(dim, R)
-    header = _INDEX_HEADER.pack(
-        INDEX_MAGIC,
-        page_size,
-        dim,
-        n,
-        R,
-        cap,
-        total_pages,
-        graph.entry_id,
-        LAYOUT_KIND_CODES[layout_kind],
+    header = IndexHeader(
+        page_size=page_size,
+        dim=dim,
+        n=n,
+        R=R,
+        page_capacity=cap,
+        entry_id=graph.entry_id,
+        layout_kind=layout_kind,
     )
     with open(path, "wb") as f:
-        f.write(header.ljust(page_size, b"\x00"))
-        for page_id in range(total_pages):
+        f.write(
+            _INDEX_HEADER.pack(
+                INDEX_MAGIC, page_size, dim, n, R, cap, graph.entry_id,
+                LAYOUT_KIND_CODES[layout_kind],
+            ).ljust(page_size, b"\x00")
+        )
+        for page_id in range(header.total_pages):
             nodes = layout.nodes_on_page(page_id)
             slots = np.zeros(nodes.shape[0], dtype=dtype)
             slots["node_id"] = nodes
             slots["vector"] = dataset.vectors[nodes]
             slots["degree"] = degrees[nodes]
             slots["neighbors"] = padded[nodes]
-            body = struct.pack("<H", nodes.shape[0]) + slots.tobytes()
-            f.write(body.ljust(page_size, b"\x00"))
-    return IndexHeader(
-        page_size=page_size,
-        dim=dim,
-        n=n,
-        R=R,
-        page_capacity=cap,
-        total_pages=total_pages,
-        entry_id=graph.entry_id,
-        layout_kind=layout_kind,
-    )
+            f.write(slots.tobytes().ljust(page_size, b"\x00"))
+    return header
 
 
 class IndexReader:
@@ -221,43 +220,22 @@ class IndexReader:
             raw = os.pread(self._fd, _INDEX_HEADER.size, 0)
             if len(raw) < _INDEX_HEADER.size:
                 raise FormatError(f"{self.path}: index file shorter than header")
-            (
-                magic,
-                page_size,
-                dim,
-                n,
-                R,
-                cap,
-                total_pages,
-                entry_id,
-                kind_code,
-            ) = _INDEX_HEADER.unpack(raw)
-            if magic == _V1_MAGIC:
+            magic, page_size, dim, n, R, cap, entry_id, kind_code = _INDEX_HEADER.unpack(raw)
+            if magic in (b"GOVI1", b"GOVI2"):
                 raise FormatError(
-                    f"{self.path}: index.bin is version 1 (64-bit ids); "
+                    f"{self.path}: index.bin is version {magic[4:].decode()}, not 3; "
                     "run `diskvec layout` again"
                 )
             if magic != INDEX_MAGIC:
                 raise FormatError(f"{self.path}: bad index magic {magic!r}")
             if kind_code not in LAYOUT_KIND_NAMES:
                 raise FormatError(f"{self.path}: unknown layout kind code {kind_code}")
-            if cap < 1 or total_pages != -(-n // cap):
-                raise FormatError(
-                    f"{self.path}: total_pages {total_pages} is not "
-                    f"ceil(n {n} / page_capacity {cap})"
-                )
             if entry_id >= n:
                 raise FormatError(f"{self.path}: entry_id {entry_id} is not below n {n}")
-            if PAGE_HEADER_SIZE + cap * slot_size(dim, R) > page_size:
+            if cap < 1 or cap * slot_size(dim, R) > page_size:
                 raise FormatError(
                     f"{self.path}: {cap} slots of dim {dim}, R {R} do not fit "
                     f"a {page_size}-byte page"
-                )
-            size = os.fstat(self._fd).st_size
-            if size != (total_pages + 1) * page_size:
-                raise FormatError(
-                    f"{self.path}: file is {size} bytes, the header implies "
-                    f"{(total_pages + 1) * page_size}"
                 )
             self.header = IndexHeader(
                 page_size=page_size,
@@ -265,10 +243,16 @@ class IndexReader:
                 n=n,
                 R=R,
                 page_capacity=cap,
-                total_pages=total_pages,
                 entry_id=int(entry_id),
                 layout_kind=LAYOUT_KIND_NAMES[kind_code],
             )
+            size = os.fstat(self._fd).st_size
+            want = (self.header.total_pages + 1) * page_size
+            if size != want:
+                raise FormatError(
+                    f"{self.path}: file is {size} bytes, but total_pages "
+                    f"{self.header.total_pages} and the header page make {want}"
+                )
             self._dtype = _slot_dtype(dim, R)
             self.stats = IoStats()
         except Exception:
@@ -295,13 +279,9 @@ class IndexReader:
         return True
 
     def _decode_page(self, page_id: int, buf: bytes | memoryview) -> DiskPage:
-        count = struct.unpack_from("<H", buf, 0)[0]
-        if count > self.header.page_capacity:
-            raise FormatError(
-                f"{self.path}: page {page_id} claims {count} slots, "
-                f"capacity is {self.header.page_capacity}"
-            )
-        slots = np.frombuffer(buf, dtype=self._dtype, count=count, offset=PAGE_HEADER_SIZE)
+        cap = self.header.page_capacity
+        count = min(cap, self.header.n - page_id * cap)
+        slots = np.frombuffer(buf, dtype=self._dtype, count=count)
         # every id that leaves the reader passes here
         if int(slots["neighbors"].max(initial=0)) >= self.header.n:
             raise FormatError(
@@ -364,11 +344,6 @@ class IndexReader:
                 runs.append(self.read_page_range(ReadInterval(ids[start], end - start)))
             start = end
         return runs
-
-    def read_node(self, node_id: int, layout: LayoutMap) -> tuple[np.ndarray, np.ndarray]:
-        """Convenience point read of one node's (vector, adjacency)."""
-        page = self.read_page(layout.page_of(node_id))
-        return page.slot(layout.slot_of(node_id), expect_node=node_id)
 
 
 @dataclass

@@ -4,6 +4,11 @@ for batch loading.
 
 Placement goal: vectors that are close in space end up on the same or adjacent
 pages, so one sequential read fetches many soon-to-be-needed nodes.
+
+The layout sidecar (`layout.bin`, version 3) stores each fact once: the node
+at each rank (u32, in disk order), then each cluster's first rank (u32).
+A node's page, slot and cluster, and each cluster's page span, are derived
+when the file is read. Version-1 and version-2 files are refused as bad data.
 """
 
 from __future__ import annotations
@@ -18,9 +23,8 @@ from .errors import FormatError
 from .vecdata import VectorDataset
 
 LAYOUT_MAGIC = b"GOVL"
-LAYOUT_VERSION = 2
-_HEADER = struct.Struct("<4sIQI")  # magic, version, n, page_capacity
-_RECORD = np.dtype([("node", "<u8"), ("cluster", "<u4")])  # one per rank, in disk order
+LAYOUT_VERSION = 3
+_HEADER = struct.Struct("<4sIQII")  # magic, version, n, page_capacity, k
 
 
 @dataclass
@@ -42,47 +46,44 @@ class ReadInterval:
 class LayoutMap:
     """Node-to-disk placement: a permutation of nodes packed into fixed pages.
 
-    Clusters occupy contiguous rank intervals but are not page-aligned; a page
-    may straddle two adjacent clusters. The node ranks and the per-cluster
-    page spans are derived once, on construction, which rejects (ValueError)
-    an order that is not a permutation of 0..n-1 and cluster ids that are not
-    0..k-1 with each cluster one contiguous run in disk order.
+    Each cluster is one run of consecutive ranks, given by its first rank;
+    cluster c is the c-th run in disk order. Clusters are not page-aligned; a
+    page may straddle two adjacent clusters. The node ranks, each node's
+    cluster and the per-cluster page spans are derived once, on construction,
+    which rejects (ValueError) an order that is not a permutation of 0..n-1
+    and cluster starts that do not rise strictly from 0 below n.
     """
 
     node_order: np.ndarray  # (n,) int64, disk order (rank -> node)
-    node_cluster: np.ndarray  # (n,) int32, node -> cluster
+    cluster_start: np.ndarray  # (k,) int64, cluster -> its first rank
     page_capacity: int
     node_rank: np.ndarray = field(init=False, repr=False)  # (n,) int64, node -> rank
+    node_cluster: np.ndarray = field(init=False, repr=False)  # (n,) int32, node -> cluster
     cluster_first_page: np.ndarray = field(init=False, repr=False)  # (k,) int64
     cluster_page_count: np.ndarray = field(init=False, repr=False)  # (k,) int64
 
     def __post_init__(self) -> None:
         order = np.asarray(self.node_order, dtype=np.int64)
-        cluster = np.asarray(self.node_cluster, dtype=np.int32)
+        start = np.asarray(self.cluster_start, dtype=np.int64)
         cap = int(self.page_capacity)
         if cap < 1:
             raise ValueError(f"page_capacity must be >= 1, got {cap}")
-        if order.ndim != 1 or order.size < 1 or cluster.shape != order.shape:
-            raise ValueError("node_order and node_cluster must be nonempty and of one length")
+        if order.ndim != 1 or order.size < 1:
+            raise ValueError("node_order must be a nonempty 1-d array")
         n = order.shape[0]
         if not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError("node_order is not a permutation of 0..n-1")
-        by_rank = cluster[order]
-        first_rank = np.flatnonzero(np.concatenate(([True], by_rank[1:] != by_rank[:-1])))
-        run_cluster = by_rank[first_rank]
-        k = first_rank.shape[0]
-        if not np.array_equal(np.sort(run_cluster), np.arange(k)):
-            raise ValueError(
-                "cluster ids must be 0..k-1, each a single contiguous run in disk order"
-            )
-        last_rank = np.append(first_rank[1:], n) - 1
-        self.node_order, self.node_cluster, self.page_capacity = order, cluster, cap
+        rising = start.ndim == 1 and start.size > 0 and bool(np.all(np.diff(start) > 0))
+        if not rising or start[0] != 0 or start[-1] >= n:
+            raise ValueError("cluster starts must rise strictly from 0 and stay below n")
+        end = np.append(start[1:], n)  # one past each cluster's last rank
+        self.node_order, self.cluster_start, self.page_capacity = order, start, cap
         self.node_rank = np.empty(n, dtype=np.int64)
         self.node_rank[order] = np.arange(n)
-        self.cluster_first_page = np.empty(k, dtype=np.int64)
-        self.cluster_first_page[run_cluster] = first_rank // cap
-        self.cluster_page_count = np.empty(k, dtype=np.int64)
-        self.cluster_page_count[run_cluster] = last_rank // cap - first_rank // cap + 1
+        self.node_cluster = np.empty(n, dtype=np.int32)
+        self.node_cluster[order] = np.repeat(np.arange(start.size, dtype=np.int32), end - start)
+        self.cluster_first_page = start // cap
+        self.cluster_page_count = (end - 1) // cap - start // cap + 1
 
     @property
     def n(self) -> int:
@@ -240,13 +241,11 @@ def pack_pages(
 
     Pages are filled strictly sequentially, so cluster boundaries and page
     boundaries interleave: a page may hold the tail of one cluster and the
-    head of the next.
+    head of the next. The placed clusters are numbered in disk order.
     """
-    node_order = np.concatenate([cluster_orders[c] for c in cluster_sequence])
-    node_cluster = np.empty(node_order.shape[0], dtype=np.int32)
-    for c in cluster_sequence:
-        node_cluster[cluster_orders[c]] = c
-    return LayoutMap(node_order, node_cluster, page_capacity)
+    placed = [cluster_orders[c] for c in cluster_sequence]
+    sizes = [order.shape[0] for order in placed]
+    return LayoutMap(np.concatenate(placed), np.cumsum([0] + sizes[:-1]), page_capacity)
 
 
 def default_cluster_count(n: int, page_capacity: int) -> int:
@@ -275,8 +274,7 @@ def build_similarity_layout(
 
 def build_insertion_layout(dataset: VectorDataset, page_capacity: int) -> LayoutMap:
     """Identity placement: node ids in file order, one cluster spanning everything."""
-    n = dataset.n
-    return LayoutMap(np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int32), page_capacity)
+    return LayoutMap(np.arange(dataset.n, dtype=np.int64), np.array([0]), page_capacity)
 
 
 def compute_read_interval(target: int, window_pages: int, layout: LayoutMap) -> ReadInterval:
@@ -331,12 +329,13 @@ def mean_intra_page_distance(dataset: VectorDataset, layout: LayoutMap) -> float
 
 
 def save_layout(path: str | Path, layout: LayoutMap) -> None:
-    """Persist the layout sidecar: the header, then each rank's node and cluster."""
-    records = np.empty(layout.n, dtype=_RECORD)
-    records["node"] = layout.node_order
-    records["cluster"] = layout.node_cluster[layout.node_order]
-    header = _HEADER.pack(LAYOUT_MAGIC, LAYOUT_VERSION, layout.n, layout.page_capacity)
-    Path(path).write_bytes(header + records.tobytes())
+    """Persist the layout sidecar: the header, each rank's node, then each
+    cluster's first rank."""
+    header = _HEADER.pack(
+        LAYOUT_MAGIC, LAYOUT_VERSION, layout.n, layout.page_capacity, layout.k_clusters
+    )
+    body = np.concatenate((layout.node_order, layout.cluster_start)).astype("<u4")
+    Path(path).write_bytes(header + body.tobytes())
 
 
 def load_layout(path: str | Path) -> LayoutMap:
@@ -346,7 +345,7 @@ def load_layout(path: str | Path) -> LayoutMap:
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
         raise FormatError(f"{path}: layout sidecar shorter than header")
-    magic, version, n, page_capacity = _HEADER.unpack_from(raw, 0)
+    magic, version, n, page_capacity, k = _HEADER.unpack_from(raw, 0)
     if magic != LAYOUT_MAGIC:
         raise FormatError(f"{path}: bad layout magic {magic!r}")
     if version != LAYOUT_VERSION:
@@ -354,16 +353,11 @@ def load_layout(path: str | Path) -> LayoutMap:
             f"{path}: layout version {version} is not {LAYOUT_VERSION}; "
             "run `diskvec layout` again"
         )
-    expected = _HEADER.size + n * _RECORD.itemsize
+    expected = _HEADER.size + 4 * (n + k)
     if len(raw) != expected:
         raise FormatError(f"{path}: layout sidecar size {len(raw)} != expected {expected}")
-    records = np.frombuffer(raw, dtype=_RECORD, offset=_HEADER.size)
-    if np.any(records["node"] >= n):
-        raise FormatError(f"{path}: node id out of range [0, {n})")
-    node_order = records["node"].astype(np.int64)
-    node_cluster = np.empty(n, dtype=np.int32)
-    node_cluster[node_order] = records["cluster"]
+    body = np.frombuffer(raw, dtype="<u4", offset=_HEADER.size).astype(np.int64)
     try:
-        return LayoutMap(node_order, node_cluster, page_capacity)
+        return LayoutMap(body[:n], body[n:], page_capacity)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc

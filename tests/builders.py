@@ -6,7 +6,9 @@ it while another directory's conftest is loaded in the same session.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from hypothesis import strategies as st
@@ -43,6 +45,18 @@ def write_custom_index(
     codebook = pqcodec.train(ds, m=1, c=ds.n, seed=0)
     codes = pqcodec.encode_dataset(ds, codebook)
     return ds, graph, lm, path, codebook, codes
+
+
+def edit_index_header(path: Path, edit: Callable[[dict], None]) -> None:
+    """Rewrite the header of the index.bin at path through edit, which changes
+    a dict of its stored fields: the magic, then IndexHeader's stored fields,
+    in the order they are packed."""
+    names = ["magic"] + [f.name for f in dataclasses.fields(diskstore.IndexHeader) if f.init]
+    raw = bytearray(path.read_bytes())
+    fields = dict(zip(names, diskstore._INDEX_HEADER.unpack_from(raw), strict=True))
+    edit(fields)
+    diskstore._INDEX_HEADER.pack_into(raw, 0, *(fields[name] for name in names))
+    path.write_bytes(raw)
 
 
 def mutate(data: st.DataObject, raw: bytearray, header_size: int) -> bytearray:

@@ -8,11 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from diskvec import diskstore, graphbuild, layout as layoutmod, pqcodec, vecdata
 from diskvec.cache import CacheConfig, HybridCache
 
 from builders import make_blobs
+
+# `pytest --hypothesis-profile=fuzz -k corrupt` runs the file fuzzers at length
+settings.register_profile("fuzz", max_examples=2000, deadline=None)
 
 
 @dataclass

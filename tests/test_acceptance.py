@@ -341,8 +341,10 @@ def test_criterion_11_round_trip_integrity(corpus):
     for kind in ("sim", "ins"):
         graph = load_graph(corpus.index_dirs[kind] / GRAPH_FILE)
         with Index.open(corpus.index_dirs[kind]) as index:
+            lm = index.layout
             for node in range(corpus.dataset.n):
-                vec, adj = index.reader.read_node(node, index.layout)
+                page = index.reader.read_page(lm.page_of(node))
+                vec, adj = page.slot(lm.slot_of(node), expect_node=node)
                 assert vec.tobytes() == corpus.dataset.vectors[node].tobytes()
                 assert np.array_equal(adj, graph.adjacency[node])
     _ok(11, "bit-exact vector and adjacency round trip under both layout kinds")

@@ -359,7 +359,8 @@ def test_hits_return_bytes_identical_to_direct_reads(smoke):
         cache.admit_pages(r.read_page_range(ReadInterval(0, 8)))
         for node in rng.integers(0, smoke.dataset.n, size=60).tolist():
             hit = cache.lookup(int(node), phase=2, hits=HitStats())
-            direct_vec, direct_adj = r.read_node(int(node), lm)
+            page = r.read_page(lm.page_of(node))
+            direct_vec, direct_adj = page.slot(lm.slot_of(node), expect_node=node)
             if hit is not None:
                 _, vec, adj = hit
                 assert vec.tobytes() == direct_vec.tobytes()

@@ -11,7 +11,10 @@ import pytest
 
 from diskvec.cli import is_timing_key, main, parse_report
 from diskvec.graphbuild import load_graph
+from diskvec.layout import _HEADER as _LAYOUT_HEADER
 from diskvec.vecdata import load_fvecs, load_ivecs
+
+from builders import edit_index_header
 
 
 def _pipeline(tmp_path, seed=0, n=400, kind="similarity"):
@@ -302,6 +305,25 @@ def test_layout_insertion_identity_and_content_preserved(tmp_path):
     assert lm.node_order.tolist() == list(range(400))
 
 
+def test_page_smaller_than_the_index_header_exits_2(tmp_path, capsys):
+    # dim 2, R 2: a 22-byte slot fits a 32-byte page, the index.bin header does not
+    base = tmp_path / "base.fvecs"
+    index_dir = tmp_path / "idx"
+    assert main(["synth", "--out", str(base), "--n", "60", "--dim", "2", "--seed", "3"]) == 0
+    assert main([
+        "build", "--dataset", str(base), "--out-dir", str(index_dir),
+        "--r", "2", "--l-build", "8", "--seed", "3", "--pq-c", "16",
+    ]) == 0
+    capsys.readouterr()
+    rc = main([
+        "layout", "--index-dir", str(index_dir), "--dataset", str(base), "--page-size", "32",
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "index.bin header" in err
+    assert "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def foreign_sidecars(tmp_path_factory):
     """An index dir, plus sidecars that disagree with its index.bin: a layout
@@ -341,21 +363,25 @@ def test_sidecar_disagreeing_with_index_exits_3(foreign_sidecars, sidecar, tmp_p
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("corruption", ["node_id_out_of_range", "duplicated_node", "split_cluster"])
+@pytest.mark.parametrize(
+    "corruption", ["node_id_out_of_range", "duplicated_node", "cluster_start_falls"]
+)
 def test_corrupt_layout_exits_3(foreign_sidecars, corruption, tmp_path, capsys):
     queries, index_dir, _ = foreign_sidecars
     corrupt = tmp_path / "corrupt"
     shutil.copytree(index_dir, corrupt)
     raw = bytearray((corrupt / "layout.bin").read_bytes())
-    # past the 20-byte header, one (node u64, cluster u32) record per rank
-    records = np.frombuffer(raw, dtype=[("node", "<u8"), ("cluster", "<u4")], offset=20)
+    # past the header, a u32 node per rank, then a u32 first rank per cluster
+    _, _, n, _, k = _LAYOUT_HEADER.unpack_from(raw)
+    body = np.frombuffer(raw, dtype="<u4", offset=_LAYOUT_HEADER.size)
+    nodes, starts = body[:n], body[n:]
     if corruption == "node_id_out_of_range":
-        records["node"][0] = len(records)
+        nodes[0] = n
     elif corruption == "duplicated_node":
-        records["node"][1] = records["node"][0]
+        nodes[1] = nodes[0]
     else:
-        assert records["cluster"][-1] != records["cluster"][0]
-        records["cluster"][-1] = records["cluster"][0]
+        assert k > 1
+        starts[-1] = starts[0]
     (corrupt / "layout.bin").write_bytes(raw)
     rc = main([
         "query", "--index-dir", str(corrupt), "--queries", str(queries),
@@ -437,36 +463,40 @@ def _corrupt_index_neighbor(index_dir) -> list[str]:
     lm = load_layout(index_dir / "layout.bin")
     page, slot = lm.page_of(h.entry_id), lm.slot_of(h.entry_id)
     dtype = _slot_dtype(h.dim, h.R)
-    off = (page + 1) * h.page_size + 2 + slot * dtype.itemsize + dtype.fields["neighbors"][1]
+    off = (page + 1) * h.page_size + slot * dtype.itemsize + dtype.fields["neighbors"][1]
     raw = bytearray((index_dir / "index.bin").read_bytes())
     struct.pack_into("<I", raw, off, h.n + 3)
     (index_dir / "index.bin").write_bytes(raw)
     return ["index.bin", "neighbor id"]
 
 
-def _index_version_1(index_dir) -> list[str]:
-    """Give index.bin the version-1 magic."""
-    raw = bytearray((index_dir / "index.bin").read_bytes())
-    raw[:5] = b"GOVI1"
-    (index_dir / "index.bin").write_bytes(raw)
-    return ["index.bin", "version 1", "run `diskvec layout` again"]
+def _index_version(version: int):
+    def corrupt(index_dir) -> list[str]:
+        """Give index.bin an older version's magic."""
+        edit_index_header(index_dir / "index.bin", lambda h: h.update(magic=b"GOVI%d" % version))
+        return ["index.bin", f"version {version}", "run `diskvec layout` again"]
+
+    return corrupt
+
+
+def _layout_version_2(index_dir) -> list[str]:
+    """Give layout.bin version 2."""
+    raw = bytearray((index_dir / "layout.bin").read_bytes())
+    magic, _, *rest = _LAYOUT_HEADER.unpack_from(raw)
+    _LAYOUT_HEADER.pack_into(raw, 0, magic, 2, *rest)
+    (index_dir / "layout.bin").write_bytes(raw)
+    return ["layout.bin", "version 2", "run `diskvec layout` again"]
 
 
 def _corrupt_index_entry(index_dir) -> list[str]:
     """Make the index.bin header's entry_id n + 5."""
-    raw = bytearray((index_dir / "index.bin").read_bytes())
-    (n,) = struct.unpack_from("<Q", raw, 13)
-    struct.pack_into("<Q", raw, 37, n + 5)
-    (index_dir / "index.bin").write_bytes(raw)
+    edit_index_header(index_dir / "index.bin", lambda h: h.update(entry_id=h["n"] + 5))
     return ["index.bin", "entry_id"]
 
 
 def _corrupt_index_R(index_dir) -> list[str]:
     """Raise the index.bin header's R by one."""
-    raw = bytearray((index_dir / "index.bin").read_bytes())
-    (R,) = struct.unpack_from("<I", raw, 21)
-    struct.pack_into("<I", raw, 21, R + 1)
-    (index_dir / "index.bin").write_bytes(raw)
+    edit_index_header(index_dir / "index.bin", lambda h: h.update(R=h["R"] + 1))
     return ["index.bin"]
 
 
@@ -481,12 +511,14 @@ def _corrupt_pq_code(index_dir) -> list[str]:
     return ["pq.bin", "code"]
 
 
-def _corrupt_index_total_pages(index_dir) -> list[str]:
-    """Make the index.bin header claim 40 pages fewer than it holds."""
-    raw = bytearray((index_dir / "index.bin").read_bytes())
-    (total_pages,) = struct.unpack_from("<Q", raw, 29)
-    struct.pack_into("<Q", raw, 29, total_pages - 40)
-    (index_dir / "index.bin").write_bytes(raw)
+def _truncate_index_by_40_pages(index_dir) -> list[str]:
+    """Cut off the last 40 of the pages that index.bin's total_pages needs."""
+    from diskvec.diskstore import IndexReader
+
+    with IndexReader(index_dir / "index.bin") as reader:
+        page_size = reader.header.page_size
+    raw = (index_dir / "index.bin").read_bytes()
+    (index_dir / "index.bin").write_bytes(raw[: -40 * page_size])
     return ["index.bin", "total_pages"]
 
 
@@ -498,15 +530,17 @@ def _corrupt_index_total_pages(index_dir) -> list[str]:
         (_corrupt_index_R, "query", "150"),
         (_corrupt_index_neighbor, "query", "0"),
         (_corrupt_index_neighbor, "query", "150"),
-        (_corrupt_index_total_pages, "bench", "150"),
-        (_index_version_1, "query", "0"),
+        (_truncate_index_by_40_pages, "bench", "150"),
+        (_index_version(1), "query", "0"),
+        (_index_version(2), "query", "0"),
+        (_layout_version_2, "query", "0"),
         (_corrupt_pq_code, "query", "0"),
         (_corrupt_pq_code, "query", "150"),
         (_corrupt_pq_code, "bench", "150"),
     ],
     ids=["graph-layout", "index-entry-query", "index-R-query", "index-query-uncached",
-         "index-query-preload", "total-pages-bench", "index-v1-query", "pq-query-uncached",
-         "pq-query-preload", "pq-bench"],
+         "index-query-preload", "total-pages-bench", "index-v1-query", "index-v2-query",
+         "layout-v2-query", "pq-query-uncached", "pq-query-preload", "pq-bench"],
 )
 def test_corrupt_graph_or_index_exits_3(foreign_sidecars, corrupt, command, budget, tmp_path,
                                         capsys):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,19 +9,24 @@ from hypothesis import strategies as st
 
 from diskvec.errors import FormatError
 from diskvec.graphbuild import GraphIndex
-from diskvec.layout import ReadInterval, build_insertion_layout
+from diskvec.layout import ReadInterval, build_insertion_layout, save_layout
 from diskvec.diskstore import (
     _INDEX_HEADER,
+    INDEX_FILE,
+    LAYOUT_FILE,
     MAX_NODES,
+    PQ_FILE,
+    Index,
     IndexReader,
     _slot_dtype,
     page_capacity_for,
     slot_size,
     write_index,
 )
+from diskvec.pqcodec import save_pq
 from diskvec.vecdata import VectorDataset
 
-from builders import mutate, write_custom_index
+from builders import edit_index_header, mutate, write_custom_index
 
 
 def test_slot_and_capacity_arithmetic():
@@ -33,6 +36,21 @@ def test_slot_and_capacity_arithmetic():
     # the benchmark's dim 16, R 32: 198-byte slots, twenty to a 4 KiB page
     assert slot_size(16, 32) == 198
     assert page_capacity_for(4096, 16, 32) == 20
+
+
+def test_page_capacity_is_what_it_was_with_a_page_header():
+    # a slot is 2 mod 4 bytes, so no multiple of it lies in (P - 2, P] for a
+    # power-of-two page size P: the 2-byte slot count that version-2 pages
+    # began with never cost a slot, and dropping it gains none
+    for dim in (1, 2, 3, 4, 8, 16, 100, 128, 960):
+        for R in (1, 2, 3, 8, 16, 32, 64, 255):
+            for page_size in (2**k for k in range(5, 17)):
+                with_header = (page_size - 2) // slot_size(dim, R)
+                if with_header < 1:
+                    with pytest.raises(ValueError):
+                        page_capacity_for(page_size, dim, R)
+                else:
+                    assert page_capacity_for(page_size, dim, R) == with_header, (dim, R, page_size)
 
 
 def test_slot_size_is_the_slot_dtype_itemsize():
@@ -59,8 +77,10 @@ def test_single_node_index(tmp_path):
 def test_round_trip_every_node(tmp_path, smoke):
     for kind in ("sim", "ins"):
         with smoke.index(kind) as index:
+            lm = index.layout
             for node in range(smoke.dataset.n):
-                vec, adj = index.reader.read_node(node, index.layout)
+                page = index.reader.read_page(lm.page_of(node))
+                vec, adj = page.slot(lm.slot_of(node), expect_node=node)
                 assert vec.tobytes() == smoke.dataset.vectors[node].tobytes()  # bit-exact
                 assert np.array_equal(adj, smoke.graph.adjacency[node])
 
@@ -151,9 +171,20 @@ def test_slot_overflow_names_required_page_size(tmp_path):
         adjacency=[np.empty(0, dtype=np.int64) for _ in range(10)], entry_id=0, R=32
     )
     lm = build_insertion_layout(ds, page_capacity=5)
-    needed = 2 + 5 * slot_size(128, 32)
+    needed = 5 * slot_size(128, 32)
     with pytest.raises(ValueError, match=str(needed)):
         write_index(ds, graph, lm, tmp_path / "x.bin", page_size=1024)
+
+
+def test_page_smaller_than_the_header_is_refused(tmp_path):
+    # dim 2, R 2: a 22-byte slot fits a 32-byte page, the header does not
+    page_size = 32
+    assert slot_size(2, 2) <= page_size < _INDEX_HEADER.size
+    ds = VectorDataset(np.zeros((3, 2), dtype=np.float32))
+    graph = GraphIndex(adjacency=[np.empty(0, dtype=np.int64)] * 3, entry_id=0, R=2)
+    lm = build_insertion_layout(ds, page_capacity_for(page_size, 2, 2))
+    with pytest.raises(ValueError, match=f"{_INDEX_HEADER.size}-byte index.bin header"):
+        write_index(ds, graph, lm, tmp_path / "x.bin", page_size=page_size)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -200,7 +231,7 @@ def small_graphs(draw):
     entry = draw(st.integers(0, n - 1), label="entry")
     slots = draw(st.integers(1, 5), label="slots per page")
     slack = draw(st.integers(0, 3), label="slack")
-    page_size = max(2 + slots * slot_size(dim, R) + slack, _INDEX_HEADER.size)
+    page_size = max(slots * slot_size(dim, R) + slack, _INDEX_HEADER.size)
     return np.array(vectors, dtype=np.float32), adjacency, entry, R, page_size
 
 
@@ -234,39 +265,81 @@ def test_slot_node_id_mismatch_is_corruption(smoke):
 
 @pytest.fixture(scope="module")
 def custom_index(tmp_path_factory):
-    """A two-page index of ten nodes."""
+    """A two-page index of ten nodes and its layout, in a directory that also
+    holds the layout and PQ sidecars, so that an index.bin written beside
+    them opens as an `Index`."""
+    root = tmp_path_factory.mktemp("custom")
     rng = np.random.default_rng(17)
     adjacency = [[(i + 1) % 10, (i + 3) % 10][: i % 3] for i in range(10)]
-    return write_custom_index(
-        tmp_path_factory.mktemp("custom"), rng.normal(size=(10, 4)), adjacency, entry=4, R=3
-    )[3]
+    _, _, lm, path, codebook, codes = write_custom_index(
+        root, rng.normal(size=(10, 4)), adjacency, entry=4, R=3
+    )
+    save_layout(root / LAYOUT_FILE, lm)
+    save_pq(root / PQ_FILE, codebook, codes)
+    return path, lm
 
 
 @pytest.mark.parametrize(
-    "offset, fmt, value, named",
-    [(37, "<Q", 10, "entry_id"), (21, "<I", 4, "do not fit")],  # entry_id = n; R 3 -> 4
+    "edit, named",
+    [
+        (lambda h: h.update(entry_id=h["n"]), "entry_id"),
+        (lambda h: h.update(R=h["R"] + 1), "do not fit"),
+    ],
+    ids=["entry_id", "R"],
 )
 def test_header_fields_the_pages_contradict_are_format_errors(
-    custom_index, tmp_path, offset, fmt, value, named
+    custom_index, tmp_path, edit, named
 ):
-    raw = bytearray(custom_index.read_bytes())
-    struct.pack_into(fmt, raw, offset, value)
-    (tmp_path / "bad.bin").write_bytes(raw)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(custom_index[0].read_bytes())
+    edit_index_header(bad, edit)
     with pytest.raises(FormatError, match=named):
-        IndexReader(tmp_path / "bad.bin")
+        IndexReader(bad)
+
+
+def test_overwritten_page_bytes_fail_as_bad_data_or_spare_other_slots(custom_index, tmp_path):
+    """Zero 2 bytes at each offset of page 0 in turn and read the page's nodes
+    through the layout's (page, slot): each read raises FormatError or returns
+    what the clean file holds, unless the zeroed bytes lie in its own slot.
+    While pages began with a stored slot count, zeroing it made every read of
+    the page an InvariantError."""
+    path, lm = custom_index
+    clean = path.read_bytes()
+    nodes = lm.nodes_on_page(0).tolist()
+    with IndexReader(path) as r:
+        h = r.header
+        page = r.read_page(0)
+        want = {v: page.slot(lm.slot_of(v), expect_node=v) for v in nodes}
+    ssize = slot_size(h.dim, h.R)
+    bad = tmp_path / "bad.bin"
+    for offset in range(h.page_size - 1):
+        raw = bytearray(clean)
+        at = h.page_size + offset  # page 0 follows the header page
+        raw[at : at + 2] = bytes(2)
+        bad.write_bytes(raw)
+        with IndexReader(bad) as r:
+            for v in nodes:
+                s = lm.slot_of(v)
+                try:
+                    vec, adj = r.read_page(lm.page_of(v)).slot(s, expect_node=v)
+                except FormatError:
+                    continue
+                if offset + 2 <= s * ssize or offset >= (s + 1) * ssize:
+                    assert vec.tobytes() == want[v][0].tobytes(), (offset, v)
+                    assert adj.tolist() == want[v][1].tolist(), (offset, v)
 
 
 @given(data=st.data())
 def test_corrupt_index_file_is_a_format_error_or_readable(custom_index, data):
-    fuzzed = custom_index.with_name("fuzzed_index.bin")
-    fuzzed.write_bytes(mutate(data, bytearray(custom_index.read_bytes()), _INDEX_HEADER.size))
+    path, _ = custom_index
+    fuzzed = path.with_name(INDEX_FILE)
+    fuzzed.write_bytes(mutate(data, bytearray(path.read_bytes()), _INDEX_HEADER.size))
     try:
-        with IndexReader(fuzzed) as r:
+        with Index.open(fuzzed.parent) as index:
+            r, lm = index.reader, index.layout
             assert 0 <= r.header.entry_id < r.header.n
-            for pid in range(r.header.total_pages):
-                page = r.read_page(pid)
-                for s in range(len(page.slots)):
-                    _, adj = page.slot(s)
-                    assert all(0 <= j < r.header.n for j in adj.tolist())
+            for v in range(lm.n):
+                _, adj = r.read_page(lm.page_of(v)).slot(lm.slot_of(v), expect_node=v)
+                assert all(0 <= j < r.header.n for j in adj.tolist())
     except FormatError:
         return

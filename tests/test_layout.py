@@ -277,9 +277,11 @@ def test_layout_sidecar_round_trip(tmp_path):
     lm = build_similarity_layout(ds, page_capacity=4, seed=40)
     path = tmp_path / "layout.bin"
     save_layout(path, lm)
-    assert path.stat().st_size == 20 + 12 * 90  # header, then (node u64, cluster u32) per rank
+    # the header, then a u32 node per rank and a u32 first rank per cluster
+    assert path.stat().st_size == 24 + 4 * (90 + lm.k_clusters)
     back = load_layout(path)
     assert np.array_equal(back.node_order, lm.node_order)
+    assert np.array_equal(back.cluster_start, lm.cluster_start)
     assert np.array_equal(back.node_cluster, lm.node_cluster)
     assert np.array_equal(back.node_rank, lm.node_rank)
     assert np.array_equal(back.cluster_first_page, lm.cluster_first_page)
@@ -295,24 +297,28 @@ def test_layout_version_1_asks_for_a_new_layout(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "order, cluster, capacity",
+    "order, cluster_start, capacity",
     [
-        ([0, 0, 1], [0, 0, 0], 2),
-        ([0, 1, 3], [0, 0, 0], 2),
-        ([0, 1, 2], [0, 1, 0], 2),
-        ([0, 1, 2], [0, 0, 2], 2),
-        ([0, 1, 2], [0, 0], 2),
-        ([], [], 2),
-        ([0, 1, 2], [0, 0, 0], 0),
+        ([0, 0, 1], [0], 2),
+        ([0, 1, 3], [0], 2),
+        ([0, 1, 2], [0, 2, 1], 2),
+        ([0, 1, 2], [0, 2, 2], 2),
+        ([0, 1, 2], [1, 2], 2),
+        ([0, 1, 2], [0, 3], 2),
+        ([0, 1, 2], [], 2),
+        ([], [0], 2),
+        ([0, 1, 2], [0], 0),
     ],
     ids=[
-        "duplicated_node", "node_id_out_of_range", "split_cluster", "cluster_id_gap",
-        "length_mismatch", "no_nodes", "zero_page_capacity",
+        "duplicated_node", "node_id_out_of_range", "cluster_start_falls", "cluster_id_gap",
+        "first_start_not_zero", "cluster_start_past_n", "no_clusters", "no_nodes",
+        "zero_page_capacity",
     ],
 )
-def test_layout_map_rejects_invalid_placement(order, cluster, capacity):
+def test_layout_map_rejects_invalid_placement(order, cluster_start, capacity):
+    # "cluster_id_gap": cluster 1 starts where cluster 2 does, so it has no rank
     with pytest.raises(ValueError):
-        LayoutMap(np.array(order, dtype=np.int64), np.array(cluster, dtype=np.int32), capacity)
+        LayoutMap(np.array(order, dtype=np.int64), np.array(cluster_start, dtype=np.int64), capacity)
 
 
 def _assert_layout_invariants(lm: LayoutMap) -> None:
@@ -321,8 +327,10 @@ def _assert_layout_invariants(lm: LayoutMap) -> None:
     assert sorted(lm.node_order.tolist()) == list(range(n))
     assert all(lm.node_order[lm.node_rank[v]] == v for v in range(n))
     by_rank = lm.node_cluster[lm.node_order].tolist()
-    runs = [c for r, c in enumerate(by_rank) if r == 0 or c != by_rank[r - 1]]
-    assert sorted(runs) == list(range(lm.k_clusters))
+    # clusters are numbered in disk order, each one run starting at its start
+    runs = [r for r in range(n) if r == 0 or by_rank[r] != by_rank[r - 1]]
+    assert runs == lm.cluster_start.tolist()
+    assert [by_rank[r] for r in runs] == list(range(lm.k_clusters))
     for c in range(lm.k_clusters):
         pages = [lm.page_of(v) for v in range(n) if lm.cluster_of(v) == c]
         assert lm.cluster_first_page[c] == min(pages)
@@ -347,7 +355,7 @@ def test_random_layouts_round_trip(tmp_path_factory, lm):
     save_layout(path, lm)
     back = load_layout(path)
     assert np.array_equal(back.node_order, lm.node_order)
-    assert np.array_equal(back.node_cluster, lm.node_cluster)
+    assert np.array_equal(back.cluster_start, lm.cluster_start)
     assert back.page_capacity == lm.page_capacity
 
 
