@@ -21,7 +21,6 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .diskstore import DiskPage, Index, IndexReader, slot_size
-from .graphbuild import GraphIndex
 from .layout import LayoutMap
 
 POLICIES = ("LFU", "FIFO", "RANDOM")
@@ -111,20 +110,9 @@ class HitStats:
             return self.phase2
         raise ValueError(f"phase must be 1 or 2, got {phase}")
 
-    def record(self, phase: int, kind: str | None) -> None:
-        counts = self.for_phase(phase)
-        if kind == "static":
-            counts.static_hits += 1
-        elif kind == "dynamic":
-            counts.dynamic_hits += 1
-        elif kind is None:
-            counts.misses += 1
-        else:
-            raise ValueError(f"unknown hit kind {kind!r}")
-
 
 def preload_static(
-    graph: GraphIndex | None,
+    graph: object,
     reader: IndexReader,
     layout: LayoutMap,
     capacity_nodes: int,
@@ -189,9 +177,6 @@ class DynamicCache:
 
     def __contains__(self, page_id: int) -> bool:
         return page_id in self.pages
-
-    def __len__(self) -> int:
-        return len(self.pages)
 
     def get(self, page_id: int) -> DiskPage | None:
         return self.pages.get(page_id)
@@ -283,18 +268,19 @@ class HybridCache:
         """Check static first, then the dynamic page store, and record the
         outcome in hits under phase. Returns (kind, vector, adjacency) on a
         hit; None is a miss, not an error."""
+        counts = hits.for_phase(phase)
         with self._lock:
             hit = self.static.get(node_id)
             if hit is not None:
-                hits.record(phase, "static")
+                counts.static_hits += 1
                 return ("static", hit[0], hit[1])
             page = self.dynamic.get(self.layout.page_of(node_id))
             if page is not None:
                 self.dynamic.touch(page.page_id)
                 vec, adj = page.slot(self.layout.slot_of(node_id), expect_node=node_id)
-                hits.record(phase, "dynamic")
+                counts.dynamic_hits += 1
                 return ("dynamic", vec, adj)
-            hits.record(phase, None)
+            counts.misses += 1
             return None
 
     def resident(self, page_id: int) -> bool:

@@ -136,6 +136,10 @@ def cmd_synth(args: argparse.Namespace) -> None:
     not derived from any published dataset)."""
     if args.n < 1 or args.dim < 1 or args.blobs < 1:
         raise ValueError("n, dim, and blobs must all be positive")
+    if args.queries < 0:
+        raise ValueError(f"--queries must be >= 0, got {args.queries}")
+    if args.queries > 0 and not args.queries_out:
+        raise ValueError("--queries-out is required when --queries > 0")
     rng = np.random.default_rng(args.seed)
     centers = rng.normal(0.0, args.center_spread, size=(args.blobs, args.dim))
     membership = rng.integers(0, args.blobs, size=args.n)
@@ -153,8 +157,6 @@ def cmd_synth(args: argparse.Namespace) -> None:
         ("queries", args.queries),
     ]
     if args.queries > 0:
-        if not args.queries_out:
-            raise ValueError("--queries-out is required when --queries > 0")
         q_membership = rng.integers(0, args.blobs, size=args.queries)
         qs = centers[q_membership] + rng.normal(0.0, args.spread, size=(args.queries, args.dim))
         vecdata.write_fvecs(args.queries_out, qs.astype(np.float32))
@@ -211,13 +213,10 @@ def cmd_layout(args: argparse.Namespace) -> None:
     if args.kind == "insertion":
         lm = layoutmod.build_insertion_layout(dataset, cap)
         kind_name = "insertion-order"
-        k_used = 1
     else:
-        k_used = args.k_clusters if args.k_clusters > 0 else layoutmod.default_cluster_count(
-            dataset.n, cap
-        )
         lm = layoutmod.build_similarity_layout(
-            dataset, cap, k_clusters=k_used, max_iters=args.kmeans_iters, seed=args.seed
+            dataset, cap, k_clusters=args.k_clusters if args.k_clusters > 0 else None,
+            max_iters=args.kmeans_iters, seed=args.seed,
         )
         kind_name = "similarity"
     header = diskstore.write_index(
@@ -234,7 +233,7 @@ def cmd_layout(args: argparse.Namespace) -> None:
             ("command", "layout"),
             ("index_dir", str(index_dir)),
             ("kind", kind_name),
-            ("k_clusters", k_used),
+            ("k_clusters", lm.k_clusters),
             ("page_size", args.page_size),
             ("page_capacity", header.page_capacity),
             ("total_pages", header.total_pages),
@@ -248,8 +247,6 @@ def cmd_layout(args: argparse.Namespace) -> None:
 def cmd_gt(args: argparse.Namespace) -> None:
     dataset = vecdata.load_fvecs(args.dataset)
     queries = vecdata.load_fvecs(args.queries)
-    if queries.dim != dataset.dim:
-        raise ValueError(f"query dim {queries.dim} != dataset dim {dataset.dim}")
     ids = vecdata.ground_truth_batch(dataset, queries.vectors, args.k)
     vecdata.write_ivecs(args.out, ids.astype(np.int32))
     _emit_report(
@@ -375,13 +372,7 @@ def _run_bench(
     args, index_dir: Path, trace: bool = False
 ) -> tuple[list[tuple[str, object]], search.WorkloadReport]:
     queries = vecdata.load_fvecs(args.queries)
-    gt = None
-    if args.gt:
-        gt = vecdata.load_ivecs(args.gt)
-        if gt.shape[0] != queries.n:
-            raise ValueError(
-                f"ground truth rows ({gt.shape[0]}) != query count ({queries.n})"
-            )
+    gt = vecdata.load_ivecs(args.gt) if args.gt else None
     with Index.open(index_dir) as index:
         bypass = "inactive"
         if args.os_bypass:

@@ -49,7 +49,9 @@ GRAPH_FILE = "graph.bin"
 
 def slot_size(dim: int, R: int) -> int:
     """Bytes per slot: node_id u32 (4) + vector f32 (4*dim) + degree u16 (2) +
-    neighbors u32 (4*R), unaligned; `_slot_dtype(dim, R).itemsize` agrees."""
+    neighbors u32 (4*R), unaligned; `_slot_dtype(dim, R).itemsize` agrees.
+    Arithmetic, not the dtype's itemsize: the reader checks header fields of
+    any size, and numpy refuses a dtype of 2 GiB or more."""
     return 4 + 4 * dim + 2 + 4 * R
 
 
@@ -115,29 +117,29 @@ class DiskPage:
 
 
 class IoStats:
-    """Thread-safe counters for read requests, page transfers, and bytes."""
+    """Thread-safe counters for read requests and page transfers. Every page
+    is page_size bytes, so the bytes read are derived, not counted."""
 
-    def __init__(self) -> None:
+    def __init__(self, page_size: int) -> None:
         self._lock = threading.Lock()
+        self.page_size = page_size
         self.io_ops = 0
         self.pages_read = 0
-        self.bytes_read = 0
 
-    def record(self, pages: int, nbytes: int) -> None:
+    def record(self, pages: int) -> None:
         with self._lock:
             self.io_ops += 1
             self.pages_read += pages
-            self.bytes_read += nbytes
 
     def snapshot(self) -> tuple[int, int, int]:
+        """(io_ops, pages_read, bytes read)."""
         with self._lock:
-            return self.io_ops, self.pages_read, self.bytes_read
+            return self.io_ops, self.pages_read, self.pages_read * self.page_size
 
     def reset(self) -> None:
         with self._lock:
             self.io_ops = 0
             self.pages_read = 0
-            self.bytes_read = 0
 
 
 def write_index(
@@ -254,7 +256,7 @@ class IndexReader:
                     f"{self.header.total_pages} and the header page make {want}"
                 )
             self._dtype = _slot_dtype(dim, R)
-            self.stats = IoStats()
+            self.stats = IoStats(page_size)
         except Exception:
             os.close(self._fd)
             raise
@@ -278,55 +280,39 @@ class IndexReader:
         os.posix_fadvise(self._fd, 0, 0, os.POSIX_FADV_DONTNEED)
         return True
 
-    def _decode_page(self, page_id: int, buf: bytes | memoryview) -> DiskPage:
-        cap = self.header.page_capacity
-        count = min(cap, self.header.n - page_id * cap)
+    def _decode_page(self, page_id: int, buf: memoryview) -> DiskPage:
+        h = self.header
+        count = min(h.page_capacity, h.n - page_id * h.page_capacity)
         slots = np.frombuffer(buf, dtype=self._dtype, count=count)
-        # every id that leaves the reader passes here
-        if int(slots["neighbors"].max(initial=0)) >= self.header.n:
-            raise FormatError(
-                f"{self.path}: page {page_id} holds a neighbor id outside [0, {self.header.n})"
-            )
+        # every id and degree that leaves the reader passes here
+        if int(slots["neighbors"].max(initial=0)) >= h.n:
+            raise FormatError(f"{self.path}: page {page_id} holds a neighbor id outside [0, {h.n})")
+        if int(slots["degree"].max(initial=0)) > h.R:
+            raise FormatError(f"{self.path}: page {page_id} holds a degree above R={h.R}")
         return DiskPage(page_id=page_id, slots=slots)
 
-    def _pread_pages(self, start_page: int, count: int) -> bytes:
-        ps = self.header.page_size
-        offset = (start_page + 1) * ps  # page 0 of data sits after the header page
-        buf = os.pread(self._fd, count * ps, offset)
+    def _read(self, start: int, count: int) -> list[DiskPage]:
+        """Pages [start, start + count) in one request: one I/O operation."""
+        total, ps = self.header.total_pages, self.header.page_size
+        if count < 1 or start < 0 or start + count > total:
+            raise ValueError(f"pages [{start}, {start + count}) out of range [0, {total})")
+        # page 0 of data sits after the header page
+        buf = memoryview(os.pread(self._fd, count * ps, (start + 1) * ps))
         if len(buf) != count * ps:
             raise FormatError(
-                f"{self.path}: short read at page {start_page} "
+                f"{self.path}: short read at page {start} "
                 f"(wanted {count * ps} bytes, got {len(buf)})"
             )
-        return buf
+        self.stats.record(count)
+        return [self._decode_page(start + i, buf[i * ps : (i + 1) * ps]) for i in range(count)]
 
     def read_page(self, page_id: int) -> DiskPage:
         """One page, one I/O operation."""
-        if not 0 <= page_id < self.header.total_pages:
-            raise ValueError(
-                f"page {page_id} out of range [0, {self.header.total_pages})"
-            )
-        buf = self._pread_pages(page_id, 1)
-        self.stats.record(pages=1, nbytes=len(buf))
-        return self._decode_page(page_id, buf)
+        return self._read(page_id, 1)[0]
 
     def read_page_range(self, interval: ReadInterval) -> list[DiskPage]:
         """A contiguous range read: one I/O operation, page_count pages."""
-        start, count = interval.start_page, interval.page_count
-        if count < 1:
-            raise ValueError("page_count must be >= 1")
-        if start < 0 or start + count > self.header.total_pages:
-            raise ValueError(
-                f"range [{start}, {start + count}) out of bounds "
-                f"[0, {self.header.total_pages})"
-            )
-        buf = memoryview(self._pread_pages(start, count))
-        self.stats.record(pages=count, nbytes=len(buf))
-        ps = self.header.page_size
-        return [
-            self._decode_page(start + i, buf[i * ps : (i + 1) * ps])
-            for i in range(count)
-        ]
+        return self._read(interval.start_page, interval.page_count)
 
     def read_pages(self, page_ids: Iterable[int]) -> list[list[DiskPage]]:
         """Each distinct page once, with one request per run of consecutive

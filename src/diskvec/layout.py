@@ -154,6 +154,8 @@ def lloyd_cluster(
     n = pts.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    if max_iters < 1:
+        raise ValueError(f"k-means needs at least 1 iteration, got max_iters={max_iters}")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(pts, k, rng)
     assignment = np.full(n, -1, dtype=np.int32)

@@ -100,6 +100,23 @@ def test_synth_is_deterministic(tmp_path):
     assert ds.n == 100 and ds.dim == 4
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--queries", "5"], "--queries-out"),
+        (["--queries", "-3", "--queries-out", "q.fvecs"], "--queries must be >= 0"),
+    ],
+    ids=["queries-without-out", "negative-queries"],
+)
+def test_synth_checks_query_flags_before_writing(tmp_path, flags, named, capsys):
+    flags = [str(tmp_path / f) if f.endswith(".fvecs") else f for f in flags]
+    rc = main(["synth", "--out", str(tmp_path / "base.fvecs"), "--n", "50", "--dim", "4", *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and named in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_dataset_exits_2_with_path(tmp_path, capsys):
     missing = tmp_path / "nope.fvecs"
     rc = main(["build", "--dataset", str(missing), "--out-dir", str(tmp_path / "idx")])
@@ -443,6 +460,30 @@ def test_negative_cache_budget_exits_2(foreign_sidecars, capsys):
     assert "total_budget_nodes must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("layout", "--kmeans-iters", "0"), ("layout", "--kmeans-iters", "-1"),
+     ("build", "--pq-iters", "0")],
+)
+def test_no_kmeans_iteration_exits_2_naming_the_count(foreign_sidecars, command, flag, value,
+                                                       tmp_path, capsys):
+    _, index_dir, _ = foreign_sidecars
+    base = index_dir.parent / "base.fvecs"
+    out = tmp_path / "idx"
+    shutil.copytree(index_dir, out)
+    if command == "layout":
+        argv = ["layout", "--index-dir", str(out), "--dataset", str(base), "--page-size", "512"]
+    else:
+        argv = ["build", "--dataset", str(base), "--out-dir", str(out), "--r", "8",
+                "--l-build", "16", "--pq-c", "32"]
+    capsys.readouterr()
+    rc = main(argv + [flag, value])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and f"max_iters={value}" in err
+    assert "Traceback" not in err
+
+
 def _corrupt_graph_neighbor(index_dir) -> list[str]:
     """Point the entry node's first neighbor in graph.bin past n."""
     raw = bytearray((index_dir / "graph.bin").read_bytes())
@@ -468,6 +509,23 @@ def _corrupt_index_neighbor(index_dir) -> list[str]:
     struct.pack_into("<I", raw, off, h.n + 3)
     (index_dir / "index.bin").write_bytes(raw)
     return ["index.bin", "neighbor id"]
+
+
+def _corrupt_index_degree(index_dir) -> list[str]:
+    """Store degree 0xFFFF, far above R, in the entry node's slot of index.bin."""
+    from diskvec.diskstore import IndexReader, _slot_dtype
+    from diskvec.layout import load_layout
+
+    with IndexReader(index_dir / "index.bin") as reader:
+        h = reader.header
+    lm = load_layout(index_dir / "layout.bin")
+    page, slot = lm.page_of(h.entry_id), lm.slot_of(h.entry_id)
+    dtype = _slot_dtype(h.dim, h.R)
+    off = (page + 1) * h.page_size + slot * dtype.itemsize + dtype.fields["degree"][1]
+    raw = bytearray((index_dir / "index.bin").read_bytes())
+    struct.pack_into("<H", raw, off, 0xFFFF)
+    (index_dir / "index.bin").write_bytes(raw)
+    return ["index.bin", "degree"]
 
 
 def _index_version(version: int):
@@ -530,6 +588,7 @@ def _truncate_index_by_40_pages(index_dir) -> list[str]:
         (_corrupt_index_R, "query", "150"),
         (_corrupt_index_neighbor, "query", "0"),
         (_corrupt_index_neighbor, "query", "150"),
+        (_corrupt_index_degree, "query", "0"),
         (_truncate_index_by_40_pages, "bench", "150"),
         (_index_version(1), "query", "0"),
         (_index_version(2), "query", "0"),
@@ -539,8 +598,8 @@ def _truncate_index_by_40_pages(index_dir) -> list[str]:
         (_corrupt_pq_code, "bench", "150"),
     ],
     ids=["graph-layout", "index-entry-query", "index-R-query", "index-query-uncached",
-         "index-query-preload", "total-pages-bench", "index-v1-query", "index-v2-query",
-         "layout-v2-query", "pq-query-uncached", "pq-query-preload", "pq-bench"],
+         "index-query-preload", "index-degree-query", "total-pages-bench", "index-v1-query",
+         "index-v2-query", "layout-v2-query", "pq-query-uncached", "pq-query-preload", "pq-bench"],
 )
 def test_corrupt_graph_or_index_exits_3(foreign_sidecars, corrupt, command, budget, tmp_path,
                                         capsys):

@@ -126,6 +126,17 @@ def test_read_accounting(smoke):
         assert got == want
 
 
+def test_snapshot_bytes_are_pages_times_page_size(smoke):
+    # bench/harness.py reports snapshot()[2] as bytes_read_per_query
+    with smoke.index("sim").reader as r:
+        r.read_page(4)
+        r.read_page_range(ReadInterval(0, 3))
+        r.read_pages([9, 1, 10, 6])
+        ops, pages, nbytes = r.stats.snapshot()
+        assert (ops, pages) == (5, 8)
+        assert nbytes == pages * r.header.page_size == 8 * smoke.page_size
+
+
 def test_read_pages_reads_each_page_once_per_run(smoke):
     with smoke.index("sim").reader as r:
         runs = r.read_pages([8, 2, 3, 1, 5, 2, 7, 3])
@@ -163,6 +174,15 @@ def test_out_of_range_reads(smoke):
             r.read_page(r.header.total_pages)
         with pytest.raises(ValueError):
             r.read_page_range(ReadInterval(r.header.total_pages - 1, 2))
+
+
+def test_empty_or_negative_reads_are_refused_uncounted(smoke):
+    with smoke.index("sim").reader as r:
+        with pytest.raises(ValueError):
+            r.read_page_range(ReadInterval(0, 0))
+        with pytest.raises(ValueError):
+            r.read_page(-1)
+        assert r.stats.snapshot() == (0, 0, 0)
 
 
 def test_slot_overflow_names_required_page_size(tmp_path):
@@ -297,6 +317,27 @@ def test_header_fields_the_pages_contradict_are_format_errors(
         IndexReader(bad)
 
 
+def test_slot_degree_above_R_is_a_format_error(custom_index, tmp_path):
+    """A stored degree above R would slice the zero padding into edges to
+    node 0; the page that holds it is refused when read."""
+    path, lm = custom_index
+    with IndexReader(path) as r:
+        h = r.header
+    dtype = _slot_dtype(h.dim, h.R)
+    page, slot = lm.page_of(1), lm.slot_of(1)
+    raw = bytearray(path.read_bytes())
+    at = (page + 1) * h.page_size + slot * dtype.itemsize + dtype.fields["degree"][1]
+    raw[at : at + 2] = (0xFFFF).to_bytes(2, "little")
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(raw)
+    with IndexReader(bad) as r:
+        with pytest.raises(FormatError, match="degree"):
+            r.read_page(page)
+        # a page without the bad slot still reads
+        other = 1 - page
+        assert len(r.read_page(other).slots) == len(lm.nodes_on_page(other))
+
+
 def test_overwritten_page_bytes_fail_as_bad_data_or_spare_other_slots(custom_index, tmp_path):
     """Zero 2 bytes at each offset of page 0 in turn and read the page's nodes
     through the layout's (page, slot): each read raises FormatError or returns
@@ -341,5 +382,6 @@ def test_corrupt_index_file_is_a_format_error_or_readable(custom_index, data):
             for v in range(lm.n):
                 _, adj = r.read_page(lm.page_of(v)).slot(lm.slot_of(v), expect_node=v)
                 assert all(0 <= j < r.header.n for j in adj.tolist())
+                assert adj.size <= r.header.R
     except FormatError:
         return
