@@ -1,11 +1,13 @@
 """Hybrid cache: a frozen static node cache preloaded by BFS from the entry
-point, plus a dynamic page cache fed by batch reads during the refinement
-phase, with FIFO / Random / LFU replacement.
+point, plus a dynamic page cache that admits every page a search reads (in
+the refinement phase, batch reads of similarity-ordered windows), with FIFO /
+Random / LFU replacement.
 
-FIFO is the default: a page that a batch read brings in stays until the pages
-admitted after it push it out. Under LFU a new page starts at count 0 among
-pages that hits have already counted up, so it is the next victim, and the
-refinement phase's batch reads serve almost no hits.
+FIFO is the default: an admitted page stays until the pages admitted after it
+push it out, so the convergence phase's pages, read first, are the first to
+leave. Under LFU a new page starts at count 0 among pages that hits have
+already counted up, so it is the next victim, and the refinement phase's batch
+reads serve almost no hits.
 
 The budget is expressed in node records; the dynamic share is converted to
 whole pages. Lookups and admissions are linearizable under an internal lock so
@@ -289,8 +291,8 @@ class HybridCache:
             return page_id in self.dynamic
 
     def admit_pages(self, pages: list[DiskPage]) -> list[int]:
-        """Write batch-read pages into the dynamic store; returns evictions in
-        order."""
+        """Write pages a search read into the dynamic store; returns the
+        evicted page ids in order."""
         evicted: list[int] = []
         with self._lock:
             for page in pages:

@@ -2,6 +2,12 @@
 similarity-aware batch loading on refinement-phase misses, and per-query
 statistics.
 
+When the dynamic cache has pages, it admits every page the search reads. A
+convergence-phase miss reads its own page; a refinement-phase miss reads a
+window of pages around it, less the edge pages that are resident, already
+planned, or hold no unexpanded queue candidate. The plan uses only what is in
+memory: the layout and the queue.
+
 The candidate queue is ordered by compressed (PQ) distance; exact distances
 are computed only for expanded nodes and used only for the final ranking.
 Caching can change I/O counts but never the returned ids.
@@ -62,7 +68,9 @@ class TraceRecord:
 class SearchStats:
     """One query's counters. io_ops counts read requests, one per run of
     consecutive pages an iteration planned, so it is at most the misses: the
-    nodes whose page no cache held at their iteration's look-up. trace is
+    nodes whose page no cache held at their iteration's look-up.
+    pages_admitted and evictions count the pages the query's reads put into
+    the dynamic cache and the pages those admissions pushed out. trace is
     filled only when beam_search is asked for it."""
 
     iterations: int = 0
@@ -71,6 +79,8 @@ class SearchStats:
     trace: list[TraceRecord] = field(default_factory=list)
     io_ops: int = 0
     pages_read: int = 0
+    pages_admitted: int = 0
+    evictions: int = 0
     hits: HitStats = field(default_factory=HitStats)
     latency_s: float = 0.0
 
@@ -120,9 +130,11 @@ def beam_search(
     pages through the cache, scores the beam's fresh neighbours in one PQ
     call, and stops once the whole queue prefix has been expanded. Each
     iteration looks up its whole beam, plans one page per miss (during
-    refinement with dynamic pages, a window that the dynamic cache admits) and
-    reads each planned page once, one request per run of consecutive pages.
-    With trace, stats.trace records every expansion.
+    refinement with dynamic pages, a window trimmed by _trim_interval) and
+    reads each planned page once, one request per run of consecutive pages;
+    the dynamic cache, when it has pages, admits every run read, and stats
+    counts the pages admitted and the evictions they caused. With trace,
+    stats.trace records every expansion.
     """
     header = reader.header
     q64 = np.asarray(query, dtype=np.float64).ravel()
@@ -141,24 +153,27 @@ def beam_search(
     started = time.perf_counter()
 
     while True:
-        batch = [nid for _, nid in queue if nid not in visited][: params.beam_width]
+        unexpanded = [nid for _, nid in queue if nid not in visited]
+        batch = unexpanded[: params.beam_width]
         if not batch:
             break
         stats.iterations += 1
         if stats.iterations > header.n:
             raise InvariantError("beam search exceeded the iteration bound n")
-        # look up the whole beam, plan the missed pages (when admitting, a
-        # window per miss, trimmed of edge pages already planned or resident),
-        # then read the plan in runs
-        admit = phase == 2 and cache.dynamic_capacity_pages > 0
+        # look up the whole beam, plan the missed pages, then read the plan in
+        # runs
+        admit = cache.dynamic_capacity_pages > 0
         fetched = [cache.lookup(nid, phase, hits=stats.hits) for nid in batch]
         planned: set[int] = set()
+        wanted: set[int] | None = None  # pages of unexpanded queue candidates
         for nid in [nid for nid, hit in zip(batch, fetched) if hit is None]:
             page_id = layout.page_of(nid)
-            if admit and page_id not in planned:
+            if admit and phase == 2 and page_id not in planned:
+                if wanted is None:
+                    wanted = set((layout.node_rank[unexpanded] // layout.page_capacity).tolist())
                 interval = _trim_interval(
                     compute_read_interval(nid, params.window_pages, layout),
-                    lambda p: p in planned or cache.resident(p),
+                    lambda p: p in planned or p not in wanted or cache.resident(p),
                     page_id,
                 )
                 planned.update(range(interval.start_page, interval.end_page + 1))
@@ -169,7 +184,8 @@ def beam_search(
             stats.pages_read += len(run)
             pages.update((page.page_id, page) for page in run)
             if admit:
-                cache.admit_pages(run)
+                stats.pages_admitted += len(run)
+                stats.evictions += len(cache.admit_pages(run))
         for i, nid in enumerate(batch):
             if fetched[i] is None:
                 page = pages[layout.page_of(nid)]
@@ -291,6 +307,8 @@ class WorkloadReport:
     mean_io_ops: float
     mean_pages_read: float
     mean_bytes_read: float
+    mean_pages_admitted: float
+    mean_evictions: float
     hit_rate_phase1: float
     hit_rate_phase2: float
     hits_total: HitStats
@@ -390,6 +408,8 @@ def run_workload(
         mean_io_ops=float(np.mean([st.io_ops for st in all_stats])),
         mean_pages_read=float(np.mean([st.pages_read for st in all_stats])),
         mean_bytes_read=float(np.mean([st.pages_read * page_size for st in all_stats])),
+        mean_pages_admitted=float(np.mean([st.pages_admitted for st in all_stats])),
+        mean_evictions=float(np.mean([st.evictions for st in all_stats])),
         hit_rate_phase1=hits_total.phase1.hit_rate,
         hit_rate_phase2=hits_total.phase2.hit_rate,
         hits_total=hits_total,

@@ -146,12 +146,14 @@ def test_criterion_02_cache_transparency(corpus):
     _ok(2, "identical id lists for 100 queries under none / static-only / hybrid caches")
 
 
-# budget for the layout/cache comparison: 5% of the nodes. At this desk scale
-# the 1%-of-file default degenerates to a 6-page dynamic cache, below even one
-# beam iteration's admissions; 5% (about 33 pages, 4% of the file's pages)
-# restores a cache that can hold one query's refinement-phase footprint while
-# staying far below the index size. FIFO keeps batch-read pages alive for the
-# rest of the query instead of letting earlier queries' counts squat.
+# budget for the layout/cache comparison: 5% of the nodes. The corpus's pages
+# hold 20 nodes, so the 1%-of-file default of 103 nodes makes 4 dynamic pages,
+# fewer than one beam iteration of four misses with 2-page windows can admit;
+# 500 nodes make 20 of the corpus's 500 pages, a cache that can hold one
+# query's refinement-phase footprint while staying far below the index size.
+# FIFO keeps every page a query reads, in either phase, until later admissions
+# push it out, so convergence-phase pages leave first and refinement windows
+# stay for the rest of the query instead of yielding to earlier queries' counts.
 COMPARE_BUDGET = 500
 COMPARE_POLICY = "FIFO"
 

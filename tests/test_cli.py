@@ -81,6 +81,21 @@ def test_full_pipeline_and_bench_report(tmp_path, capsys):
     assert 0 < int(report["preload_io_ops"]) <= int(report["preload_pages_read"])
 
 
+def test_bench_reports_admissions_and_evictions(tmp_path):
+    _, queries, index_dir, _ = _pipeline(tmp_path)
+    report_path = tmp_path / "report.txt"
+    assert main([
+        "bench", "--index-dir", str(index_dir), "--queries", str(queries),
+        "--k", "10", "--l", "40", "--workers", "1", "--cache-budget", "60",
+        "--out", str(report_path),
+    ]) == 0
+    report = parse_report(report_path)
+    # with dynamic pages in the budget, every page read is admitted
+    assert int(report["dynamic_capacity_pages"]) > 0
+    assert float(report["mean_pages_admitted"]) == float(report["mean_pages_read"]) > 0
+    assert 0 < float(report["mean_evictions"]) <= float(report["mean_pages_admitted"])
+
+
 def test_is_timing_key():
     for key in ("qps", "latency_ms", "latency_p99_ms", "wall_time_s", "a_qps",
                 "b_latency_p50_ms", "compare_qps_ratio_a_over_b"):

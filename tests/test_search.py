@@ -8,7 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from diskvec.cache import HybridCache
+from diskvec.cache import HitStats, HybridCache
 from diskvec.diskstore import IndexReader
 from diskvec.search import (
     SearchParams,
@@ -106,6 +106,64 @@ def test_beam_reads_each_missed_page_once_in_runs(tmp_path):
     assert (st.io_ops, st.pages_read) == (reader_ops, reader_pages) == (2, 3)
 
 
+def _line_index(tmp_path, adjacency: list[list[int]]):
+    """Node i at (i, 0), six nodes to a page in id order."""
+    vecs = np.zeros((len(adjacency), 2), dtype=np.float32)
+    vecs[:, 0] = np.arange(len(adjacency))
+    _, _, lm, path, codebook, codes = write_custom_index(
+        tmp_path, vecs, adjacency, entry=0, R=3, page_size=160
+    )
+    return lm, path, codebook, codes
+
+
+def test_pages_read_by_phase1_misses_are_admitted(tmp_path):
+    # the index of the test above; with k=1 the query's nearest node stays
+    # unexpanded until the last iteration, so every read is a phase-1 read
+    lm, path, codebook, codes = _line_index(tmp_path, [[6, 7, 12]] + [[0]] * 17)
+    cache = HybridCache({}, 4, lm)
+    with IndexReader(path) as r:
+        params = SearchParams(k=1, l=4, beam_width=4, theta=0.5, window_pages=2)
+        _, st = beam_search(
+            np.array([7.0, 0.0]), params, r, lm, cache, codebook, codes, trace=True
+        )
+    assert {rec.phase for rec in st.trace} == {1}
+    assert sorted(cache.dynamic.pages) == [0, 1, 2]
+    assert (st.pages_read, st.pages_admitted, st.evictions) == (3, 3, 0)
+    # node 8 shares page 1 with the expanded 6 and 7, and is served from it
+    hits = HitStats()
+    kind, vec, _ = cache.lookup(8, 1, hits=hits)
+    assert kind == "dynamic" and vec.tolist() == [8.0, 0.0]
+    assert hits.phase1.dynamic_hits == 1
+
+
+def test_window_reads_only_edge_pages_that_hold_queue_candidates(tmp_path, monkeypatch):
+    # five pages of six nodes in id order. The query sits on the entry 0, so
+    # the search is in refinement from iteration 2 on, when it misses 12 on
+    # page 2. Its window spans pages 1-3: page 3 holds the unexpanded
+    # candidate 18 and is read, page 1 holds no queue candidate and is not
+    lm, path, codebook, codes = _line_index(tmp_path, [[12, 18]] + [[0]] * 29)
+    assert [lm.page_of(node) for node in (0, 12, 18)] == [0, 2, 3]
+    planned = []
+    read_pages = IndexReader.read_pages
+
+    def recording(reader, page_ids):
+        planned.append(sorted(page_ids))
+        return read_pages(reader, page_ids)
+
+    monkeypatch.setattr(IndexReader, "read_pages", recording)
+    cache = HybridCache({}, 4, lm)
+    with IndexReader(path) as r:
+        params = SearchParams(k=1, l=4, beam_width=1, theta=0.5, window_pages=3)
+        _, st = beam_search(
+            np.array([0.0, 0.0]), params, r, lm, cache, codebook, codes, trace=True
+        )
+    assert [(rec.node_id, rec.phase, rec.hit_kind) for rec in st.trace] == [
+        (0, 1, "miss"), (12, 2, "miss"), (18, 2, "dynamic"),
+    ]
+    assert planned == [[0], [2, 3], []]  # 18 is then a dynamic hit
+    assert (st.io_ops, st.pages_read) == (2, 3)
+
+
 def _digest(smoke, budget: int, hit_kinds: bool = True) -> str:
     """sha256 over the ids, exact distances and traces of 20 queries under
     FIFO, distances as exact float hex; hit_kinds adds each expansion's hit
@@ -131,7 +189,7 @@ def _digest(smoke, budget: int, hit_kinds: bool = True) -> str:
 
 @pytest.mark.parametrize("budget, want", [
     (0, "5eaee220899d92dd3e9bd03a2048b5f3de72df80cab53a1cf9f2574b4e4330a3"),
-    (80, "b55a2385ad0b498eb6eea67eca36d3832981309510a7bd6c92d423217c7218e5"),
+    (80, "36674ef5ca789811afd0cd460433ebeb177db651d58c789d382836f20593def4"),
 ], ids=["0", "80"])
 def test_results_and_traces_match_pinned_digest(smoke, budget, want):
     # pinned from the search that read one page per miss and scored each
@@ -150,7 +208,11 @@ def test_results_and_traces_match_pinned_digest(smoke, budget, want):
     # b55a2385...) when index.bin ids became u32: the smoke index's pages
     # hold 5 slots, not 3, so the dynamic cache holds other nodes; over the
     # 836 expansions 101 misses became dynamic hits and 100 dynamic hits
-    # misses, and the ids, distances and trace without hit kinds are unchanged
+    # misses, and the ids, distances and trace without hit kinds are unchanged.
+    # Budget 80 was pinned again (b55a2385... -> 36674ef5...) when the pages
+    # that phase-1 misses read came to be admitted and window edge pages that
+    # hold no unexpanded queue candidate came to be left unread: over the same
+    # 836 expansions 131 misses became dynamic hits and 76 dynamic hits misses
     assert _digest(smoke, budget) == want
 
 
@@ -534,3 +596,28 @@ def test_workload_counters_reconcile(smoke, workers, budget, policy):
         misses = st.hits.phase1.misses + st.hits.phase2.misses
         assert st.hits.phase1.lookups + st.hits.phase2.lookups == len(st.trace)
         assert st.io_ops <= misses
+
+
+@pytest.mark.parametrize("policy", ["LFU", "FIFO", "RANDOM"])
+def test_workload_admissions_and_evictions_match_the_cache(smoke, monkeypatch, policy):
+    params = SearchParams(k=10, l=40, theta=0.5)
+    admitted = evicted = 0
+    admit_pages = HybridCache.admit_pages
+
+    def counting(cache, pages):
+        nonlocal admitted, evicted
+        out = admit_pages(cache, pages)
+        admitted += len(pages)
+        evicted += len(out)
+        return out
+
+    monkeypatch.setattr(HybridCache, "admit_pages", counting)
+    with smoke.index("sim") as index:
+        cache = smoke.cache(index, budget=80, policy=policy)
+        report = run_workload(smoke.queries, params, index, cache, workers=1)
+    q = report.query_count
+    assert evicted > 0
+    assert report.mean_pages_admitted * q == pytest.approx(admitted, abs=1e-6)
+    assert report.mean_evictions * q == pytest.approx(evicted, abs=1e-6)
+    # one worker admits only pages the dynamic cache lacks, so each adds a page
+    assert len(cache.dynamic.pages) == admitted - evicted
