@@ -140,6 +140,9 @@ def cmd_synth(args: argparse.Namespace) -> None:
         raise ValueError(f"--queries must be >= 0, got {args.queries}")
     if args.queries > 0 and not args.queries_out:
         raise ValueError("--queries-out is required when --queries > 0")
+    for flag, value in (("--spread", args.spread), ("--center-spread", args.center_spread)):
+        if not 0.0 <= value < np.inf:  # also refuses nan
+            raise ValueError(f"{flag} must be finite and >= 0, got {value}")
     rng = np.random.default_rng(args.seed)
     centers = rng.normal(0.0, args.center_spread, size=(args.blobs, args.dim))
     membership = rng.integers(0, args.blobs, size=args.n)
@@ -165,6 +168,8 @@ def cmd_synth(args: argparse.Namespace) -> None:
 
 
 def cmd_build(args: argparse.Namespace) -> None:
+    if args.pq_m < 0:
+        raise ValueError(f"--pq-m must be >= 0 (0 = auto), got {args.pq_m}")
     dataset = vecdata.load_fvecs(args.dataset)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -172,7 +177,7 @@ def cmd_build(args: argparse.Namespace) -> None:
         graph, repair_edges = graphbuild.build_graph_counting_repairs(
             dataset, R=args.r, L_build=args.l_build, alpha=args.alpha, seed=args.seed
         )
-        pq_m = args.pq_m if args.pq_m > 0 else pqcodec.default_subspace_count(dataset.dim)
+        pq_m = args.pq_m or pqcodec.default_subspace_count(dataset.dim)
         pq_c = min(args.pq_c, dataset.n)
         codebook = pqcodec.train(dataset, m=pq_m, c=pq_c, seed=args.seed, iters=args.pq_iters)
         codes = pqcodec.encode_dataset(dataset, codebook)
@@ -202,6 +207,8 @@ def cmd_build(args: argparse.Namespace) -> None:
 
 
 def cmd_layout(args: argparse.Namespace) -> None:
+    if args.k_clusters < 0:
+        raise ValueError(f"--k-clusters must be >= 0 (0 = auto), got {args.k_clusters}")
     dataset = vecdata.load_fvecs(args.dataset)
     index_dir = Path(args.index_dir)
     graph = graphbuild.load_graph(index_dir / GRAPH_FILE)
@@ -215,7 +222,7 @@ def cmd_layout(args: argparse.Namespace) -> None:
         kind_name = "insertion-order"
     else:
         lm = layoutmod.build_similarity_layout(
-            dataset, cap, k_clusters=args.k_clusters if args.k_clusters > 0 else None,
+            dataset, cap, k_clusters=args.k_clusters or None,
             max_iters=args.kmeans_iters, seed=args.seed,
         )
         kind_name = "similarity"

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import vecdata
 from .errors import FormatError, InvariantError
 from .vecdata import VectorDataset
 
@@ -29,7 +30,6 @@ GRAPH_MAGIC = b"GOVG1"
 _GRAPH_HEADER = struct.Struct("<5sQIQ")  # magic, n, R, entry_id
 
 _BATCH_FRACTION = 0.02  # the largest batch, as a share of n (ParlayANN's)
-_PRUNE_CHUNK = 1 << 17  # entries in the prune's largest temporary: 1 MB of float64
 
 
 @dataclass
@@ -167,12 +167,12 @@ def _prune_rows(
     (squared distance to the point, id), then keeps the closest candidate,
     drops every later one it alpha-dominates, and repeats until R are kept.
     Returns (rows, R) ids in keep order, padded with n. Rows go in chunks
-    whose largest temporary holds about _PRUNE_CHUNK entries.
+    whose largest temporary holds about vecdata.CHUNK_ENTRIES entries.
     """
     n = pts.shape[0] - 1
     out = np.full((points.size, R), n, dtype=np.int64)
     alpha_sq = alpha * alpha
-    step = max(1, _PRUNE_CHUNK // (cands.shape[1] * pts.shape[1]))
+    step = max(1, vecdata.CHUNK_ENTRIES // (cands.shape[1] * pts.shape[1]))
     for lo in range(0, points.size, step):
         p, c = points[lo:lo + step], np.sort(cands[lo:lo + step], axis=1)
         c[:, 1:][c[:, 1:] == c[:, :-1]] = n
@@ -258,8 +258,8 @@ def build_graph_counting_repairs(
         raise ValueError(f"R must be >= 2, got {R}")
     if L_build < R:
         raise ValueError(f"L_build={L_build} must be >= R={R}")
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    if not 1.0 <= alpha < np.inf:  # also refuses nan
+        raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
 
     pts, pts_sq = _padded_points(dataset.vectors)
     rng = np.random.default_rng(seed)

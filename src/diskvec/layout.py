@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .vecdata import VectorDataset
+from .vecdata import VectorDataset, nearest_center
 
 LAYOUT_MAGIC = b"GOVL"
 LAYOUT_VERSION = 3
@@ -160,13 +160,10 @@ def lloyd_cluster(
     centers = _kmeans_pp_init(pts, k, rng)
     assignment = np.full(n, -1, dtype=np.int32)
     history: list[float] = []
-    pts_sq = np.einsum("ij,ij->i", pts, pts)
 
     for _ in range(max_iters):
-        # argmin over squared distances; argmin takes the lowest index on ties
-        d2 = pts_sq[:, None] - 2.0 * pts @ centers.T + np.einsum("ij,ij->i", centers, centers)
-        new_assign = np.argmin(d2, axis=1).astype(np.int32)
-        own = d2[np.arange(n), new_assign]
+        nearest, own = nearest_center(pts, centers)
+        new_assign = nearest.astype(np.int32)
 
         counts = np.bincount(new_assign, minlength=k)
         for empty in np.nonzero(counts == 0)[0]:

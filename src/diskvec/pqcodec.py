@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FormatError
 from .layout import lloyd_cluster
-from .vecdata import VectorDataset
+from .vecdata import VectorDataset, nearest_center
 
 PQ_MAGIC = b"GOVP1"
 _PQ_HEADER = struct.Struct("<5sIIIIQ")  # magic, m, c, sub_dim, trained_dim, n_codes
@@ -97,14 +97,7 @@ def encode_batch(vectors: np.ndarray, codebook: PQCodebook) -> np.ndarray:
     m, sub = codebook.m, codebook.sub_dim
     codes = np.empty((arr.shape[0], m), dtype=np.uint8)
     for j in range(m):
-        block = arr[:, j * sub : (j + 1) * sub].astype(np.float64)
-        cents = codebook.centroids[j].astype(np.float64)
-        d2 = (
-            np.einsum("ij,ij->i", block, block)[:, None]
-            - 2.0 * block @ cents.T
-            + np.einsum("ij,ij->i", cents, cents)
-        )
-        codes[:, j] = np.argmin(d2, axis=1).astype(np.uint8)
+        codes[:, j] = nearest_center(arr[:, j * sub : (j + 1) * sub], codebook.centroids[j])[0]
     return codes
 
 

@@ -1,4 +1,5 @@
-"""Vector dataset handling: fvecs/ivecs IO, exact distances, ground truth, recall.
+"""Vector dataset handling: fvecs/ivecs IO, exact distances, nearest centers,
+ground truth, recall.
 
 This is the oracle layer: everything else in the package is validated against
 the brute-force results computed here. Vectors are stored single-precision;
@@ -14,6 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
+
+CHUNK_ENTRIES = 1 << 17  # entries in an n×c-shaped step's largest temporary: 1 MB of float64
 
 
 @dataclass
@@ -102,8 +105,16 @@ def _write_vecs(path: str | Path, rows: np.ndarray, kind: str) -> None:
 
 
 def load_fvecs(path: str | Path) -> VectorDataset:
-    """Read an fvecs file (float32 elements) as a dataset."""
-    return VectorDataset(_read_vecs(path, "fvecs"))
+    """Read an fvecs file (float32 elements) as a dataset; a NaN or infinite
+    element is a FormatError naming the first record that holds one."""
+    vectors = _read_vecs(path, "fvecs")
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if bad.size:
+        offset = int(bad[0]) * (4 + 4 * vectors.shape[1])
+        raise FormatError(
+            f"{path}: non-finite element in record {bad[0]} at byte offset {offset}"
+        )
+    return VectorDataset(vectors)
 
 
 def write_fvecs(path: str | Path, vectors: np.ndarray) -> None:
@@ -138,6 +149,28 @@ def squared_distances_to(dataset: VectorDataset, q: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: query {q.shape[0]} vs dataset {dataset.dim}")
     diff = dataset.vectors.astype(np.float64) - q
     return np.einsum("ij,ij->i", diff, diff)
+
+
+def nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's nearest center, ties to the lowest index, and its squared
+    distance: (n,) int64 ids and (n,) float64.
+
+    A squared distance is ‖p‖² − 2·p·cᵀ + ‖c‖² in float64. The points are cast
+    and scored in row chunks whose temporaries hold at most CHUNK_ENTRIES
+    entries, so memory does not grow with n·c.
+    """
+    cents = np.asarray(centers, dtype=np.float64)
+    cents_sq = np.einsum("ij,ij->i", cents, cents)
+    n = points.shape[0]
+    ids = np.empty(n, dtype=np.int64)
+    d2 = np.empty(n, dtype=np.float64)
+    step = max(1, CHUNK_ENTRIES // max(cents.shape))
+    for lo in range(0, n, step):
+        p = np.asarray(points[lo:lo + step], dtype=np.float64)
+        d = np.einsum("ij,ij->i", p, p)[:, None] - 2.0 * p @ cents.T + cents_sq
+        best = np.argmin(d, axis=1)
+        ids[lo:lo + step], d2[lo:lo + step] = best, d[np.arange(best.size), best]
+    return ids, d2
 
 
 def ground_truth_topk(dataset: VectorDataset, q: np.ndarray, k: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 from diskvec.cli import is_timing_key, main, parse_report
 from diskvec.graphbuild import load_graph
 from diskvec.layout import _HEADER as _LAYOUT_HEADER
-from diskvec.vecdata import load_fvecs, load_ivecs
+from diskvec.vecdata import load_fvecs, load_ivecs, write_fvecs
 
 from builders import edit_index_header
 
@@ -120,8 +120,14 @@ def test_synth_is_deterministic(tmp_path):
     [
         (["--queries", "5"], "--queries-out"),
         (["--queries", "-3", "--queries-out", "q.fvecs"], "--queries must be >= 0"),
+        (["--spread", "nan"], "--spread must be finite and >= 0"),
+        (["--spread", "inf"], "--spread must be finite and >= 0"),
+        (["--spread", "-1"], "--spread must be finite and >= 0"),
+        (["--center-spread", "nan"], "--center-spread must be finite and >= 0"),
+        (["--center-spread=-inf"], "--center-spread must be finite and >= 0"),
     ],
-    ids=["queries-without-out", "negative-queries"],
+    ids=["queries-without-out", "negative-queries", "nan-spread", "inf-spread",
+         "negative-spread", "nan-center-spread", "negative-inf-center-spread"],
 )
 def test_synth_checks_query_flags_before_writing(tmp_path, flags, named, capsys):
     flags = [str(tmp_path / f) if f.endswith(".fvecs") else f for f in flags]
@@ -130,6 +136,26 @@ def test_synth_checks_query_flags_before_writing(tmp_path, flags, named, capsys)
     assert rc == 2
     assert err.startswith("error:") and named in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_dataset_or_queries_exit_3_naming_the_record(tmp_path, bad, capsys):
+    good = tmp_path / "good.fvecs"
+    base = tmp_path / "bad.fvecs"
+    vecs = np.random.default_rng(9).normal(size=(60, 4)).astype(np.float32)
+    write_fvecs(good, vecs)
+    vecs[7, 2] = bad
+    write_fvecs(base, vecs)
+    gt = ["gt", "--dataset", str(good), "--queries", str(base), "--k", "5",
+          "--out", str(tmp_path / "gt.ivecs")]
+    build = ["build", "--dataset", str(base), "--out-dir", str(tmp_path / "idx"),
+             "--r", "4", "--l-build", "8", "--pq-c", "8"]
+    for argv in (build, gt):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith(f"error: {base}: non-finite element in record 7")
+        assert "Traceback" not in err
 
 
 def test_missing_dataset_exits_2_with_path(tmp_path, capsys):
@@ -482,21 +508,41 @@ def test_negative_cache_budget_exits_2(foreign_sidecars, capsys):
 )
 def test_no_kmeans_iteration_exits_2_naming_the_count(foreign_sidecars, command, flag, value,
                                                        tmp_path, capsys):
+    err = _usage_error(foreign_sidecars, [command, flag, value], tmp_path, capsys)
+    assert f"max_iters={value}" in err
+
+
+def _usage_error(foreign_sidecars, args, tmp_path, capsys) -> str:
+    """Run `build` or `layout` (args[0]) on the fixture's dataset with the
+    flag and value that follow; check that it exits 2 with an error and no
+    traceback, and return the error text."""
     _, index_dir, _ = foreign_sidecars
     base = index_dir.parent / "base.fvecs"
     out = tmp_path / "idx"
     shutil.copytree(index_dir, out)
-    if command == "layout":
+    if args[0] == "layout":
         argv = ["layout", "--index-dir", str(out), "--dataset", str(base), "--page-size", "512"]
     else:
         argv = ["build", "--dataset", str(base), "--out-dir", str(out), "--r", "8",
                 "--l-build", "16", "--pq-c", "32"]
     capsys.readouterr()
-    rc = main(argv + [flag, value])
+    rc = main(argv + args[1:])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("error:") and f"max_iters={value}" in err
-    assert "Traceback" not in err
+    assert err.startswith("error:") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, named",
+    [("build", "--alpha", "nan", "alpha must be finite"),
+     ("build", "--alpha", "inf", "alpha must be finite"),
+     ("build", "--pq-m", "-1", "--pq-m must be >= 0"),
+     ("layout", "--k-clusters", "-1", "--k-clusters must be >= 0")],
+)
+def test_bad_build_or_layout_flag_exits_2_naming_it(foreign_sidecars, command, flag, value, named,
+                                                    tmp_path, capsys):
+    assert named in _usage_error(foreign_sidecars, [command, flag, value], tmp_path, capsys)
 
 
 def _corrupt_graph_neighbor(index_dir) -> list[str]:
@@ -635,3 +681,4 @@ def test_corrupt_graph_or_index_exits_3(foreign_sidecars, corrupt, command, budg
     assert rc == 3
     assert err.startswith("error:") and all(word in err for word in named)
     assert "Traceback" not in err
+

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diskvec import graphbuild
+from diskvec import graphbuild, vecdata
 from diskvec.graphbuild import (
     _GRAPH_HEADER,
     GraphIndex,
@@ -90,6 +90,12 @@ def test_repair_counts_the_edges_it_adds():
 def test_build_rejects_tiny_inputs():
     with pytest.raises(ValueError):
         build_graph(_ds([[1.0]]), R=2, L_build=2)
+
+
+@pytest.mark.parametrize("alpha", [0.9, float("nan"), float("inf")])
+def test_build_refuses_alpha_below_1_or_not_finite(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and >= 1"):
+        build_graph(_ds(np.eye(4)), R=2, L_build=2, alpha=alpha)
 
 
 def test_no_duplicates_or_self_loops_on_blobs(smoke):
@@ -280,7 +286,7 @@ def test_batched_prune_matches_one_row_prune(case):
     pts, points, cands, alpha, R, chunk = case
     n = pts.shape[0]
     padded, padded_sq = _padded_points(pts)
-    with mock.patch.object(graphbuild, "_PRUNE_CHUNK", chunk):
+    with mock.patch.object(vecdata, "CHUNK_ENTRIES", chunk):
         got = _prune_rows(padded, padded_sq, points, cands, alpha, R)
     assert got.shape == (points.size, R)
     for row, point, cand in zip(got, points.tolist(), cands):

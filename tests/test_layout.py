@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from diskvec import vecdata
 from diskvec.errors import FormatError
 
 from diskvec.layout import (
@@ -25,7 +27,8 @@ from diskvec.layout import (
     pack_pages,
     save_layout,
 )
-from diskvec.vecdata import VectorDataset
+from diskvec.pqcodec import PQCodebook, encode_batch
+from diskvec.vecdata import VectorDataset, nearest_center
 
 from builders import make_blobs, mutate
 
@@ -106,6 +109,54 @@ def test_kmeans_centroids_are_member_means(dim):
 def test_kmeans_k_out_of_range():
     with pytest.raises(ValueError):
         lloyd_cluster(np.zeros((4, 2)), 5, 25, seed=0)
+
+
+def _grid(draw, rows: int, dim: int) -> np.ndarray:
+    """Points on a small integer grid: every distance is exact, and equal
+    distances are common."""
+    coords = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    return np.array(draw(st.lists(coords, min_size=rows, max_size=rows)), dtype=np.float64)
+
+
+@st.composite
+def _assignment_cases(draw):
+    dim = draw(st.integers(1, 4))
+    pts = _grid(draw, draw(st.integers(1, 40)), dim)
+    centers = _grid(draw, draw(st.integers(1, 9)), dim)
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return pts.astype(dtype), centers, draw(st.integers(1, 64))  # entries per chunk
+
+
+@given(case=_assignment_cases())
+def test_chunked_nearest_center_matches_one_shot_argmin(case):
+    pts, centers, chunk = case
+    with mock.patch.object(vecdata, "CHUNK_ENTRIES", chunk):
+        ids, d2 = nearest_center(pts, centers)
+    full = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    want = np.argmin(full, axis=1)  # the lowest index among equal distances
+    assert ids.tolist() == want.tolist()
+    assert d2.tolist() == full[np.arange(pts.shape[0]), want].tolist()
+
+
+@given(data=st.data())
+def test_kmeans_and_pq_encoding_do_not_depend_on_the_chunk(data):
+    chunk = data.draw(st.integers(1, 64))
+    # BLAS picks its kernel by the row count, so a chunk may round p·cᵀ
+    # differently; on 1-d points each product is one rounding in any kernel.
+    pts = _grid(data.draw, data.draw(st.integers(1, 40)), 1)
+    k = data.draw(st.integers(1, min(8, pts.shape[0])))
+    iters, seed = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 3))
+    m, sub = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    c = data.draw(st.integers(1, 9))
+    codebook = PQCodebook(_grid(data.draw, m * c, sub).reshape(m, c, sub).astype(np.float32))
+    vectors = _grid(data.draw, data.draw(st.integers(1, 40)), m * sub).astype(np.float32)
+
+    whole = lloyd_cluster(pts, k, iters, seed), encode_batch(vectors, codebook)
+    with mock.patch.object(vecdata, "CHUNK_ENTRIES", chunk):
+        chunked = lloyd_cluster(pts, k, iters, seed), encode_batch(vectors, codebook)
+    for want, got in zip(whole[0], chunked[0]):
+        assert np.array_equal(want, got)
+    assert np.array_equal(whole[1], chunked[1])
 
 
 # ------------------------------------------------------- within-cluster order

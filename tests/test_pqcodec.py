@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,18 @@ def test_train_argument_errors():
         train(ds, m=4, c=4)  # 4 does not divide 6
     with pytest.raises(ValueError):
         train(ds, m=2, c=11)  # c > n
+
+
+def test_training_and_encoding_memory_does_not_grow_with_n_times_c():
+    # one (20,000 x 256) float64 distance matrix alone would take 41 MB
+    ds = _ds(np.random.default_rng(7).normal(size=(20_000, 16)))
+    tracemalloc.start()
+    try:
+        encode_dataset(ds, train(ds, m=2, c=256, iters=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_encode_exact_centroid_recovers_index():

@@ -59,6 +59,17 @@ def test_load_fvecs_empty_file(tmp_path):
             load(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_fvecs_non_finite_names_the_record(tmp_path, bad):
+    vecs = np.ones((5, 3), dtype=np.float32)
+    vecs[3, 1] = bad
+    path = tmp_path / "bad.fvecs"
+    write_fvecs(path, vecs)
+    want = f"{path.name}: non-finite element in record 3 at byte offset 48"  # 3 records of 16 bytes
+    with pytest.raises(FormatError, match=want):
+        load_fvecs(path)
+
+
 def test_fvecs_round_trip_100_records(tmp_path):
     rng = np.random.default_rng(3)
     vecs = rng.normal(size=(100, 24)).astype(np.float32)
