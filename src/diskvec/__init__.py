@@ -12,7 +12,7 @@ from .layout import (
     build_similarity_layout,
     compute_read_interval,
 )
-from .pqcodec import PQCodebook, build_distance_table, encode, pq_distance, train
+from .pqcodec import PQCodebook, build_distance_table, pq_distance, train
 from .search import (
     SearchParams,
     SearchStats,
@@ -54,7 +54,6 @@ __all__ = [
     "calibrate_theta",
     "compute_read_interval",
     "detect_transition",
-    "encode",
     "ground_truth_topk",
     "l2_distance",
     "load_fvecs",

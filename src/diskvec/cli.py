@@ -540,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-build", type=int, default=_env_default("l-build", 64))
     p.add_argument("--alpha", type=float, default=_env_default("alpha", 1.2))
     p.add_argument("--seed", type=int, default=_env_default("seed", 0))
-    p.add_argument("--pq-m", type=int, default=_env_default("pq-m", 0), help="0 = auto (dim/8)")
+    p.add_argument("--pq-m", type=int, default=_env_default("pq-m", 0), help="0 = auto (dim/4)")
     p.add_argument("--pq-c", type=int, default=_env_default("pq-c", 256))
     p.add_argument("--pq-iters", type=int, default=_env_default("pq-iters", 25))
     p.set_defaults(func=cmd_build)

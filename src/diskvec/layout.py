@@ -121,7 +121,8 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     first = int(rng.integers(0, n))
     centers[0] = points[first]
     chosen[first] = True
-    d2 = np.einsum("ij,ij->i", points - centers[0], points - centers[0])
+    diff = points - centers[0]
+    d2 = np.einsum("ij,ij->i", diff, diff)
     for j in range(1, k):
         d2[chosen] = 0.0
         total = float(d2.sum())
@@ -135,8 +136,8 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
                 idx = int(np.nonzero(~chosen)[0][0])
         centers[j] = points[idx]
         chosen[idx] = True
-        nd2 = np.einsum("ij,ij->i", points - centers[j], points - centers[j])
-        np.minimum(d2, nd2, out=d2)
+        np.subtract(points, centers[j], out=diff)
+        np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
     return centers
 
 

@@ -46,8 +46,9 @@ class PQCodebook:
 
 
 def default_subspace_count(dim: int) -> int:
-    """Largest divisor of dim not exceeding dim/8 (at least 1)."""
-    target = max(1, dim // 8)
+    """Largest divisor of dim not exceeding dim/4 (at least 1): a code is at
+    most one sixteenth of the float32 vector it stands for."""
+    target = max(1, dim // 4)
     for m in range(target, 0, -1):
         if dim % m == 0:
             return m
@@ -74,17 +75,6 @@ def train(
         centers, _, _ = lloyd_cluster(block, c, max_iters=iters, seed=seed + j)
         centroids[j] = centers.astype(np.float32)
     return PQCodebook(centroids=centroids)
-
-
-def encode(vector: np.ndarray, codebook: PQCodebook) -> np.ndarray:
-    """Quantize one vector to m byte codes (nearest centroid per subspace,
-    ties to the lowest index)."""
-    v = np.asarray(vector, dtype=np.float32).ravel()
-    if v.shape[0] != codebook.trained_dim:
-        raise ValueError(
-            f"vector length {v.shape[0]} != trained dimension {codebook.trained_dim}"
-        )
-    return encode_batch(v[None, :], codebook)[0]
 
 
 def encode_batch(vectors: np.ndarray, codebook: PQCodebook) -> np.ndarray:

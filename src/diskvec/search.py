@@ -29,7 +29,7 @@ from .diskstore import DiskPage, Index, IndexReader
 from .errors import InvariantError
 from .layout import LayoutMap, ReadInterval, compute_read_interval
 from .pqcodec import PQCodebook, build_distance_table, pq_distance, pq_distance_batch
-from .vecdata import VectorDataset, ground_truth_topk, recall_at_k
+from .vecdata import VectorDataset, ground_truth_batch, recall_at_k
 
 
 @dataclass
@@ -273,10 +273,10 @@ def calibrate_theta(
     sample_ids = np.sort(rng.choice(dataset.n, size=count, replace=False))
     blank = HybridCache({}, 0, layout)
     params = SearchParams(k=k, l=l, beam_width=beam_width, theta=0.5)
+    nearest = ground_truth_batch(dataset, dataset.vectors[sample_ids], 1)[:, 0]
     pairs: list[tuple[int, int]] = []
-    for qid in sample_ids.tolist():
+    for qid, nn1 in zip(sample_ids.tolist(), nearest.tolist()):
         q = dataset.vectors[qid]
-        nn1 = int(ground_truth_topk(dataset, q, 1)[0])
         _, st = beam_search(q, params, reader, layout, blank, codebook, codes, trace=True)
         t = next((rec.iteration for rec in st.trace if rec.node_id == nn1), None)
         if t is not None:

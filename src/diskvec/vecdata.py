@@ -19,9 +19,18 @@ from .errors import FormatError
 CHUNK_ENTRIES = 1 << 17  # entries in an n×c-shaped step's largest temporary: 1 MB of float64
 
 
+class NonFiniteError(ValueError):
+    """A vector holds a NaN or infinite element; `row` is the first such vector."""
+
+    def __init__(self, row: int) -> None:
+        super().__init__(f"non-finite element in vector {row}")
+        self.row = row
+
+
 @dataclass
 class VectorDataset:
-    """A collection of float32 vectors with implicit node ids 0..n-1.
+    """A collection of finite float32 vectors with implicit node ids 0..n-1;
+    a NaN or infinite element raises NonFiniteError.
 
     Immutable by convention after construction; safe to share across
     concurrent query workers.
@@ -37,6 +46,9 @@ class VectorDataset:
             raise ValueError("dataset must contain at least one vector")
         if arr.shape[1] < 1:
             raise ValueError("vector dimensionality must be positive")
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+        if bad.size:
+            raise NonFiniteError(int(bad[0]))
         self.vectors = arr
 
     @property
@@ -108,13 +120,13 @@ def load_fvecs(path: str | Path) -> VectorDataset:
     """Read an fvecs file (float32 elements) as a dataset; a NaN or infinite
     element is a FormatError naming the first record that holds one."""
     vectors = _read_vecs(path, "fvecs")
-    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
-    if bad.size:
-        offset = int(bad[0]) * (4 + 4 * vectors.shape[1])
+    try:
+        return VectorDataset(vectors)
+    except NonFiniteError as exc:
+        offset = exc.row * (4 + 4 * vectors.shape[1])
         raise FormatError(
-            f"{path}: non-finite element in record {bad[0]} at byte offset {offset}"
-        )
-    return VectorDataset(vectors)
+            f"{path}: non-finite element in record {exc.row} at byte offset {offset}"
+        ) from None
 
 
 def write_fvecs(path: str | Path, vectors: np.ndarray) -> None:
@@ -142,60 +154,65 @@ def l2_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.dot(d, d)))
 
 
-def squared_distances_to(dataset: VectorDataset, q: np.ndarray) -> np.ndarray:
-    """Squared L2 distance from q to every dataset vector, float64, shape (n,)."""
-    q = np.asarray(q, dtype=np.float64).ravel()
-    if q.shape[0] != dataset.dim:
-        raise ValueError(f"dimension mismatch: query {q.shape[0]} vs dataset {dataset.dim}")
-    diff = dataset.vectors.astype(np.float64) - q
-    return np.einsum("ij,ij->i", diff, diff)
-
-
 def nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each point's nearest center, ties to the lowest index, and its squared
     distance: (n,) int64 ids and (n,) float64.
 
-    A squared distance is ‖p‖² − 2·p·cᵀ + ‖c‖² in float64. The points are cast
-    and scored in row chunks whose temporaries hold at most CHUNK_ENTRIES
-    entries, so memory does not grow with n·c.
+    A squared distance is ‖p‖² − 2·p·cᵀ + ‖c‖² in float64, computed as
+    p·(−2·cᵀ) + ‖p‖² + ‖c‖² in place; scaling by −2 is exact, so the sums are
+    those of the written order bit for bit. The points are cast and scored in
+    row chunks whose temporaries hold at most CHUNK_ENTRIES entries, so memory
+    does not grow with n·c.
     """
     cents = np.asarray(centers, dtype=np.float64)
     cents_sq = np.einsum("ij,ij->i", cents, cents)
+    scaled_t = -2.0 * cents.T
     n = points.shape[0]
     ids = np.empty(n, dtype=np.int64)
     d2 = np.empty(n, dtype=np.float64)
     step = max(1, CHUNK_ENTRIES // max(cents.shape))
     for lo in range(0, n, step):
         p = np.asarray(points[lo:lo + step], dtype=np.float64)
-        d = np.einsum("ij,ij->i", p, p)[:, None] - 2.0 * p @ cents.T + cents_sq
+        d = p @ scaled_t
+        d += np.einsum("ij,ij->i", p, p)[:, None]
+        d += cents_sq
         best = np.argmin(d, axis=1)
         ids[lo:lo + step], d2[lo:lo + step] = best, d[np.arange(best.size), best]
     return ids, d2
 
 
 def ground_truth_topk(dataset: VectorDataset, q: np.ndarray, k: int) -> np.ndarray:
-    """Exact k nearest node ids by L2 distance, ascending; ties break by lower id.
+    """Exact k nearest node ids of one float64 query; see ground_truth_batch."""
+    return ground_truth_batch(dataset, np.asarray(q, dtype=np.float64).reshape(1, -1), k)[0]
 
-    This is the brute-force oracle: every vector is scanned.
+
+def ground_truth_batch(dataset: VectorDataset, queries: np.ndarray, k: int) -> np.ndarray:
+    """Exact top-k for a (Q, dim) query array: (Q, k) int64 ids, ascending by
+    L2 distance, ties to the lower id.
+
+    This is the brute-force oracle: every vector is scanned. The base is cast
+    to float64 once per call, and each query's squared distances sum the
+    float64 differences.
     """
+    qs = np.asarray(queries, dtype=np.float64)
+    if qs.ndim != 2:
+        raise ValueError("queries must be a 2-d array")
+    if qs.shape[1] != dataset.dim:
+        raise ValueError(f"dimension mismatch: query {qs.shape[1]} vs dataset {dataset.dim}")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if k > dataset.n:
         raise ValueError(f"k={k} exceeds dataset size n={dataset.n}")
-    d2 = squared_distances_to(dataset, q)
-    ids = np.arange(dataset.n)
-    order = np.lexsort((ids, d2))
-    return order[:k].astype(np.int64)
-
-
-def ground_truth_batch(dataset: VectorDataset, queries: np.ndarray, k: int) -> np.ndarray:
-    """Exact top-k for a (Q, dim) query array; returns (Q, k) int64 ids."""
-    queries = np.asarray(queries, dtype=np.float32)
-    if queries.ndim != 2:
-        raise ValueError("queries must be a 2-d array")
-    out = np.empty((queries.shape[0], k), dtype=np.int64)
-    for i in range(queries.shape[0]):
-        out[i] = ground_truth_topk(dataset, queries[i], k)
+    base = dataset.vectors.astype(np.float64)
+    diff = np.empty_like(base)
+    out = np.empty((qs.shape[0], k), dtype=np.int64)
+    for i, q in enumerate(qs):
+        np.subtract(base, q, out=diff)
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        # every id within the k-th smallest distance, ascending, so a stable
+        # sort of their distances breaks ties by id
+        near = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
+        out[i] = near[np.argsort(d2[near], kind="stable")[:k]]
     return out
 
 

@@ -63,7 +63,7 @@ def corpus(tmp_path_factory) -> Corpus:
         "--seed", str(SEED), "--queries", "200", "--queries-out", str(queries),
     ]) == 0
     # pq-m 8 keeps quantization error well under the intra-blob neighbor
-    # distances at dim=16; the dim/8 default is tuned for 128-dim corpora
+    # distances at dim=16, where the dim/4 default would give m=4
     assert main([
         "build", "--dataset", str(base), "--out-dir", str(idx_sim),
         "--r", "32", "--l-build", "64", "--alpha", "1.2", "--seed", "7",

@@ -16,7 +16,7 @@ from diskvec.pqcodec import (
     build_distance_table,
     decode,
     default_subspace_count,
-    encode,
+    encode_batch,
     encode_dataset,
     load_pq,
     pq_distance,
@@ -24,7 +24,7 @@ from diskvec.pqcodec import (
     save_pq,
     train,
 )
-from diskvec.vecdata import VectorDataset, l2_distance
+from diskvec.vecdata import NonFiniteError, VectorDataset, l2_distance
 
 from builders import mutate, write_custom_index
 
@@ -59,6 +59,14 @@ def test_train_well_separated_pairs_recovers_pair_means():
     assert got == want
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_train_refuses_a_non_finite_dataset(bad):
+    pts = np.random.default_rng(49).normal(size=(300, 8)).astype(np.float32)
+    pts[123, 5] = bad
+    with pytest.raises(NonFiniteError, match="vector 123"):
+        train(_ds(pts), m=2, c=16)
+
+
 def test_train_argument_errors():
     ds = _ds(np.zeros((10, 6)))
     with pytest.raises(ValueError):
@@ -85,7 +93,7 @@ def test_encode_exact_centroid_recovers_index():
     cb = train(_ds(pts), m=2, c=5, seed=2)
     j = 3
     v = np.concatenate([cb.centroids[0][j], cb.centroids[1][j]])
-    assert encode(v, cb).tolist() == [j, j]
+    assert encode_batch(v[None], cb)[0].tolist() == [j, j]
 
 
 def test_saturated_encode_decode_round_trip():
@@ -94,7 +102,7 @@ def test_saturated_encode_decode_round_trip():
     ds = _ds(pts)
     cb = train(ds, m=1, c=8, seed=0)
     for i in range(8):
-        rec = decode(encode(pts[i], cb), cb)
+        rec = decode(encode_batch(pts[i][None], cb)[0], cb)
         assert np.allclose(rec, pts[i], atol=1e-6)
 
 
@@ -104,7 +112,7 @@ def test_encode_is_globally_optimal_per_subspace():
     pts = rng.normal(size=(30, 8)).astype(np.float32)
     cb = train(_ds(pts), m=2, c=4, seed=3)
     v = rng.normal(size=8).astype(np.float32)
-    chosen = encode(v, cb)
+    chosen = encode_batch(v[None], cb)[0]
     chosen_err = l2_distance(decode(chosen, cb), v)
     best = min(
         l2_distance(decode(np.array(combo), cb), v)
@@ -118,8 +126,8 @@ def test_encode_idempotent():
     pts = rng.normal(size=(25, 6)).astype(np.float32)
     cb = train(_ds(pts), m=3, c=8, seed=4)
     for i in range(10):
-        code = encode(pts[i], cb)
-        assert np.array_equal(encode(decode(code, cb), cb), code)
+        code = encode_batch(pts[i][None], cb)[0]
+        assert np.array_equal(encode_batch(decode(code, cb)[None], cb)[0], code)
 
 
 def test_distance_table_zero_at_matching_centroid():
@@ -164,7 +172,7 @@ def test_pq_distance_of_query_code_is_zero():
     cb = train(ds, m=2, c=16, seed=8)
     q = pts[3]
     table = build_distance_table(q, cb)
-    assert pq_distance(table, encode(q, cb)) == pytest.approx(0.0, abs=1e-6)
+    assert pq_distance(table, encode_batch(q[None], cb)[0]) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_pq_distance_matches_decode_then_l2_oracle():
@@ -207,17 +215,19 @@ def test_mean_reconstruction_error_non_increasing_in_c():
 
 
 def test_default_subspace_count():
-    assert default_subspace_count(16) == 2
-    assert default_subspace_count(128) == 16
-    assert default_subspace_count(7) == 1  # no divisor below 7/8 except 1
-    assert default_subspace_count(300) == 30  # 300/8=37 floored to divisor 30
+    assert default_subspace_count(16) == 4
+    assert default_subspace_count(128) == 32
+    assert default_subspace_count(300) == 75
+    assert default_subspace_count(8) == 2
+    assert default_subspace_count(7) == 1  # no divisor of 7 up to 7/4 except 1
+    assert default_subspace_count(26) == 2  # 26/4=6 floored to divisor 2
 
 
 def test_encode_dimension_mismatch():
     pts = np.random.default_rng(63).normal(size=(10, 4)).astype(np.float32)
     cb = train(_ds(pts), m=2, c=4, seed=12)
     with pytest.raises(ValueError):
-        encode(np.zeros(6), cb)
+        encode_batch(np.zeros((1, 6)), cb)
     with pytest.raises(ValueError):
         build_distance_table(np.zeros(6), cb)
 

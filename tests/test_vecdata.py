@@ -7,14 +7,20 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from diskvec.errors import FormatError
 from diskvec.vecdata import (
+    NonFiniteError,
     VectorDataset,
+    ground_truth_batch,
     ground_truth_topk,
     l2_distance,
     load_fvecs,
     load_ivecs,
+    nearest_center,
     recall_at_k,
     write_fvecs,
     write_ivecs,
@@ -68,6 +74,15 @@ def test_load_fvecs_non_finite_names_the_record(tmp_path, bad):
     want = f"{path.name}: non-finite element in record 3 at byte offset 48"  # 3 records of 16 bytes
     with pytest.raises(FormatError, match=want):
         load_fvecs(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_refuses_non_finite_elements_naming_the_vector(bad):
+    vecs = np.ones((6, 2), dtype=np.float32)
+    vecs[4, 0] = vecs[5, 1] = bad
+    with pytest.raises(NonFiniteError, match="vector 4") as info:
+        VectorDataset(vecs)
+    assert info.value.row == 4 and isinstance(info.value, ValueError)
 
 
 def test_fvecs_round_trip_100_records(tmp_path):
@@ -170,3 +185,63 @@ def test_recall_of_ground_truth_is_one():
 def test_recall_length_mismatch():
     with pytest.raises(ValueError):
         recall_at_k(np.arange(3), np.arange(4))
+
+
+@st.composite
+def _center_cases(draw):
+    """Random finite points and centres, some centres repeated so that ties
+    go to the lower index."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    dim = draw(st.integers(1, 8))
+    elements = st.floats(-1e4, 1e4, width=np.dtype(dtype).itemsize * 8)
+    pts = draw(hnp.arrays(dtype, (draw(st.integers(1, 40)), dim), elements=elements))
+    distinct = draw(hnp.arrays(dtype, (draw(st.integers(1, 9)), dim), elements=elements))
+    rows = draw(st.lists(st.integers(0, distinct.shape[0] - 1), min_size=1, max_size=16))
+    return pts, distinct[rows]
+
+
+@given(case=_center_cases())
+def test_nearest_center_matches_the_written_formula_bit_for_bit(case):
+    pts, centers = case
+    ids, d2 = nearest_center(pts, centers)
+    # the reference keeps the formula's written order of operations
+    p, c = pts.astype(np.float64), centers.astype(np.float64)
+    d = np.einsum("ij,ij->i", p, p)[:, None] - 2.0 * p @ c.T + np.einsum("ij,ij->i", c, c)
+    want = np.argmin(d, axis=1)
+    assert ids.tolist() == want.tolist()
+    assert d2.tobytes() == d[np.arange(want.size), want].tobytes()
+
+
+@st.composite
+def _tie_cases(draw):
+    """Base rows q ± o around float32 queries q, exact in float32: repeated
+    rows and mirror images tie exactly, and coordinates of unlike scale make
+    float64 sums round."""
+    dim = draw(st.integers(1, 4))
+    scale = 2.0 ** np.array(draw(st.lists(st.integers(-20, 10), min_size=dim, max_size=dim)))
+    coords = st.lists(st.integers(-(1 << 20), 1 << 20), min_size=dim, max_size=dim)
+
+    def grid(rows: int) -> np.ndarray:
+        return np.array(draw(st.lists(coords, min_size=rows, max_size=rows)), dtype=np.float64)
+
+    queries, offsets = grid(draw(st.integers(1, 4))), grid(draw(st.integers(1, 6)))
+    picks = st.tuples(
+        st.integers(0, queries.shape[0] - 1),
+        st.integers(0, offsets.shape[0] - 1),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    base = np.array([queries[q] + s * offsets[o] for q, o, s in
+                     draw(st.lists(picks, min_size=1, max_size=60))])
+    k = draw(st.integers(1, base.shape[0]))
+    return (base * scale).astype(np.float32), (queries * scale).astype(np.float32), k
+
+
+@given(case=_tie_cases())
+def test_ground_truth_batch_matches_a_lexsort_oracle_on_ties(case):
+    base, queries, k = case
+    got = ground_truth_batch(VectorDataset(base), queries, k)
+    ids = np.arange(base.shape[0])
+    for q, row in zip(queries, got):
+        diff = base.astype(np.float64) - q.astype(np.float64)
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        assert row.tolist() == np.lexsort((ids, d2))[:k].tolist()
