@@ -24,7 +24,6 @@ from .search import (
 from .vecdata import (
     VectorDataset,
     ground_truth_topk,
-    l2_distance,
     load_fvecs,
     recall_at_k,
     write_fvecs,
@@ -55,7 +54,6 @@ __all__ = [
     "compute_read_interval",
     "detect_transition",
     "ground_truth_topk",
-    "l2_distance",
     "load_fvecs",
     "medoid",
     "pq_distance",

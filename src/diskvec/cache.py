@@ -3,11 +3,16 @@ point, plus a dynamic page cache that admits every page a search reads (in
 the refinement phase, batch reads of similarity-ordered windows), with FIFO /
 Random / LFU replacement.
 
-FIFO is the default: an admitted page stays until the pages admitted after it
-push it out, so the convergence phase's pages, read first, are the first to
-leave. Under LFU a new page starts at count 0 among pages that hits have
-already counted up, so it is the next victim, and the refinement phase's batch
-reads serve almost no hits.
+An admission may carry `wanted`, the searching query's map from page id to
+the queue position of the first unexpanded candidate on that page. Eviction
+then ranks the resident pages and the incoming one alike: pages the map lacks
+go first, then the wanted page with the highest position, and ties go by the
+policy's own order. An incoming page that ranks worst passes through without
+staying, and counts as evicted. Without the map the policy alone decides.
+
+FIFO is the default order: an admitted page stays until the pages admitted
+after it push it out. Under LFU a new page starts at count 0 among pages that
+hits have already counted up, so among unwanted pages it is the next victim.
 
 The budget is expressed in node records; the dynamic share is converted to
 whole pages. Lookups and admissions are linearizable under an internal lock so
@@ -163,7 +168,8 @@ class DynamicCache:
     or re-admission, and ties evict the earliest-inserted page. FIFO ignores
     re-admission. RANDOM draws from a seeded generator. FIFO order and LFU
     ties follow `pages` itself: a dict iterates in first-insertion order, and
-    overwriting a resident page keeps its place.
+    overwriting a resident page keeps its place. A `wanted` map, when given,
+    ranks pages before the policy does (see the module docstring).
     """
 
     def __init__(self, capacity_pages: int, policy: str = DEFAULT_POLICY, seed: int = 0):
@@ -186,28 +192,34 @@ class DynamicCache:
     def touch(self, page_id: int) -> None:
         self.freq[page_id] += 1
 
-    def evict_candidate(self) -> int:
-        """Pick the victim page under the configured policy; cache must be
-        nonempty."""
+    def evict_candidate(self, wanted: dict[int, int] | None = None) -> int:
+        """Pick the victim page; cache must be nonempty. Pages wanted lacks
+        go first, in policy order; when wanted holds every page, the one with
+        the highest position goes."""
         if not self.pages:
             raise RuntimeError("cannot pick an eviction candidate from an empty cache")
+        pool = self.pages
+        if wanted:
+            pool = [pid for pid in self.pages if pid not in wanted]
+            if not pool:
+                return max(self.pages, key=wanted.__getitem__)
         if self.policy == "FIFO":
-            return next(iter(self.pages))
+            return next(iter(pool))
         if self.policy == "LFU":
-            return min(self.pages, key=self.freq.__getitem__)  # first of equal counts
-        ids = sorted(self.pages)
+            return min(pool, key=self.freq.__getitem__)  # first of equal counts
+        ids = sorted(pool)
         return ids[self._rng.randrange(len(ids))]
 
-    def admit(self, page: DiskPage) -> list[int]:
-        """Insert one page, evicting per policy until within capacity; returns
-        the evicted page ids in order."""
+    def admit(self, page: DiskPage, wanted: dict[int, int] | None = None) -> list[int]:
+        """Insert one page, evicting until within capacity (the page itself
+        may be the victim); returns the evicted page ids in order."""
         pid = page.page_id
         # re-admission refreshes LFU, not FIFO position
         self.freq[pid] = self.freq[pid] + 1 if pid in self.pages else 0
         self.pages[pid] = page
         evicted: list[int] = []
         while len(self.pages) > self.capacity_pages:
-            victim = self.evict_candidate()
+            victim = self.evict_candidate(wanted)
             del self.pages[victim]
             del self.freq[victim]
             evicted.append(victim)
@@ -290,13 +302,16 @@ class HybridCache:
         with self._lock:
             return page_id in self.dynamic
 
-    def admit_pages(self, pages: list[DiskPage]) -> list[int]:
-        """Write pages a search read into the dynamic store; returns the
-        evicted page ids in order."""
+    def admit_pages(
+        self, pages: list[DiskPage], *, wanted: dict[int, int] | None = None
+    ) -> list[int]:
+        """Write pages a search read into the dynamic store, ranking victims
+        by the caller's wanted map when given; returns the evicted page ids
+        in order, an admitted page that passed straight through included."""
         evicted: list[int] = []
         with self._lock:
             for page in pages:
-                evicted.extend(self.dynamic.admit(page))
+                evicted.extend(self.dynamic.admit(page, wanted))
         return evicted
 
     def reset_dynamic(self) -> None:

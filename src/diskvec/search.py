@@ -6,7 +6,10 @@ When the dynamic cache has pages, it admits every page the search reads. A
 convergence-phase miss reads its own page; a refinement-phase miss reads a
 window of pages around it, less the edge pages that are resident, already
 planned, or hold no unexpanded queue candidate. The plan uses only what is in
-memory: the layout and the queue.
+memory: the layout and the queue. The queue also steers eviction: each
+admission carries the position of every page's first unexpanded candidate
+after the beam, and the cache evicts the pages no candidate needs first, then
+the page needed last; an admitted page that ranks worst passes through.
 
 The candidate queue is ordered by compressed (PQ) distance; exact distances
 are computed only for expanded nodes and used only for the final ranking.
@@ -70,8 +73,9 @@ class SearchStats:
     consecutive pages an iteration planned, so it is at most the misses: the
     nodes whose page no cache held at their iteration's look-up.
     pages_admitted and evictions count the pages the query's reads put into
-    the dynamic cache and the pages those admissions pushed out. trace is
-    filled only when beam_search is asked for it."""
+    the dynamic cache and the pages that left it on those admissions, an
+    admitted page that passed straight through included. trace is filled
+    only when beam_search is asked for it."""
 
     iterations: int = 0
     transition_iter_theta: int = 0
@@ -133,8 +137,12 @@ def beam_search(
     refinement with dynamic pages, a window trimmed by _trim_interval) and
     reads each planned page once, one request per run of consecutive pages;
     the dynamic cache, when it has pages, admits every run read, and stats
-    counts the pages admitted and the evictions they caused. With trace,
-    stats.trace records every expansion.
+    counts the pages admitted and the evictions they caused. Each admission
+    passes `wanted`, page id -> queue position of the first unexpanded
+    candidate after the beam on that page, so the cache evicts unwanted pages
+    first, then the highest position, ties in policy order; the incoming page
+    competes too and may pass straight through. With trace, stats.trace
+    records every expansion.
     """
     header = reader.header
     q64 = np.asarray(query, dtype=np.float64).ravel()
@@ -164,16 +172,23 @@ def beam_search(
         # runs
         admit = cache.dynamic_capacity_pages > 0
         fetched = [cache.lookup(nid, phase, hits=stats.hits) for nid in batch]
+        missed = [nid for nid, hit in zip(batch, fetched) if hit is None]
         planned: set[int] = set()
-        wanted: set[int] | None = None  # pages of unexpanded queue candidates
-        for nid in [nid for nid, hit in zip(batch, fetched) if hit is None]:
+        wanted: dict[int, int] | None = None  # page -> its first candidate after the beam
+        queued: set[int] | None = None  # pages of every unexpanded candidate
+        if admit and missed:
+            queue_pages = (layout.node_rank[unexpanded] // layout.page_capacity).tolist()
+            later = queue_pages[len(batch) :]
+            # written last to first, so each page keeps its first position
+            wanted = dict(zip(reversed(later), range(len(later) - 1, -1, -1)))
+        for nid in missed:
             page_id = layout.page_of(nid)
             if admit and phase == 2 and page_id not in planned:
-                if wanted is None:
-                    wanted = set((layout.node_rank[unexpanded] // layout.page_capacity).tolist())
+                if queued is None:
+                    queued = set(queue_pages)
                 interval = _trim_interval(
                     compute_read_interval(nid, params.window_pages, layout),
-                    lambda p: p in planned or p not in wanted or cache.resident(p),
+                    lambda p: p in planned or p not in queued or cache.resident(p),
                     page_id,
                 )
                 planned.update(range(interval.start_page, interval.end_page + 1))
@@ -185,7 +200,7 @@ def beam_search(
             pages.update((page.page_id, page) for page in run)
             if admit:
                 stats.pages_admitted += len(run)
-                stats.evictions += len(cache.admit_pages(run))
+                stats.evictions += len(cache.admit_pages(run, wanted=wanted))
         for i, nid in enumerate(batch):
             if fetched[i] is None:
                 page = pages[layout.page_of(nid)]

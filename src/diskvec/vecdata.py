@@ -1,5 +1,5 @@
-"""Vector dataset handling: fvecs/ivecs IO, exact distances, nearest centers,
-ground truth, recall.
+"""Vector dataset handling: fvecs/ivecs IO, nearest centers, exact ground
+truth, recall.
 
 This is the oracle layer: everything else in the package is validated against
 the brute-force results computed here. Vectors are stored single-precision;
@@ -142,16 +142,6 @@ def load_ivecs(path: str | Path) -> np.ndarray:
 def write_ivecs(path: str | Path, ids: np.ndarray) -> None:
     """Write an (n, k) integer array as an ivecs file."""
     _write_vecs(path, ids, "ivecs")
-
-
-def l2_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance with double-precision accumulation."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    d = a - b
-    return float(np.sqrt(np.dot(d, d)))
 
 
 def nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

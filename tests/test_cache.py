@@ -144,6 +144,44 @@ def test_capacity_and_lfu_minimality_random_traces():
             assert set(counts) == set(dc.pages)
 
 
+def test_fifo_keeps_an_older_wanted_page_over_a_newer_unwanted_one():
+    dc = DynamicCache(2, policy="FIFO")
+    dc.admit(_page(1))
+    dc.admit(_page(2))
+    # page 1 holds the queue's next candidate, page 2 none
+    assert dc.admit(_page(3), wanted={1: 0, 3: 4}) == [2]
+    assert set(dc.pages) == {1, 3}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_wanted_page_with_the_later_position_goes_first(policy):
+    dc = DynamicCache(2, policy=policy, seed=3)
+    dc.admit(_page(1))
+    dc.admit(_page(2))
+    dc.touch(2)
+    assert dc.admit(_page(3), wanted={1: 7, 2: 0, 3: 2}) == [1]
+    assert set(dc.pages) == {2, 3}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("incoming", [None, 9], ids=["unwanted", "latest"])
+def test_incoming_page_worse_than_every_resident_passes_through(policy, incoming):
+    dc = DynamicCache(2, policy=policy, seed=3)
+    dc.admit(_page(1))
+    dc.admit(_page(2))
+    wanted = {1: 0, 2: 1} if incoming is None else {1: 0, 2: 1, 3: incoming}
+    assert dc.admit(_page(3), wanted=wanted) == [3]
+    assert set(dc.pages) == {1, 2} and set(dc.freq) == {1, 2}
+
+
+def test_admit_pages_passes_wanted_to_every_page_of_the_run():
+    cache = HybridCache({}, 1, layout=None)
+    cache.admit_pages([_page(1)])
+    # pages 2 and 3 hold no wanted candidate; each passes straight through
+    assert cache.admit_pages([_page(2), _page(3)], wanted={1: 0}) == [2, 3]
+    assert set(cache.dynamic.pages) == {1}
+
+
 class _NumberedPolicyModel:
     """Reference model of the replacement rule, numbering pages as they are
     first admitted: FIFO evicts the lowest number, LFU the lowest
@@ -159,22 +197,32 @@ class _NumberedPolicyModel:
     def touch(self, pid: int) -> None:
         self.freq[pid] += 1
 
-    def admit(self, pid: int) -> list[int]:
+    def admit(self, pid: int, wanted: dict[int, int] | None = None) -> list[int]:
+        """With wanted, a victim minimizes (wanted, -position, policy key):
+        unwanted pages first, then the latest position; RANDOM draws only
+        among the unwanted pages, if any."""
         if pid in self.freq:
             self.freq[pid] += 1
         else:
             self.freq[pid] = 0
             self.number[pid] = self.next_number
             self.next_number += 1
+        wanted = wanted or {}
         evicted = []
         while len(self.freq) > self.capacity:
+            def rank(p: int) -> tuple[bool, int]:
+                return (p in wanted, -wanted.get(p, 0))
+
             if self.policy == "FIFO":
-                victim = min(self.freq, key=self.number.__getitem__)
+                victim = min(self.freq, key=lambda p: (rank(p), self.number[p]))
             elif self.policy == "LFU":
-                victim = min(self.freq, key=lambda p: (self.freq[p], self.number[p]))
+                victim = min(self.freq, key=lambda p: (rank(p), self.freq[p], self.number[p]))
             else:
-                ids = sorted(self.freq)
-                victim = ids[self.rng.randrange(len(ids))]
+                unwanted = sorted(p for p in self.freq if p not in wanted)
+                if unwanted:
+                    victim = unwanted[self.rng.randrange(len(unwanted))]
+                else:
+                    victim = min(self.freq, key=rank)
             del self.freq[victim], self.number[victim]
             evicted.append(victim)
         return evicted
@@ -198,6 +246,36 @@ def test_eviction_sequence_matches_numbered_model(policy, capacity, seed, trace)
             dc.touch(pid)
             model.touch(pid)
         assert dc.freq == model.freq
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    policy=st.sampled_from(POLICIES),
+    capacity=st.integers(0, 5),
+    seed=st.integers(0, 2**16),
+    trace=st.lists(
+        st.tuples(
+            st.booleans(),
+            st.integers(0, 11),
+            # the pages that hold queue candidates, in order of their first one
+            st.one_of(st.none(), st.lists(st.integers(0, 11), unique=True, max_size=8)),
+        ),
+        max_size=60,
+    ),
+)
+def test_eviction_with_wanted_maps_matches_numbered_model(policy, capacity, seed, trace):
+    dc = DynamicCache(capacity, policy=policy, seed=seed)
+    model = _NumberedPolicyModel(capacity, policy, seed)
+    for is_admit, value, queue_pages in trace:
+        if is_admit:
+            wanted = None if queue_pages is None else {p: i for i, p in enumerate(queue_pages)}
+            assert dc.admit(_page(value), wanted) == model.admit(value, wanted)
+        elif dc.pages:
+            pid = sorted(dc.pages)[value % len(dc.pages)]
+            dc.touch(pid)
+            model.touch(pid)
+        assert dc.freq == model.freq
+        assert list(dc.pages) == sorted(dc.pages, key=model.number.__getitem__)
 
 
 # -------------------------------------------------------------------- config

@@ -106,12 +106,12 @@ def test_beam_reads_each_missed_page_once_in_runs(tmp_path):
     assert (st.io_ops, st.pages_read) == (reader_ops, reader_pages) == (2, 3)
 
 
-def _line_index(tmp_path, adjacency: list[list[int]]):
+def _line_index(tmp_path, adjacency: list[list[int]], entry: int = 0):
     """Node i at (i, 0), six nodes to a page in id order."""
     vecs = np.zeros((len(adjacency), 2), dtype=np.float32)
     vecs[:, 0] = np.arange(len(adjacency))
     _, _, lm, path, codebook, codes = write_custom_index(
-        tmp_path, vecs, adjacency, entry=0, R=3, page_size=160
+        tmp_path, vecs, adjacency, entry=entry, R=3, page_size=160
     )
     return lm, path, codebook, codes
 
@@ -164,6 +164,29 @@ def test_window_reads_only_edge_pages_that_hold_queue_candidates(tmp_path, monke
     assert (st.io_ops, st.pages_read) == (2, 3)
 
 
+def test_eviction_keeps_the_page_of_a_queued_candidate(tmp_path):
+    # three pages of six nodes in id order and one dynamic page. The entry 12
+    # on page 2 exposes 6, 5 and 7, in that order for a query at 5.6. Reading
+    # page 0 for 5 would push out page 1, which still holds the queued 7, so
+    # page 0 passes through the cache instead and 7 is a dynamic hit
+    lm, path, codebook, codes = _line_index(
+        tmp_path, [[12]] * 12 + [[6, 5, 7]] + [[12]] * 5, entry=12
+    )
+    assert [lm.page_of(node) for node in (12, 6, 5, 7)] == [2, 1, 0, 1]
+    cache = HybridCache({}, 1, lm)
+    with IndexReader(path) as r:
+        params = SearchParams(k=1, l=4, beam_width=1, theta=0.5, window_pages=1)
+        _, st = beam_search(
+            np.array([5.6, 0.0]), params, r, lm, cache, codebook, codes, trace=True
+        )
+    assert [(rec.node_id, rec.hit_kind) for rec in st.trace] == [
+        (12, "miss"), (6, "miss"), (5, "miss"), (7, "dynamic"),
+    ]
+    # page 2 is pushed out by page 1, and page 0 by itself
+    assert (st.io_ops, st.pages_admitted, st.evictions) == (3, 3, 2)
+    assert list(cache.dynamic.pages) == [1]
+
+
 def _digest(smoke, budget: int, hit_kinds: bool = True) -> str:
     """sha256 over the ids, exact distances and traces of 20 queries under
     FIFO, distances as exact float hex; hit_kinds adds each expansion's hit
@@ -189,7 +212,7 @@ def _digest(smoke, budget: int, hit_kinds: bool = True) -> str:
 
 @pytest.mark.parametrize("budget, want", [
     (0, "5eaee220899d92dd3e9bd03a2048b5f3de72df80cab53a1cf9f2574b4e4330a3"),
-    (80, "36674ef5ca789811afd0cd460433ebeb177db651d58c789d382836f20593def4"),
+    (80, "70a1444e85ee46b6fd94b5ba023eafa6c2e35b1a08c0add84c17102060856f5f"),
 ], ids=["0", "80"])
 def test_results_and_traces_match_pinned_digest(smoke, budget, want):
     # pinned from the search that read one page per miss and scored each
@@ -212,7 +235,10 @@ def test_results_and_traces_match_pinned_digest(smoke, budget, want):
     # Budget 80 was pinned again (b55a2385... -> 36674ef5...) when the pages
     # that phase-1 misses read came to be admitted and window edge pages that
     # hold no unexpanded queue candidate came to be left unread: over the same
-    # 836 expansions 131 misses became dynamic hits and 76 dynamic hits misses
+    # 836 expansions 131 misses became dynamic hits and 76 dynamic hits misses.
+    # Budget 80 was pinned again (36674ef5... -> 70a1444e...) when eviction
+    # came to rank pages by the queue position of their first unexpanded
+    # candidate: 77 misses became dynamic hits and 26 dynamic hits misses
     assert _digest(smoke, budget) == want
 
 
@@ -524,15 +550,17 @@ def test_workload_single_query_qps_sanity(smoke):
 
 
 def test_workload_workers_do_not_change_results(smoke):
+    # each admission carries its own query's wanted map, so workers sharing
+    # one cache evict by one another's queues and still return the same ids
     params = SearchParams(k=10, l=40, theta=0.5)
     outs = []
-    for workers in (1, 4):
+    for workers in (1, 2, 4):
         with smoke.index("sim") as index:
-            cache = smoke.cache(index, budget=80)
+            cache = smoke.cache(index, budget=80, policy="FIFO")
             outs.append(
                 run_workload(smoke.queries, params, index, cache, workers=workers).results
             )
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_workload_mean_recall_matches_independent_mean(smoke):
@@ -604,9 +632,9 @@ def test_workload_admissions_and_evictions_match_the_cache(smoke, monkeypatch, p
     admitted = evicted = 0
     admit_pages = HybridCache.admit_pages
 
-    def counting(cache, pages):
+    def counting(cache, pages, **kwargs):
         nonlocal admitted, evicted
-        out = admit_pages(cache, pages)
+        out = admit_pages(cache, pages, **kwargs)
         admitted += len(pages)
         evicted += len(out)
         return out

@@ -17,7 +17,6 @@ from diskvec.vecdata import (
     VectorDataset,
     ground_truth_batch,
     ground_truth_topk,
-    l2_distance,
     load_fvecs,
     load_ivecs,
     nearest_center,
@@ -25,6 +24,8 @@ from diskvec.vecdata import (
     write_fvecs,
     write_ivecs,
 )
+
+from test_pqcodec import l2_distance
 
 
 def test_load_fvecs_single_record(tmp_path):
