@@ -208,11 +208,12 @@ class _NumberedPolicyModel:
             self.number[pid] = self.next_number
             self.next_number += 1
         wanted = wanted or {}
+
+        def rank(p: int) -> tuple[bool, int]:
+            return (p in wanted, -wanted.get(p, 0))
+
         evicted = []
         while len(self.freq) > self.capacity:
-            def rank(p: int) -> tuple[bool, int]:
-                return (p in wanted, -wanted.get(p, 0))
-
             if self.policy == "FIFO":
                 victim = min(self.freq, key=lambda p: (rank(p), self.number[p]))
             elif self.policy == "LFU":
