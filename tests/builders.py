@@ -25,6 +25,17 @@ def make_blobs(
     return (centers[membership] + rng.normal(0.0, spread, size=(n, dim))).astype(np.float32)
 
 
+def l2_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Euclidean distance with double-precision accumulation: the oracle that
+    PQ and ground-truth distances are checked against."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    d = a - b
+    return float(np.sqrt(np.dot(d, d)))
+
+
 def write_custom_index(
     tmp_path: Path,
     vectors: np.ndarray,

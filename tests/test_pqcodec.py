@@ -26,18 +26,7 @@ from diskvec.pqcodec import (
 )
 from diskvec.vecdata import NonFiniteError, VectorDataset
 
-from builders import mutate, write_custom_index
-
-
-def l2_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance with double-precision accumulation: the oracle the
-    PQ distances are checked against."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    d = a - b
-    return float(np.sqrt(np.dot(d, d)))
+from builders import l2_distance, mutate, write_custom_index
 
 
 def _ds(arr) -> VectorDataset:

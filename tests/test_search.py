@@ -553,14 +553,15 @@ def test_workload_workers_do_not_change_results(smoke):
     # each admission carries its own query's wanted map, so workers sharing
     # one cache evict by one another's queues and still return the same ids
     params = SearchParams(k=10, l=40, theta=0.5)
-    outs = []
-    for workers in (1, 2, 4):
-        with smoke.index("sim") as index:
-            cache = smoke.cache(index, budget=80, policy="FIFO")
-            outs.append(
-                run_workload(smoke.queries, params, index, cache, workers=workers).results
-            )
-    assert outs[0] == outs[1] == outs[2]
+    for policy in ("LFU", "FIFO", "RANDOM"):
+        outs = []
+        for workers in (1, 2, 4):
+            with smoke.index("sim") as index:
+                cache = smoke.cache(index, budget=80, policy=policy)
+                outs.append(
+                    run_workload(smoke.queries, params, index, cache, workers=workers).results
+                )
+        assert outs[0] == outs[1] == outs[2], policy
 
 
 def test_workload_mean_recall_matches_independent_mean(smoke):

@@ -25,7 +25,7 @@ from diskvec.vecdata import (
     write_ivecs,
 )
 
-from test_pqcodec import l2_distance
+from builders import l2_distance
 
 
 def test_load_fvecs_single_record(tmp_path):
