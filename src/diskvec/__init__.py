@@ -23,7 +23,6 @@ from .search import (
 )
 from .vecdata import (
     VectorDataset,
-    ground_truth_topk,
     load_fvecs,
     recall_at_k,
     write_fvecs,
@@ -53,7 +52,6 @@ __all__ = [
     "calibrate_theta",
     "compute_read_interval",
     "detect_transition",
-    "ground_truth_topk",
     "load_fvecs",
     "medoid",
     "pq_distance",

@@ -70,7 +70,8 @@ def auto_budget_nodes(
     fill.
     """
     header = reader.header
-    budget = int(0.01 * reader.path.stat().st_size) // slot_size(header.dim, header.R)
+    size = (header.total_pages + 1) * header.page_size
+    budget = int(0.01 * size) // slot_size(header.dim, header.R)
     if static_fraction < 1:
         # the dynamic share, budget - round(f * budget), never falls as the
         # budget grows; start the search at a lower bound on the answer

@@ -95,16 +95,6 @@ def encode_dataset(dataset: VectorDataset, codebook: PQCodebook) -> np.ndarray:
     return encode_batch(dataset.vectors, codebook)
 
 
-def decode(code: np.ndarray, codebook: PQCodebook) -> np.ndarray:
-    """Reconstruct the centroid concatenation for one code."""
-    code = np.asarray(code).ravel()
-    if code.shape[0] != codebook.m:
-        raise ValueError(f"code length {code.shape[0]} != m={codebook.m}")
-    return np.concatenate(
-        [codebook.centroids[j, int(code[j])] for j in range(codebook.m)]
-    )
-
-
 def build_distance_table(q: np.ndarray, codebook: PQCodebook) -> np.ndarray:
     """(m, c) table of squared sub-distances from the query's sub-vectors to
     every centroid."""

@@ -5,11 +5,11 @@ statistics.
 When the dynamic cache has pages, it admits every page the search reads. A
 convergence-phase miss reads its own page; a refinement-phase miss reads a
 window of pages around it, less the edge pages that are resident, already
-planned, or hold no unexpanded queue candidate. The plan uses only what is in
-memory: the layout and the queue. The queue also steers eviction: each
-admission carries the position of every page's first unexpanded candidate
-after the beam, and the cache evicts the pages no candidate needs first, then
-the page needed last; an admitted page that ranks worst passes through.
+planned, or hold no unexpanded candidate after the beam. One map from page to
+the queue position of its first such candidate drives both that trim and
+eviction: the cache evicts the pages the map lacks first, then the page needed
+last; an admitted page that ranks worst passes through. The plan uses only
+what is in memory: the layout and the queue.
 
 The candidate queue is ordered by compressed (PQ) distance; exact distances
 are computed only for expanded nodes and used only for the final ranking.
@@ -71,11 +71,11 @@ class TraceRecord:
 class SearchStats:
     """One query's counters. io_ops counts read requests, one per run of
     consecutive pages an iteration planned, so it is at most the misses: the
-    nodes whose page no cache held at their iteration's look-up.
-    pages_admitted and evictions count the pages the query's reads put into
-    the dynamic cache and the pages that left it on those admissions, an
-    admitted page that passed straight through included. trace is filled
-    only when beam_search is asked for it."""
+    nodes whose page no cache held at their iteration's look-up. When the
+    dynamic cache has pages it admits every page read, so pages_read also
+    counts the admissions; evictions counts the pages that left it on those
+    admissions, an admitted page that passed straight through included. trace
+    is filled only when beam_search is asked for it."""
 
     iterations: int = 0
     transition_iter_theta: int = 0
@@ -83,7 +83,6 @@ class SearchStats:
     trace: list[TraceRecord] = field(default_factory=list)
     io_ops: int = 0
     pages_read: int = 0
-    pages_admitted: int = 0
     evictions: int = 0
     hits: HitStats = field(default_factory=HitStats)
     latency_s: float = 0.0
@@ -133,15 +132,15 @@ def beam_search(
     unvisited candidates per iteration in PQ-distance order, fetches their
     pages through the cache, scores the beam's fresh neighbours in one PQ
     call, and stops once the whole queue prefix has been expanded. Each
-    iteration looks up its whole beam, plans one page per miss (during
-    refinement with dynamic pages, a window trimmed by _trim_interval) and
-    reads each planned page once, one request per run of consecutive pages;
-    the dynamic cache, when it has pages, admits every run read, and stats
-    counts the pages admitted and the evictions they caused. Each admission
-    passes `wanted`, page id -> queue position of the first unexpanded
-    candidate after the beam on that page, so the cache evicts unwanted pages
-    first, then the highest position, ties in policy order; the incoming page
-    competes too and may pass straight through. With trace, stats.trace
+    iteration looks up its whole beam. One with a miss reads its unexpanded
+    candidates' ranks once: they place each miss on its page and slot and
+    give `wanted`, page id -> queue position of the first unexpanded
+    candidate after the beam on that page. It plans one page per miss (during
+    refinement with dynamic pages, a window whose edge pages _trim_interval
+    drops when planned, resident or not in `wanted`) and reads each planned
+    page once, one request per run of consecutive pages. The dynamic cache,
+    when it has pages, admits every run with `wanted` (see HybridCache), and
+    an incoming page may pass straight through. With trace, stats.trace
     records every expansion.
     """
     header = reader.header
@@ -158,6 +157,8 @@ def beam_search(
     visited: dict[int, float] = {}
     t_theta: int | None = None
     t_panns: int | None = None
+    admit = cache.dynamic_capacity_pages > 0
+    cap = layout.page_capacity
     started = time.perf_counter()
 
     while True:
@@ -170,41 +171,36 @@ def beam_search(
             raise InvariantError("beam search exceeded the iteration bound n")
         # look up the whole beam, plan the missed pages, then read the plan in
         # runs
-        admit = cache.dynamic_capacity_pages > 0
         fetched = [cache.lookup(nid, phase, hits=stats.hits) for nid in batch]
-        missed = [nid for nid, hit in zip(batch, fetched) if hit is None]
-        planned: set[int] = set()
-        wanted: dict[int, int] | None = None  # page -> its first candidate after the beam
-        queued: set[int] | None = None  # pages of every unexpanded candidate
-        if admit and missed:
-            queue_pages = (layout.node_rank[unexpanded] // layout.page_capacity).tolist()
+        missed = [i for i, hit in enumerate(fetched) if hit is None]
+        if missed:
+            ranks = layout.node_rank[unexpanded]
+            queue_pages = (ranks // cap).tolist()
             later = queue_pages[len(batch) :]
-            # written last to first, so each page keeps its first position
+            # page -> its first candidate after the beam; written last to
+            # first, so each page keeps its first position
             wanted = dict(zip(reversed(later), range(len(later) - 1, -1, -1)))
-        for nid in missed:
-            page_id = layout.page_of(nid)
-            if admit and phase == 2 and page_id not in planned:
-                if queued is None:
-                    queued = set(queue_pages)
-                interval = _trim_interval(
-                    compute_read_interval(nid, params.window_pages, layout),
-                    lambda p: p in planned or p not in queued or cache.resident(p),
-                    page_id,
-                )
-                planned.update(range(interval.start_page, interval.end_page + 1))
-            planned.add(page_id)
-        pages: dict[int, DiskPage] = {}
-        for run in reader.read_pages(planned):
-            stats.io_ops += 1
-            stats.pages_read += len(run)
-            pages.update((page.page_id, page) for page in run)
-            if admit:
-                stats.pages_admitted += len(run)
-                stats.evictions += len(cache.admit_pages(run, wanted=wanted))
-        for i, nid in enumerate(batch):
-            if fetched[i] is None:
-                page = pages[layout.page_of(nid)]
-                fetched[i] = ("miss", *page.slot(layout.slot_of(nid), expect_node=nid))
+            planned: set[int] = set()
+            for i in missed:
+                page_id = queue_pages[i]
+                if admit and phase == 2 and page_id not in planned:
+                    interval = _trim_interval(
+                        compute_read_interval(batch[i], params.window_pages, layout),
+                        lambda p: p in planned or p not in wanted or cache.resident(p),
+                        page_id,
+                    )
+                    planned.update(interval.pages())
+                planned.add(page_id)
+            pages: dict[int, DiskPage] = {}
+            for run in reader.read_pages(planned):
+                stats.io_ops += 1
+                stats.pages_read += len(run)
+                pages.update((page.page_id, page) for page in run)
+                if admit:
+                    stats.evictions += len(cache.admit_pages(run, wanted=wanted))
+            for i in missed:
+                page = pages[queue_pages[i]]
+                fetched[i] = ("miss", *page.slot(int(ranks[i]) % cap, expect_node=batch[i]))
 
         fresh: list[int] = []
         for nid, (kind, vec, adj) in zip(batch, fetched):
@@ -222,7 +218,7 @@ def beam_search(
 
         queue.sort()
         del queue[params.l :]
-        ids = [nid for _, nid in queue]
+        ids = [nid for _, nid in queue[: params.k]]
         if t_panns is None and detect_transition(ids, visited, params.k, 1.0):
             t_panns = stats.iterations
         if phase == 1 and detect_transition(ids, visited, params.k, params.theta):
@@ -322,7 +318,7 @@ class WorkloadReport:
     mean_io_ops: float
     mean_pages_read: float
     mean_bytes_read: float
-    mean_pages_admitted: float
+    mean_pages_admitted: float  # mean_pages_read when the dynamic cache has pages, else 0
     mean_evictions: float
     hit_rate_phase1: float
     hit_rate_phase2: float
@@ -408,6 +404,7 @@ def run_workload(
     lat = np.array([st.latency_s for st in all_stats]) * 1e3
     page_size = index.reader.header.page_size
     hits_total = sum((st.hits for st in all_stats), HitStats())
+    mean_pages_read = float(np.mean([st.pages_read for st in all_stats]))
 
     return WorkloadReport(
         query_count=Q,
@@ -421,9 +418,9 @@ def run_workload(
         latency_p99_ms=float(np.percentile(lat, 99)),
         recall_at_k=mean_recall,
         mean_io_ops=float(np.mean([st.io_ops for st in all_stats])),
-        mean_pages_read=float(np.mean([st.pages_read for st in all_stats])),
+        mean_pages_read=mean_pages_read,
         mean_bytes_read=float(np.mean([st.pages_read * page_size for st in all_stats])),
-        mean_pages_admitted=float(np.mean([st.pages_admitted for st in all_stats])),
+        mean_pages_admitted=mean_pages_read if cache.dynamic_capacity_pages > 0 else 0.0,
         mean_evictions=float(np.mean([st.evictions for st in all_stats])),
         hit_rate_phase1=hits_total.phase1.hit_rate,
         hit_rate_phase2=hits_total.phase2.hit_rate,

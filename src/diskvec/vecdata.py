@@ -171,11 +171,6 @@ def nearest_center(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray,
     return ids, d2
 
 
-def ground_truth_topk(dataset: VectorDataset, q: np.ndarray, k: int) -> np.ndarray:
-    """Exact k nearest node ids of one float64 query; see ground_truth_batch."""
-    return ground_truth_batch(dataset, np.asarray(q, dtype=np.float64).reshape(1, -1), k)[0]
-
-
 def ground_truth_batch(dataset: VectorDataset, queries: np.ndarray, k: int) -> np.ndarray:
     """Exact top-k for a (Q, dim) query array: (Q, k) int64 ids, ascending by
     L2 distance, ties to the lower id.

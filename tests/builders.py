@@ -36,6 +36,24 @@ def l2_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.dot(d, d)))
 
 
+def decode(code: np.ndarray, codebook: pqcodec.PQCodebook) -> np.ndarray:
+    """Reconstruct the centroid concatenation for one code: the oracle that PQ
+    distances are checked against."""
+    code = np.asarray(code).ravel()
+    if code.shape[0] != codebook.m:
+        raise ValueError(f"code length {code.shape[0]} != m={codebook.m}")
+    return np.concatenate(
+        [codebook.centroids[j, int(code[j])] for j in range(codebook.m)]
+    )
+
+
+def ground_truth_topk(dataset: vecdata.VectorDataset, q: np.ndarray, k: int) -> np.ndarray:
+    """Exact k nearest node ids of one float64 query; see
+    vecdata.ground_truth_batch."""
+    queries = np.asarray(q, dtype=np.float64).reshape(1, -1)
+    return vecdata.ground_truth_batch(dataset, queries, k)[0]
+
+
 def write_custom_index(
     tmp_path: Path,
     vectors: np.ndarray,

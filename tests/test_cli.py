@@ -96,6 +96,22 @@ def test_bench_reports_admissions_and_evictions(tmp_path):
     assert 0 < float(report["mean_evictions"]) <= float(report["mean_pages_admitted"])
 
 
+def test_bench_os_bypass_advises_the_os_to_drop_the_index(tmp_path, monkeypatch):
+    _, queries, index_dir, _ = _pipeline(tmp_path)
+    argv = [
+        "bench", "--index-dir", str(index_dir), "--queries", str(queries),
+        "--k", "10", "--l", "40", "--workers", "1", "--os-bypass",
+    ]
+    report_path = tmp_path / "advised.txt"
+    assert main([*argv, "--out", str(report_path)]) == 0
+    advised = "dontneed-advised" if hasattr(os, "posix_fadvise") else "unsupported"
+    assert parse_report(report_path)["os_cache_bypass"] == advised
+    monkeypatch.delattr(os, "posix_fadvise", raising=False)
+    report_path = tmp_path / "unsupported.txt"
+    assert main([*argv, "--out", str(report_path)]) == 0
+    assert parse_report(report_path)["os_cache_bypass"] == "unsupported"
+
+
 def test_is_timing_key():
     for key in ("qps", "latency_ms", "latency_p99_ms", "wall_time_s", "a_qps",
                 "b_latency_p50_ms", "compare_qps_ratio_a_over_b"):
@@ -244,6 +260,10 @@ def test_static_fraction_sweep_same_recall_different_io(tmp_path):
     assert len(recalls) == 1  # transparency: identical recall
     ios = {k: float(v["mean_io_ops"]) for k, v in got.items()}
     assert len(set(ios.values())) > 1  # but the I/O profile differs
+    # an all-static budget has no dynamic page to admit what it reads
+    assert int(got["1.0"]["dynamic_capacity_pages"]) == 0
+    assert float(got["1.0"]["mean_pages_read"]) > 0
+    assert float(got["1.0"]["mean_pages_admitted"]) == 0.0
 
 
 def test_query_subcommand_with_trace(tmp_path):

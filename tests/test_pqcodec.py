@@ -14,7 +14,6 @@ from diskvec.errors import FormatError
 from diskvec.pqcodec import (
     _PQ_HEADER,
     build_distance_table,
-    decode,
     default_subspace_count,
     encode_batch,
     encode_dataset,
@@ -26,7 +25,7 @@ from diskvec.pqcodec import (
 )
 from diskvec.vecdata import NonFiniteError, VectorDataset
 
-from builders import l2_distance, mutate, write_custom_index
+from builders import decode, l2_distance, mutate, write_custom_index
 
 
 def _ds(arr) -> VectorDataset:

@@ -128,7 +128,7 @@ def test_pages_read_by_phase1_misses_are_admitted(tmp_path):
         )
     assert {rec.phase for rec in st.trace} == {1}
     assert sorted(cache.dynamic.pages) == [0, 1, 2]
-    assert (st.pages_read, st.pages_admitted, st.evictions) == (3, 3, 0)
+    assert (st.pages_read, st.evictions) == (3, 0)
     # node 8 shares page 1 with the expanded 6 and 7, and is served from it
     hits = HitStats()
     kind, vec, _ = cache.lookup(8, 1, hits=hits)
@@ -160,8 +160,38 @@ def test_window_reads_only_edge_pages_that_hold_queue_candidates(tmp_path, monke
     assert [(rec.node_id, rec.phase, rec.hit_kind) for rec in st.trace] == [
         (0, 1, "miss"), (12, 2, "miss"), (18, 2, "dynamic"),
     ]
-    assert planned == [[0], [2, 3], []]  # 18 is then a dynamic hit
+    assert planned == [[0], [2, 3]]  # 18 is then a dynamic hit, so nothing is read
     assert (st.io_ops, st.pages_read) == (2, 3)
+
+
+def test_window_skips_an_edge_page_that_holds_only_a_static_hit_of_the_beam(
+    tmp_path, monkeypatch
+):
+    # five pages of six nodes in id order. The query sits on the entry 0, so
+    # iteration 2 is in refinement; its beam is 12 on page 2, a miss, and 18
+    # on page 3, a static hit. The miss's window spans pages 1-3: no candidate
+    # after the beam lives on page 1 or page 3, so only page 2 is read
+    lm, path, codebook, codes = _line_index(tmp_path, [[12, 18]] + [[0]] * 29)
+    planned = []
+    read_pages = IndexReader.read_pages
+
+    def recording(reader, page_ids):
+        planned.append(sorted(page_ids))
+        return read_pages(reader, page_ids)
+
+    monkeypatch.setattr(IndexReader, "read_pages", recording)
+    static = {18: (np.array([18.0, 0.0], dtype=np.float32), np.array([0]))}
+    cache = HybridCache(static, 4, lm)
+    with IndexReader(path) as r:
+        params = SearchParams(k=1, l=4, beam_width=2, theta=0.5, window_pages=3)
+        _, st = beam_search(
+            np.array([0.0, 0.0]), params, r, lm, cache, codebook, codes, trace=True
+        )
+    assert [(rec.node_id, rec.phase, rec.hit_kind) for rec in st.trace] == [
+        (0, 1, "miss"), (12, 2, "miss"), (18, 2, "static"),
+    ]
+    assert planned == [[0], [2]]
+    assert (st.io_ops, st.pages_read) == (2, 2)
 
 
 def test_eviction_keeps_the_page_of_a_queued_candidate(tmp_path):
@@ -183,7 +213,7 @@ def test_eviction_keeps_the_page_of_a_queued_candidate(tmp_path):
         (12, "miss"), (6, "miss"), (5, "miss"), (7, "dynamic"),
     ]
     # page 2 is pushed out by page 1, and page 0 by itself
-    assert (st.io_ops, st.pages_admitted, st.evictions) == (3, 3, 2)
+    assert (st.io_ops, st.pages_read, st.evictions) == (3, 3, 2)
     assert list(cache.dynamic.pages) == [1]
 
 

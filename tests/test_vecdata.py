@@ -16,7 +16,6 @@ from diskvec.vecdata import (
     NonFiniteError,
     VectorDataset,
     ground_truth_batch,
-    ground_truth_topk,
     load_fvecs,
     load_ivecs,
     nearest_center,
@@ -25,7 +24,7 @@ from diskvec.vecdata import (
     write_ivecs,
 )
 
-from builders import l2_distance
+from builders import ground_truth_topk, l2_distance
 
 
 def test_load_fvecs_single_record(tmp_path):
