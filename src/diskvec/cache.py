@@ -1,7 +1,8 @@
 """Hybrid cache: a frozen static node cache preloaded by BFS from the entry
 point, plus a dynamic page cache that admits every page a search reads (in
-the refinement phase, batch reads of similarity-ordered windows), with FIFO /
-Random / LFU replacement.
+either phase, batch reads of similarity-ordered windows and of the adjacent
+pages that hold the next beam's candidates), with FIFO / Random / LFU
+replacement.
 
 An admission may carry `wanted`, the searching query's map from page id to
 the queue position of the first unexpanded candidate on that page. Eviction
@@ -66,8 +67,8 @@ def auto_budget_nodes(
 
     When that leaves the dynamic share fewer than window_pages whole pages
     and static_fraction is below 1, it is raised to the smallest budget whose
-    dynamic share holds them, so refinement-phase batch reads have a cache to
-    fill.
+    dynamic share holds them, so the batch reads that misses make in either
+    phase have a cache to fill.
     """
     header = reader.header
     size = (header.total_pages + 1) * header.page_size
@@ -289,10 +290,11 @@ class HybridCache:
             if hit is not None:
                 counts.static_hits += 1
                 return ("static", hit[0], hit[1])
-            page = self.dynamic.get(self.layout.page_of(node_id))
+            page_id, slot = divmod(int(self.layout.node_rank[node_id]), self.layout.page_capacity)
+            page = self.dynamic.get(page_id)
             if page is not None:
-                self.dynamic.touch(page.page_id)
-                vec, adj = page.slot(self.layout.slot_of(node_id), expect_node=node_id)
+                self.dynamic.touch(page_id)
+                vec, adj = page.slot(slot, expect_node=node_id)
                 counts.dynamic_hits += 1
                 return ("dynamic", vec, adj)
             counts.misses += 1

@@ -249,9 +249,10 @@ def pack_pages(
 
 
 def default_cluster_count(n: int, page_capacity: int) -> int:
-    """Target a mean cluster of about four pages so most read windows stay
-    inside a single cluster."""
-    return max(1, -(-n // (4 * page_capacity)))
+    """Target a mean cluster of about one page, so each page holds mostly one
+    cluster of mutually close vectors and order_clusters puts similar
+    clusters on adjacent pages, where read windows reach them."""
+    return max(1, -(-n // page_capacity))
 
 
 def build_similarity_layout(

@@ -1,15 +1,19 @@
 """Beam search over the disk index with two-phase transition detection,
-similarity-aware batch loading on refinement-phase misses, and per-query
-statistics.
+similarity-aware batch loading on misses, and per-query statistics.
 
-When the dynamic cache has pages, it admits every page the search reads. A
-convergence-phase miss reads its own page; a refinement-phase miss reads a
-window of pages around it, less the edge pages that are resident, already
-planned, or hold no unexpanded candidate after the beam. One map from page to
-the queue position of its first such candidate drives both that trim and
-eviction: the cache evicts the pages the map lacks first, then the page needed
-last; an admitted page that ranks worst passes through. The plan uses only
-what is in memory: the layout and the queue.
+When the dynamic cache has pages, it admits every page the search reads, and
+a miss in either phase reads more than its own page. Its read grows outward
+from its page, within the miss's window, through the pages that are not
+resident and hold an unexpanded candidate after the beam; each run of pages
+so planned then grows on past the window through the adjacent pages that are
+not resident and hold one of the next beam_width candidates after the beam.
+Growth stops at the first page that fails. Without dynamic pages a miss reads
+only its own page. One map from page to the queue position of its first
+candidate after the beam drives the plan and eviction: the cache evicts the
+pages the map lacks first, then the page needed last; an admitted page that
+ranks worst passes through. The plan uses only what is in memory: the layout
+and the queue. The phase labels statistics only; it does not change what is
+read.
 
 The candidate queue is ordered by compressed (PQ) distance; exact distances
 are computed only for expanded nodes and used only for the final ranking.
@@ -30,7 +34,7 @@ import numpy as np
 from .cache import HitStats, HybridCache
 from .diskstore import DiskPage, Index, IndexReader
 from .errors import InvariantError
-from .layout import LayoutMap, ReadInterval, compute_read_interval
+from .layout import LayoutMap, compute_read_interval
 from .pqcodec import PQCodebook, build_distance_table, pq_distance, pq_distance_batch
 from .vecdata import VectorDataset, ground_truth_batch, recall_at_k
 
@@ -102,17 +106,15 @@ def detect_transition(
     return all(nid in visited for nid in queue_ids[:need])
 
 
-def _trim_interval(
-    interval: ReadInterval, skip: Callable[[int], bool], target_page: int
-) -> ReadInterval:
-    """Drop the edge pages that skip names, keeping the range contiguous and
-    covering the target page."""
-    start, end = interval.start_page, interval.end_page
-    while start < target_page and skip(start):
-        start += 1
-    while end > target_page and skip(end):
-        end -= 1
-    return ReadInterval(start_page=start, page_count=end - start + 1)
+def _grow(planned: set[int], page: int, take: Callable[[int], bool]) -> None:
+    """Plan page, then the pages outward from it on either side, up to the
+    first page that is planned already or that take refuses."""
+    planned.add(page)
+    for step in (-1, 1):
+        p = page + step
+        while p not in planned and take(p):
+            planned.add(p)
+            p += step
 
 
 def beam_search(
@@ -135,12 +137,15 @@ def beam_search(
     iteration looks up its whole beam. One with a miss reads its unexpanded
     candidates' ranks once: they place each miss on its page and slot and
     give `wanted`, page id -> queue position of the first unexpanded
-    candidate after the beam on that page. It plans one page per miss (during
-    refinement with dynamic pages, a window whose edge pages _trim_interval
-    drops when planned, resident or not in `wanted`) and reads each planned
-    page once, one request per run of consecutive pages. The dynamic cache,
-    when it has pages, admits every run with `wanted` (see HybridCache), and
-    an incoming page may pass straight through. With trace, stats.trace
+    candidate after the beam on that page. Without dynamic pages it plans
+    each miss's own page. With them, _grow plans each miss's page and the
+    pages of its window outward from it that are in `wanted` and not
+    resident, then extends each run of planned pages past the window through
+    the pages that are not resident and whose `wanted` position is below
+    beam_width. It reads each planned page once, one request per run of
+    consecutive pages. The dynamic cache, when it has pages, admits every run
+    with `wanted` (see HybridCache), and an incoming page may pass straight
+    through. The phase does not enter the plan. With trace, stats.trace
     records every expansion.
     """
     header = reader.header
@@ -183,14 +188,20 @@ def beam_search(
             planned: set[int] = set()
             for i in missed:
                 page_id = queue_pages[i]
-                if admit and phase == 2 and page_id not in planned:
-                    interval = _trim_interval(
-                        compute_read_interval(batch[i], params.window_pages, layout),
-                        lambda p: p in planned or p not in wanted or cache.resident(p),
-                        page_id,
+                if not admit:
+                    planned.add(page_id)
+                elif page_id not in planned:
+                    window = compute_read_interval(batch[i], params.window_pages, layout).pages()
+                    _grow(
+                        planned, page_id,
+                        lambda p: p in window and p in wanted and not cache.resident(p),
                     )
-                    planned.update(interval.pages())
-                planned.add(page_id)
+            if admit:
+                bw = params.beam_width
+                for page_id in sorted(planned):
+                    _grow(
+                        planned, page_id, lambda p: wanted.get(p, bw) < bw and not cache.resident(p)
+                    )
             pages: dict[int, DiskPage] = {}
             for run in reader.read_pages(planned):
                 stats.io_ops += 1

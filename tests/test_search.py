@@ -7,8 +7,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
-from diskvec.cache import HitStats, HybridCache
+from diskvec.cache import POLICIES, HitStats, HybridCache, preload_static
 from diskvec.diskstore import IndexReader
 from diskvec.search import (
     SearchParams,
@@ -116,6 +117,19 @@ def _line_index(tmp_path, adjacency: list[list[int]], entry: int = 0):
     return lm, path, codebook, codes
 
 
+def _recorded_plans(monkeypatch) -> list[list[int]]:
+    """Record the sorted page ids of every read plan from now on."""
+    planned = []
+    read_pages = IndexReader.read_pages
+
+    def recording(reader, page_ids):
+        planned.append(sorted(page_ids))
+        return read_pages(reader, page_ids)
+
+    monkeypatch.setattr(IndexReader, "read_pages", recording)
+    return planned
+
+
 def test_pages_read_by_phase1_misses_are_admitted(tmp_path):
     # the index of the test above; with k=1 the query's nearest node stays
     # unexpanded until the last iteration, so every read is a phase-1 read
@@ -143,14 +157,7 @@ def test_window_reads_only_edge_pages_that_hold_queue_candidates(tmp_path, monke
     # candidate 18 and is read, page 1 holds no queue candidate and is not
     lm, path, codebook, codes = _line_index(tmp_path, [[12, 18]] + [[0]] * 29)
     assert [lm.page_of(node) for node in (0, 12, 18)] == [0, 2, 3]
-    planned = []
-    read_pages = IndexReader.read_pages
-
-    def recording(reader, page_ids):
-        planned.append(sorted(page_ids))
-        return read_pages(reader, page_ids)
-
-    monkeypatch.setattr(IndexReader, "read_pages", recording)
+    planned = _recorded_plans(monkeypatch)
     cache = HybridCache({}, 4, lm)
     with IndexReader(path) as r:
         params = SearchParams(k=1, l=4, beam_width=1, theta=0.5, window_pages=3)
@@ -172,14 +179,7 @@ def test_window_skips_an_edge_page_that_holds_only_a_static_hit_of_the_beam(
     # on page 3, a static hit. The miss's window spans pages 1-3: no candidate
     # after the beam lives on page 1 or page 3, so only page 2 is read
     lm, path, codebook, codes = _line_index(tmp_path, [[12, 18]] + [[0]] * 29)
-    planned = []
-    read_pages = IndexReader.read_pages
-
-    def recording(reader, page_ids):
-        planned.append(sorted(page_ids))
-        return read_pages(reader, page_ids)
-
-    monkeypatch.setattr(IndexReader, "read_pages", recording)
+    planned = _recorded_plans(monkeypatch)
     static = {18: (np.array([18.0, 0.0], dtype=np.float32), np.array([0]))}
     cache = HybridCache(static, 4, lm)
     with IndexReader(path) as r:
@@ -194,15 +194,71 @@ def test_window_skips_an_edge_page_that_holds_only_a_static_hit_of_the_beam(
     assert (st.io_ops, st.pages_read) == (2, 2)
 
 
+def test_phase1_miss_reads_its_trimmed_window(tmp_path, monkeypatch):
+    # five pages of six nodes in id order. For a query at 20.4 the search is
+    # still converging in iteration 2, whose beam misses 18 on page 3. Its
+    # window spans pages 2-4: page 2 holds the queued 12 and is read, page 4
+    # holds no queue candidate and is not
+    lm, path, codebook, codes = _line_index(tmp_path, [[12, 18]] + [[0]] * 29)
+    planned = _recorded_plans(monkeypatch)
+    cache = HybridCache({}, 4, lm)
+    with IndexReader(path) as r:
+        params = SearchParams(k=1, l=4, beam_width=1, theta=0.5, window_pages=3)
+        _, st = beam_search(
+            np.array([20.4, 0.0]), params, r, lm, cache, codebook, codes, trace=True
+        )
+    assert [(rec.node_id, rec.phase, rec.hit_kind) for rec in st.trace] == [
+        (0, 1, "miss"), (18, 1, "miss"), (12, 2, "dynamic"),
+    ]
+    assert planned == [[0], [2, 3]]
+    assert (st.io_ops, st.pages_read) == (2, 3)
+
+
+def _next_beam_search(tmp_path, monkeypatch, dynamic_pages: int, window_pages: int):
+    """Five pages of six nodes in id order; the entry 0 exposes 12, 18 and
+    24, queued in that order for a query at 11 and expanded one per
+    iteration. Returns the trace's (node, hit kind) pairs and the read plans."""
+    lm, path, codebook, codes = _line_index(tmp_path, [[12, 18, 24]] + [[0]] * 29)
+    assert [lm.page_of(node) for node in (0, 12, 18, 24)] == [0, 2, 3, 4]
+    planned = _recorded_plans(monkeypatch)
+    cache = HybridCache({}, dynamic_pages, lm)
+    with IndexReader(path) as r:
+        params = SearchParams(k=1, l=4, beam_width=1, theta=0.5, window_pages=window_pages)
+        _, st = beam_search(
+            np.array([11.0, 0.0]), params, r, lm, cache, codebook, codes, trace=True
+        )
+    return [(rec.node_id, rec.hit_kind) for rec in st.trace], planned
+
+
+def test_a_run_grows_through_the_page_of_the_next_beam(tmp_path, monkeypatch):
+    # the one-page window of the miss of 12 grows onto page 3, whose 18 is
+    # the next beam, and stops at page 4, whose 24 comes after it
+    kinds, planned = _next_beam_search(tmp_path, monkeypatch, dynamic_pages=4, window_pages=1)
+    assert kinds == [(0, "miss"), (12, "miss"), (18, "dynamic"), (24, "miss")]
+    assert planned == [[0], [2, 3], [4]]
+
+
+def test_without_dynamic_pages_each_miss_reads_only_its_own_page(tmp_path, monkeypatch):
+    # uncached, as calibrate_theta searches: no window is read, no run grows
+    kinds, planned = _next_beam_search(tmp_path, monkeypatch, dynamic_pages=0, window_pages=3)
+    assert kinds == [(0, "miss"), (12, "miss"), (18, "miss"), (24, "miss")]
+    assert planned == [[0], [2], [3], [4]]
+
+
 def test_eviction_keeps_the_page_of_a_queued_candidate(tmp_path):
-    # three pages of six nodes in id order and one dynamic page. The entry 12
-    # on page 2 exposes 6, 5 and 7, in that order for a query at 5.6. Reading
-    # page 0 for 5 would push out page 1, which still holds the queued 7, so
-    # page 0 passes through the cache instead and 7 is a dynamic hit
-    lm, path, codebook, codes = _line_index(
-        tmp_path, [[12]] * 12 + [[6, 5, 7]] + [[12]] * 5, entry=12
+    # three pages of six nodes and one dynamic page. The entry 6 on page 1
+    # exposes 12, 0 and 13, in that order for a query at 5.6; 12 and 13 share
+    # page 2, and 0 sits on page 0, which no run of page 2 reaches. Reading
+    # page 0 for 0 would push out page 2, which still holds the queued 13, so
+    # page 0 passes through the cache instead and 13 is a dynamic hit
+    vecs = np.zeros((18, 2), dtype=np.float32)
+    vecs[:, 0] = 100 + np.arange(18)
+    vecs[[6, 12, 0, 13], 0] = [12.0, 6.0, 5.0, 7.0]
+    adjacency = [[6]] * 6 + [[12, 0, 13]] + [[6]] * 11
+    _, _, lm, path, codebook, codes = write_custom_index(
+        tmp_path, vecs, adjacency, entry=6, R=3, page_size=160
     )
-    assert [lm.page_of(node) for node in (12, 6, 5, 7)] == [2, 1, 0, 1]
+    assert [lm.page_of(node) for node in (6, 12, 0, 13)] == [1, 2, 0, 2]
     cache = HybridCache({}, 1, lm)
     with IndexReader(path) as r:
         params = SearchParams(k=1, l=4, beam_width=1, theta=0.5, window_pages=1)
@@ -210,11 +266,73 @@ def test_eviction_keeps_the_page_of_a_queued_candidate(tmp_path):
             np.array([5.6, 0.0]), params, r, lm, cache, codebook, codes, trace=True
         )
     assert [(rec.node_id, rec.hit_kind) for rec in st.trace] == [
-        (12, "miss"), (6, "miss"), (5, "miss"), (7, "dynamic"),
+        (6, "miss"), (12, "miss"), (0, "miss"), (13, "dynamic"),
     ]
-    # page 2 is pushed out by page 1, and page 0 by itself
+    # page 1 is pushed out by page 2, and page 0 by itself
     assert (st.io_ops, st.pages_read, st.evictions) == (3, 3, 2)
-    assert list(cache.dynamic.pages) == [1]
+    assert list(cache.dynamic.pages) == [2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=strategies.integers(0, 2**32 - 1),
+    n=strategies.integers(2, 48),
+    static_nodes=strategies.integers(0, 6),
+    dynamic_pages=strategies.integers(0, 5),
+    window_pages=strategies.integers(1, 4),
+    beam_width=strategies.integers(1, 4),
+    policy=strategies.sampled_from(POLICIES),
+)
+def testevery_page_read_serves_a_miss_or_a_later_candidate(
+    tmp_path_factory, seed, n, static_nodes, dynamic_pages, window_pages, beam_width, policy
+):
+    # each page an iteration reads is one of its misses' own pages, or a page
+    # that is not resident and holds a node seen but not yet expanded, which
+    # the unexpanded candidates after the beam are among; without dynamic
+    # pages it reads exactly the misses' pages. The ids stay those of the
+    # uncached search
+    rng = np.random.default_rng(seed)
+    vecs = rng.normal(size=(n, 2)).astype(np.float32)
+    adjacency = [rng.choice(n, size=min(3, n), replace=False).tolist() for _ in range(n)]
+    _, _, lm, path, codebook, codes = write_custom_index(
+        tmp_path_factory.mktemp("plan"), vecs, adjacency, entry=0, R=3, page_size=160
+    )
+    query = rng.normal(size=2)
+    params = SearchParams(k=2, l=8, beam_width=beam_width, theta=0.5, window_pages=window_pages)
+    events = []  # (looked-up node, missed) or (pages of a read, pages resident then)
+    with IndexReader(path) as r:
+        want, _ = beam_search(query, params, r, lm, HybridCache({}, 0, lm), codebook, codes)
+        cache = HybridCache(preload_static(None, r, lm, static_nodes), dynamic_pages, lm, policy)
+        lookup, read_pages = cache.lookup, r.read_pages
+
+        def recording_lookup(node_id, phase, *, hits):
+            out = lookup(node_id, phase, hits=hits)
+            events.append((node_id, out is None))
+            return out
+
+        def recording_read_pages(page_ids):
+            events.append((sorted(set(page_ids)), set(cache.dynamic.pages)))
+            return read_pages(page_ids)
+
+        cache.lookup, r.read_pages = recording_lookup, recording_read_pages
+        got, st = beam_search(query, params, r, lm, cache, codebook, codes, trace=True)
+    assert got == want
+    expanded = {rec.node_id: rec.iteration for rec in st.trace}
+    iteration, miss_pages = 0, set()
+    for first, second in events:
+        if isinstance(first, int):
+            if expanded[first] != iteration:
+                iteration, miss_pages = expanded[first], set()
+            if second:
+                miss_pages.add(lm.page_of(first))
+            continue
+        done = {nid for nid, it in expanded.items() if it <= iteration}
+        seen = {0}.union(*(adjacency[nid] for nid, it in expanded.items() if it < iteration))
+        later = {lm.page_of(nid) for nid in seen - done}
+        assert miss_pages <= set(first)
+        assert all(p in miss_pages or (p not in second and p in later) for p in first)
+        if dynamic_pages == 0:
+            assert set(first) == miss_pages
 
 
 def _digest(smoke, budget: int, hit_kinds: bool = True) -> str:
@@ -242,7 +360,7 @@ def _digest(smoke, budget: int, hit_kinds: bool = True) -> str:
 
 @pytest.mark.parametrize("budget, want", [
     (0, "5eaee220899d92dd3e9bd03a2048b5f3de72df80cab53a1cf9f2574b4e4330a3"),
-    (80, "70a1444e85ee46b6fd94b5ba023eafa6c2e35b1a08c0add84c17102060856f5f"),
+    (80, "5f85e1e2c64c939d77d45181d24be4fda75d0630a9465a901a435f916dbcdaee"),
 ], ids=["0", "80"])
 def test_results_and_traces_match_pinned_digest(smoke, budget, want):
     # pinned from the search that read one page per miss and scored each
@@ -268,7 +386,12 @@ def test_results_and_traces_match_pinned_digest(smoke, budget, want):
     # 836 expansions 131 misses became dynamic hits and 76 dynamic hits misses.
     # Budget 80 was pinned again (36674ef5... -> 70a1444e...) when eviction
     # came to rank pages by the queue position of their first unexpanded
-    # candidate: 77 misses became dynamic hits and 26 dynamic hits misses
+    # candidate: 77 misses became dynamic hits and 26 dynamic hits misses.
+    # Budget 80 was pinned again (70a1444e... -> 5f85e1e2...) when misses of
+    # either phase came to read their windows, runs came to grow through the
+    # pages of the next beam's candidates and the smoke layout came to hold
+    # one page per cluster (100 clusters, not 25): 119 misses became dynamic
+    # hits and 61 dynamic hits misses
     assert _digest(smoke, budget) == want
 
 
@@ -281,7 +404,7 @@ def test_results_and_traces_without_hit_kinds_match_pinned_digest(smoke, budget)
     assert _digest(smoke, budget, hit_kinds=False) == want
 
 
-def test_refinement_reads_of_one_iteration_neither_overlap_nor_abut(smoke, monkeypatch):
+def test_reads_of_one_iteration_neither_overlap_nor_abut(smoke, monkeypatch):
     params = SearchParams(k=10, l=40, theta=0.5, window_pages=2)
     events = []  # a looked-up node id, or the (first, last) pages of a read
     lookup = HybridCache.lookup
@@ -300,7 +423,7 @@ def test_refinement_reads_of_one_iteration_neither_overlap_nor_abut(smoke, monke
         events.append((interval.start_page, interval.end_page))
         return read_page_range(reader, interval)
 
-    windows = 0
+    windows = {1: 0, 2: 0}  # reads of more than one page, per phase
     with smoke.index("sim") as index:
         cache = smoke.cache(index, budget=80, policy="FIFO")
         assert cache.dynamic_capacity_pages > 0
@@ -315,19 +438,18 @@ def test_refinement_reads_of_one_iteration_neither_overlap_nor_abut(smoke, monke
             )
             # a read belongs to the iteration of the node looked up last
             expanded = {rec.node_id: (rec.iteration, rec.phase) for rec in st.trace}
-            reads: dict[int, list[tuple[int, int]]] = {}
-            iteration = phase = 0
+            reads: dict[tuple[int, int], list[tuple[int, int]]] = {}
+            at = (0, 0)
             for event in events:
                 if isinstance(event, tuple):
-                    if phase == 2:
-                        reads.setdefault(iteration, []).append(event)
+                    reads.setdefault(at, []).append(event)
                 else:
-                    iteration, phase = expanded[event]
-            for spans in reads.values():
+                    at = expanded[event]
+            for (_, phase), spans in reads.items():
                 spans.sort()
-                windows += sum(last > first for first, last in spans)
+                windows[phase] += sum(last > first for first, last in spans)
                 assert all(b[0] > a[1] + 1 for a, b in zip(spans, spans[1:])), spans
-    assert windows > 0
+    assert windows[1] > 0 and windows[2] > 0
 
 
 def test_trace_is_opt_in(smoke):

@@ -1,0 +1,176 @@
+"""Run interleaved benchmark pairs of two commits and write a BENCH_<sha>.json.
+
+    python3 tools/bench_pairs.py --parent SHA --change SHA --claim TEXT \
+        --claimed io_ops_per_query --claimed-workload query-small-cache \
+        --seeds 1-10 --seconds 20 --out BENCH_<sha>.json
+
+Each side runs from its own `git archive` of its commit, in a fresh
+directory, through the unchanged `bench/run.py`. Per workload there is one
+pair per seed; the parent runs first on odd seeds and the change on even
+ones. The end-to-end metrics, their units, directions and bounds come from
+the change's BENCHMARK.json. One traced run per side (change first) on the
+first seed of each workload fills "traced". The file's "verdict" states the
+claimed metric's result and each metric's median against its bound; what
+the runs showed beyond that is added by hand as verdict.not_as_predicted.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+
+
+def export(sha: str, dest: Path) -> None:
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", sha],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, dict]:
+    """One bench/run.py run; returns (run record, result line)."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(int(trace))]
+    lines = subprocess.run(cmd, cwd=tree, check=True, capture_output=True,
+                           text=True).stdout.splitlines()
+    return json.loads(lines[-2].removeprefix("run ")), json.loads(lines[-1])
+
+
+def summary(runs: list[float]) -> dict:
+    q1, median, q3 = np.percentile(runs, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3), "runs": runs}
+
+
+def seeds_arg(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--claim", required=True)
+    parser.add_argument("--claimed", required=True, help="the end-to-end metric claimed")
+    parser.add_argument("--claimed-workload", required=True)
+    parser.add_argument("--seeds", type=seeds_arg, default=seeds_arg("1-10"))
+    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--method-note", default="", help="appended to the method text")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+
+    shas = {side: subprocess.run(["git", "-C", str(ROOT), "rev-parse", getattr(args, side)],
+                                 check=True, capture_output=True, text=True).stdout.strip()
+            for side in SIDES}
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: Path(tmp) / side for side in SIDES}
+        for side in SIDES:
+            export(shas[side], trees[side])
+        spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        workloads, traced = {}, {}
+        host = None
+        for w in (entry["name"] for entry in spec["workloads"]):
+            out = {side: {"records": [], "results": []} for side in SIDES}
+            first = []
+            for seed in args.seeds:
+                order = SIDES if seed % 2 else SIDES[::-1]
+                first.append(order[0])
+                for side in order:
+                    record, result = run(trees[side], w, seed, args.seconds, trace=False)
+                    out[side]["records"].append(record)
+                    out[side]["results"].append(result)
+                    print(w, seed, side, json.dumps(result["metrics"]), file=sys.stderr)
+            host = {key: out["change"]["records"][0][key]
+                    for key in ("python", "numpy", "nproc", "blas_threads", "os_page_cache")}
+            metrics = {}
+            for m in spec["end_to_end"]:
+                runs = {side: [r["metrics"][m["name"]]["value"] for r in out[side]["results"]]
+                        for side in SIDES}
+                sign = 1 if m["better"] == "lower" else -1
+                diffs = [sign * (p - c) for p, c in zip(runs["parent"], runs["change"])]
+                parent, change = summary(runs["parent"]), summary(runs["change"])
+                metrics[m["name"]] = {
+                    "unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                    "change_wins": sum(d > 0 for d in diffs),
+                    "change_losses": sum(d < 0 for d in diffs),
+                    "ties": sum(d == 0 for d in diffs),
+                    "median_change_over_parent": change["median"] / parent["median"],
+                    "parent_iqr": parent["q3"] - parent["q1"],
+                    "parent": parent, "change": change,
+                }
+            timing_keys = out["change"]["records"][0]["timings"]
+            workloads[w] = {
+                "seeds": args.seeds, "first": first, "metrics": metrics,
+                "run_record_timings": {
+                    key: {side: summary([r["timings"][key] for r in out[side]["records"]])
+                          for side in SIDES}
+                    for key in timing_keys
+                },
+                **{key: {side: [r[key] for r in out[side]["results"]] for side in SIDES}
+                   for key in ("failed", "attempted", "correct")},
+                "theta": {side: [r["theta"] for r in out[side]["records"]] for side in SIDES},
+            }
+            seed = args.seeds[0]
+            traced[w] = {
+                "seed": seed,
+                "command": f"python3 bench/run.py --workload {w} --seed {seed} "
+                           f"--seconds {args.seconds:g} --trace 1 (change first)",
+                **{side: {name: entry["value"] for name, entry in
+                          run(trees[side], w, seed, args.seconds, trace=True)[1]["metrics"].items()}
+                   for side in SIDES[::-1]},
+            }
+
+    claimed = workloads[args.claimed_workload]["metrics"][args.claimed]
+    pairs = len(args.seeds)
+    gap = abs(claimed["parent"]["median"] - claimed["change"]["median"])
+    met = claimed["change_wins"] >= 0.9 * pairs and gap > claimed["parent_iqr"]
+    bounds = []
+    for w, entry in workloads.items():
+        for name, m in entry["metrics"].items():
+            sign = 1 if m["better"] == "lower" else -1
+            worse = sign * (m["change"]["median"] - m["parent"]["median"]) / m["parent"]["median"]
+            bounds.append(f"{w} {name}: median {m['parent']['median']:.6g} -> "
+                          f"{m['change']['median']:.6g} ({'worse' if worse > 0 else 'not worse'} "
+                          f"by {abs(worse):.2%} against a bound of {m['bound']:.0%}; "
+                          f"change better in {m['change_wins']}, worse in {m['change_losses']}, "
+                          f"tied in {m['ties']} of {pairs} pairs)")
+    report = {
+        "claim": args.claim,
+        "verdict": {
+            "claim": f"{'met' if met else 'not met'}: change won {claimed['change_wins']} of "
+                     f"{pairs} pairs; median {claimed['parent']['median']:.4f} -> "
+                     f"{claimed['change']['median']:.4f} "
+                     f"({claimed['median_change_over_parent'] - 1:+.1%}), a difference of "
+                     f"{gap:.4f} against the parent's interquartile range of "
+                     f"{claimed['parent_iqr']:.4f}",
+            "bounds": "; ".join(bounds),
+            "not_as_predicted": "",
+        },
+        "parent": shas["parent"],
+        "change": shas["change"],
+        "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} "
+                   "(each side from its own git archive of the commit, in a fresh directory)",
+        "method": "per workload, one pair per seed; the side that runs first alternates "
+                  "(parent first on odd seeds). Medians and quartiles are numpy.percentile "
+                  f"(linear) over the {pairs} runs of a side. change_wins counts pairs where "
+                  "the change is better in the metric's direction; ties count for neither."
+                  + (f" {args.method_note}" if args.method_note else ""),
+        "host": host,
+        "traced": traced,
+        "workloads": workloads,
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
