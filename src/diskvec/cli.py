@@ -207,8 +207,6 @@ def cmd_build(args: argparse.Namespace) -> None:
 
 
 def cmd_layout(args: argparse.Namespace) -> None:
-    if args.k_clusters < 0:
-        raise ValueError(f"--k-clusters must be >= 0 (0 = auto), got {args.k_clusters}")
     dataset = vecdata.load_fvecs(args.dataset)
     index_dir = Path(args.index_dir)
     graph = graphbuild.load_graph(index_dir / GRAPH_FILE)
@@ -222,8 +220,7 @@ def cmd_layout(args: argparse.Namespace) -> None:
         kind_name = "insertion-order"
     else:
         lm = layoutmod.build_similarity_layout(
-            dataset, cap, k_clusters=args.k_clusters or None,
-            max_iters=args.kmeans_iters, seed=args.seed,
+            dataset, cap, max_iters=args.kmeans_iters, seed=args.seed
         )
         kind_name = "similarity"
     header = diskstore.write_index(
@@ -378,6 +375,8 @@ def cmd_query(args: argparse.Namespace) -> None:
 def _run_bench(
     args, index_dir: Path, trace: bool = False
 ) -> tuple[list[tuple[str, object]], search.WorkloadReport]:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     queries = vecdata.load_fvecs(args.queries)
     gt = vecdata.load_ivecs(args.gt) if args.gt else None
     with Index.open(index_dir) as index:
@@ -386,9 +385,8 @@ def _run_bench(
             bypass = "dontneed-advised" if index.reader.advise_drop_os_cache() else "unsupported"
         params, theta_source = _search_params(args, index_dir)
         cache, cache_pairs = _build_cache(args, index)
-        workers = args.workers if args.workers > 0 else min(32, os.cpu_count() or 1)
         report = search.run_workload(
-            queries.vectors, params, index, cache, gt=gt, workers=workers,
+            queries.vectors, params, index, cache, gt=gt, workers=args.workers,
             repetitions=args.repetitions, reset_per_query=args.reset_per_query,
             trace=trace,
         )
@@ -503,7 +501,7 @@ def _add_workload_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gt", default=None)
     _add_search_flags(p)
     _add_cache_flags(p)
-    p.add_argument("--workers", type=int, default=_env_default("workers", 0), help="0 = auto")
+    p.add_argument("--workers", type=int, default=_env_default("workers", 1))
     p.add_argument("--repetitions", type=int, default=_env_default("repetitions", 1))
     p.add_argument("--reset-per-query", action="store_true")
     p.add_argument("--os-bypass", action="store_true", help="advise the OS to drop its cached index pages")
@@ -549,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index-dir", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--kind", choices=("insertion", "similarity"), default="similarity")
-    p.add_argument("--k-clusters", type=int, default=_env_default("k-clusters", 0), help="0 = auto")
     p.add_argument("--page-size", type=int, default=_env_default("page-size", 4096))
     p.add_argument("--kmeans-iters", type=int, default=_env_default("kmeans-iters", 25))
     p.add_argument("--seed", type=int, default=_env_default("seed", 0))

@@ -1,9 +1,12 @@
-"""Similarity-driven disk layout: k-means clustering, within-cluster ordering,
-cluster sequencing, page packing, and the sequential read-interval rule used
-for batch loading.
+"""Similarity-driven disk layout: balanced recursive 2-means bisection,
+within-cluster ordering, page packing, and the sequential read-interval rule
+used for batch loading.
 
 Placement goal: vectors that are close in space end up on the same or adjacent
-pages, so one sequential read fetches many soon-to-be-needed nodes.
+pages, so one sequential read fetches many soon-to-be-needed nodes. Each part
+of the dataset splits in two at a page boundary until it holds at most two
+pages; the parts, in depth-first order, are the clusters, so sibling parts lie
+next to each other on disk.
 
 The layout sidecar (`layout.bin`, version 3) stores each fact once: the node
 at each rank (u32, in disk order), then each cluster's first rank (u32).
@@ -205,33 +208,6 @@ def order_within_cluster(
     return members[np.lexsort((members, d2))]
 
 
-def order_clusters(centroids: np.ndarray) -> np.ndarray:
-    """Greedy nearest-centroid chain so adjacent-on-disk clusters are similar.
-
-    Starts from the cluster nearest the mean of all centroids; each step hops
-    to the nearest unvisited centroid (ties to the lowest cluster id).
-    """
-    centroids = np.asarray(centroids, dtype=np.float64)
-    k = centroids.shape[0]
-    if k < 1:
-        raise ValueError("need at least one cluster")
-    gmean = centroids.mean(axis=0)
-    d2 = np.einsum("ij,ij->i", centroids - gmean, centroids - gmean)
-    sequence = np.empty(k, dtype=np.int64)
-    visited = np.zeros(k, dtype=bool)
-    current = int(np.argmin(d2))
-    sequence[0] = current
-    visited[current] = True
-    for i in range(1, k):
-        diff = centroids - centroids[current]
-        dist = np.einsum("ij,ij->i", diff, diff)
-        dist[visited] = np.inf
-        current = int(np.argmin(dist))
-        sequence[i] = current
-        visited[current] = True
-    return sequence
-
-
 def pack_pages(
     cluster_sequence: np.ndarray,
     cluster_orders: list[np.ndarray],
@@ -248,29 +224,47 @@ def pack_pages(
     return LayoutMap(np.concatenate(placed), np.cumsum([0] + sizes[:-1]), page_capacity)
 
 
-def default_cluster_count(n: int, page_capacity: int) -> int:
-    """Target a mean cluster of about one page, so each page holds mostly one
-    cluster of mutually close vectors and order_clusters puts similar
-    clusters on adjacent pages, where read windows reach them."""
-    return max(1, -(-n // page_capacity))
-
-
 def build_similarity_layout(
     dataset: VectorDataset,
     page_capacity: int,
-    k_clusters: int | None = None,
     max_iters: int = 25,
     seed: int = 0,
 ) -> LayoutMap:
-    """Two-stage reordering: k-means clustering, then locality packing."""
-    k = k_clusters if k_clusters is not None else default_cluster_count(dataset.n, page_capacity)
-    centers, assignment, _ = lloyd_cluster(dataset.vectors, k, max_iters, seed)
-    centroids = centers.astype(np.float32)  # index.bin depends on this rounding
-    orders = [
-        order_within_cluster(np.flatnonzero(assignment == c), centroids[c], dataset)
-        for c in range(k)
-    ]
-    return pack_pages(order_clusters(centroids), orders, page_capacity)
+    """Balanced recursive 2-means bisection, then locality packing.
+
+    A part of more than two pages splits in two with Lloyd's k=2 (max_iters
+    iterations, its seed drawn per split from one default_rng(seed) stream in
+    depth-first order). Its points are ordered by |x-c0|^2 - |x-c1|^2, ties by
+    id, and cut at the page boundary nearest the size of cluster 0, leaving at
+    least one page on each side. A part of at most two pages is a cluster, so
+    a cluster covers the default two-page read window. Every part starts on a
+    page boundary, so only the last page is partly filled. The splits run off
+    an explicit stack: skewed data can make every cut one page deep.
+    """
+    if page_capacity < 1:
+        raise ValueError(f"page_capacity must be >= 1, got {page_capacity}")
+    if max_iters < 1:
+        raise ValueError(f"k-means needs at least 1 iteration, got max_iters={max_iters}")
+    rng = np.random.default_rng(seed)
+    orders: list[np.ndarray] = []
+    stack = [np.arange(dataset.n, dtype=np.int64)]
+    while stack:
+        ids = stack.pop()
+        pts = dataset.vectors[ids].astype(np.float64)
+        if ids.size <= 2 * page_capacity:
+            orders.append(order_within_cluster(ids, pts.mean(axis=0), dataset))
+            continue
+        centers, assignment, _ = lloyd_cluster(pts, 2, max_iters, int(rng.integers(2**32)))
+        diff = pts - centers[0]
+        score = np.einsum("ij,ij->i", diff, diff)
+        np.subtract(pts, centers[1], out=diff)
+        score -= np.einsum("ij,ij->i", diff, diff)
+        ids = ids[np.lexsort((ids, score))]
+        pages = -(-ids.size // page_capacity)
+        size0 = int(np.count_nonzero(assignment == 0))
+        cut = min(max((2 * size0 + page_capacity) // (2 * page_capacity), 1), pages - 1)
+        stack += [ids[cut * page_capacity:], ids[: cut * page_capacity]]
+    return pack_pages(np.arange(len(orders)), orders, page_capacity)
 
 
 def build_insertion_layout(dataset: VectorDataset, page_capacity: int) -> LayoutMap:

@@ -358,7 +358,8 @@ def run_workload(
     Result id lists are deterministic regardless of worker count (caching is
     transparent to results); only timing and cache/I/O counters depend on
     interleaving. The dynamic cache is emptied between repetitions;
-    reset_per_query isolates queries and therefore runs them sequentially.
+    reset_per_query isolates queries and therefore runs them sequentially, on
+    one worker.
     Missing ground truth leaves recall unreported; trace fills each query's
     stats.trace.
     """
@@ -374,7 +375,10 @@ def run_workload(
         raise ValueError(f"ground truth has {gt.shape[0]} rows for {Q} queries")
     if gt is not None and gt.shape[1] < params.k:
         raise ValueError(f"ground truth holds {gt.shape[1]} ids per query, need k={params.k}")
-    workers = max(1, workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if reset_per_query:
+        workers = 1
 
     def one(qi: int) -> tuple[list[tuple[int, float]], SearchStats]:
         return beam_search(
@@ -389,7 +393,7 @@ def run_workload(
     for rep in range(repetitions):
         if rep:
             cache.reset_dynamic()
-        if workers == 1 or reset_per_query:
+        if workers == 1:
             outs = []
             for qi in range(Q):
                 if reset_per_query:

@@ -532,6 +532,27 @@ def test_no_kmeans_iteration_exits_2_naming_the_count(foreign_sidecars, command,
     assert f"max_iters={value}" in err
 
 
+def test_no_kmeans_iteration_exits_2_on_an_index_of_two_pages(foreign_sidecars, tmp_path,
+                                                               capsys):
+    # 400 nodes fit two 16 KiB pages, a part the layout never splits
+    err = _usage_error(foreign_sidecars, ["layout", "--page-size", "16384", "--kmeans-iters", "0"],
+                       tmp_path, capsys)
+    assert "max_iters=0" in err
+
+
+def test_bench_runs_one_worker_unless_asked(foreign_sidecars, tmp_path, capsys):
+    queries, index_dir, _ = foreign_sidecars
+    out = tmp_path / "report.txt"
+    argv = ["bench", "--index-dir", str(index_dir), "--queries", str(queries), "--k", "5",
+            "--l", "40", "--cache-budget", "150"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert parse_report(out)["workers"] == "1"
+    capsys.readouterr()
+    assert main(argv + ["--workers", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--workers must be >= 1" in err
+
+
 def _usage_error(foreign_sidecars, args, tmp_path, capsys) -> str:
     """Run `build` or `layout` (args[0]) on the fixture's dataset with the
     flag and value that follow; check that it exits 2 with an error and no
@@ -557,8 +578,7 @@ def _usage_error(foreign_sidecars, args, tmp_path, capsys) -> str:
     "command, flag, value, named",
     [("build", "--alpha", "nan", "alpha must be finite"),
      ("build", "--alpha", "inf", "alpha must be finite"),
-     ("build", "--pq-m", "-1", "--pq-m must be >= 0"),
-     ("layout", "--k-clusters", "-1", "--k-clusters must be >= 0")],
+     ("build", "--pq-m", "-1", "--pq-m must be >= 0")],
 )
 def test_bad_build_or_layout_flag_exits_2_naming_it(foreign_sidecars, command, flag, value, named,
                                                     tmp_path, capsys):

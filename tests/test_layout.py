@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import sys
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,6 @@ from diskvec.layout import (
     lloyd_cluster,
     load_layout,
     mean_intra_page_distance,
-    order_clusters,
     order_within_cluster,
     pack_pages,
     save_layout,
@@ -188,25 +188,6 @@ def test_order_within_cluster_ties_ascend_by_id():
     assert order.tolist() == [0, 1, 2, 3]
 
 
-# ------------------------------------------------------------- cluster chain
-
-
-def test_order_clusters_single():
-    assert order_clusters(np.array([[4.2]])).tolist() == [0]
-
-
-def test_order_clusters_line_example():
-    # centroids at 0, 10, 11; their mean is 7 -> start at 10, then 11, then 0
-    seq = order_clusters(np.array([[0.0], [10.0], [11.0]]))
-    assert seq.tolist() == [1, 2, 0]
-
-
-def test_order_clusters_is_permutation():
-    rng = np.random.default_rng(31)
-    cents = rng.normal(size=(13, 4))
-    assert sorted(order_clusters(cents).tolist()) == list(range(13))
-
-
 # --------------------------------------------------------------- page packing
 
 
@@ -318,6 +299,54 @@ def test_insertion_layout_is_identity():
     lm = build_insertion_layout(ds, page_capacity=7)
     assert lm.node_order.tolist() == list(range(50))
     assert lm.k_clusters == 1
+
+
+# ----------------------------------------------------------------- bisection
+
+
+@st.composite
+def _bisection_cases(draw):
+    dim = draw(st.integers(1, 4))
+    pts = _grid(draw, draw(st.integers(1, 60)), dim).astype(np.float32)
+    return _ds(pts), draw(st.integers(1, 9)), draw(st.integers(0, 3))
+
+
+@given(case=_bisection_cases())
+def test_bisection_packs_whole_pages_into_clusters_of_one_or_two(case):
+    ds, cap, seed = case
+    lm = build_similarity_layout(ds, page_capacity=cap, seed=seed)
+    _assert_layout_invariants(lm)
+    sizes = np.diff(np.append(lm.cluster_start, lm.n))
+    # every cluster starts on a page boundary, so no page holds two clusters
+    # and only the last page is partly filled
+    assert np.all(lm.cluster_start % cap == 0)
+    assert np.all(sizes[:-1] % cap == 0)
+    assert set(lm.cluster_page_count.tolist()) <= {1, 2}
+    again = build_similarity_layout(ds, page_capacity=cap, seed=seed)
+    assert np.array_equal(again.node_order, lm.node_order)
+    assert np.array_equal(again.cluster_start, lm.cluster_start)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bisection_keeps_separated_blobs_off_each_others_pages(seed):
+    rng = np.random.default_rng(41 + seed)
+    a = rng.normal(loc=0.0, scale=0.5, size=(12, 3))  # 3 pages of 4
+    b = rng.normal(loc=50.0, scale=0.5, size=(20, 3))  # 5 pages of 4
+    pts = np.vstack([a, b])[rng.permutation(32)]
+    ds = _ds(pts)
+    lm = build_similarity_layout(ds, page_capacity=4, seed=seed)
+    for page in range(lm.total_pages):
+        blob = {bool(ds.vectors[v, 0] > 25.0) for v in lm.nodes_on_page(page).tolist()}
+        assert len(blob) == 1, page
+
+
+def test_bisection_deeper_than_the_recursion_limit_builds():
+    # equal points leave 2-means one point for cluster 1, so every cut peels
+    # off one page: n - 2 nested splits
+    n = sys.getrecursionlimit() + 100
+    lm = build_similarity_layout(_ds(np.zeros((n, 1))), page_capacity=1, seed=0)
+    assert lm.k_clusters == n - 1
+    assert sorted(lm.node_order.tolist()) == list(range(n))
 
 
 # ------------------------------------------------------------------- sidecar

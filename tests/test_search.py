@@ -360,7 +360,7 @@ def _digest(smoke, budget: int, hit_kinds: bool = True) -> str:
 
 @pytest.mark.parametrize("budget, want", [
     (0, "5eaee220899d92dd3e9bd03a2048b5f3de72df80cab53a1cf9f2574b4e4330a3"),
-    (80, "5f85e1e2c64c939d77d45181d24be4fda75d0630a9465a901a435f916dbcdaee"),
+    (80, "4d7642d15328e713416fe30e7eabf22fe62e69e0ec2327e1a04c4ec4770a0d79"),
 ], ids=["0", "80"])
 def test_results_and_traces_match_pinned_digest(smoke, budget, want):
     # pinned from the search that read one page per miss and scored each
@@ -391,7 +391,10 @@ def test_results_and_traces_match_pinned_digest(smoke, budget, want):
     # either phase came to read their windows, runs came to grow through the
     # pages of the next beam's candidates and the smoke layout came to hold
     # one page per cluster (100 clusters, not 25): 119 misses became dynamic
-    # hits and 61 dynamic hits misses
+    # hits and 61 dynamic hits misses. Budget 80 was pinned again (5f85e1e2...
+    # -> 4d7642d1...) when the layout came to bisect parts of at most two
+    # pages (65 clusters, not 100): 93 misses became dynamic hits and 118
+    # dynamic hits misses
     assert _digest(smoke, budget) == want
 
 
@@ -756,6 +759,15 @@ def test_workload_reset_per_query_mode(smoke):
         cache.reset_dynamic()
         isolated = run_workload(smoke.queries[:20], params, index, cache, reset_per_query=True)
     assert persist.results == isolated.results  # transparency again
+
+
+def test_workload_reset_per_query_reports_one_worker(smoke):
+    # isolated queries run one at a time, whatever worker count is asked for
+    with smoke.index("sim") as index:
+        cache = smoke.cache(index, budget=80)
+        report = run_workload(smoke.queries[:4], SearchParams(k=10, l=40, theta=0.5), index,
+                              cache, workers=4, reset_per_query=True)
+    assert report.workers == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
