@@ -4,6 +4,9 @@
         --claimed io_ops_per_query --claimed-workload query-small-cache \
         --seeds 1-10 --seconds 20 --out BENCH_<sha>.json
 
+Without --claimed the file records the pairs and bounds of a change that
+claims no gain.
+
 Each side runs from its own `git archive` of its commit, in a fresh
 directory, through the unchanged `bench/run.py`. Per workload there is one
 pair per seed; the parent runs first on odd seeds and the change on even
@@ -60,8 +63,9 @@ def main() -> int:
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--claim", required=True)
-    parser.add_argument("--claimed", required=True, help="the end-to-end metric claimed")
-    parser.add_argument("--claimed-workload", required=True)
+    parser.add_argument("--claimed", default=None,
+                        help="the end-to-end metric claimed; omit when no gain is claimed")
+    parser.add_argument("--claimed-workload", default=None)
     parser.add_argument("--seeds", type=seeds_arg, default=seeds_arg("1-10"))
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--method-note", default="", help="appended to the method text")
@@ -129,10 +133,18 @@ def main() -> int:
                    for side in SIDES[::-1]},
             }
 
-    claimed = workloads[args.claimed_workload]["metrics"][args.claimed]
     pairs = len(args.seeds)
-    gap = abs(claimed["parent"]["median"] - claimed["change"]["median"])
-    met = claimed["change_wins"] >= 0.9 * pairs and gap > claimed["parent_iqr"]
+    verdict = "no gain claimed"
+    if args.claimed:
+        claimed = workloads[args.claimed_workload]["metrics"][args.claimed]
+        gap = abs(claimed["parent"]["median"] - claimed["change"]["median"])
+        met = claimed["change_wins"] >= 0.9 * pairs and gap > claimed["parent_iqr"]
+        verdict = (f"{'met' if met else 'not met'}: change won {claimed['change_wins']} of "
+                   f"{pairs} pairs; median {claimed['parent']['median']:.4f} -> "
+                   f"{claimed['change']['median']:.4f} "
+                   f"({claimed['median_change_over_parent'] - 1:+.1%}), a difference of "
+                   f"{gap:.4f} against the parent's interquartile range of "
+                   f"{claimed['parent_iqr']:.4f}")
     bounds = []
     for w, entry in workloads.items():
         for name, m in entry["metrics"].items():
@@ -146,12 +158,7 @@ def main() -> int:
     report = {
         "claim": args.claim,
         "verdict": {
-            "claim": f"{'met' if met else 'not met'}: change won {claimed['change_wins']} of "
-                     f"{pairs} pairs; median {claimed['parent']['median']:.4f} -> "
-                     f"{claimed['change']['median']:.4f} "
-                     f"({claimed['median_change_over_parent'] - 1:+.1%}), a difference of "
-                     f"{gap:.4f} against the parent's interquartile range of "
-                     f"{claimed['parent_iqr']:.4f}",
+            "claim": verdict,
             "bounds": "; ".join(bounds),
             "not_as_predicted": "",
         },
