@@ -37,10 +37,15 @@ DEFAULT_POLICY = "FIFO"
 
 @dataclass
 class CacheConfig:
-    """Budget split between the static node cache and the dynamic page cache."""
+    """Budget split between the static node cache and the dynamic page cache.
+
+    The static share defaults to 5%: about the entry and its first BFS hop on
+    the benchmark graph; nodes further out save fewer reads than the dynamic
+    pages their room buys (CHANGES.md has the sweep over budgets and seeds).
+    """
 
     total_budget_nodes: int
-    static_fraction: float = 0.2
+    static_fraction: float = 0.05
     policy: str = DEFAULT_POLICY
     seed: int = 0
 

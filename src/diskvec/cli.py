@@ -465,8 +465,8 @@ def _add_cache_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--static-frac",
         type=float,
-        default=_env_default("static-frac", 0.2),
-        help="fraction of the budget held by the static cache (default 0.2)",
+        default=_env_default("static-frac", CacheConfig.static_fraction),
+        help=f"fraction of the budget held by the static cache (default {CacheConfig.static_fraction})",
     )
     p.add_argument(
         "--policy",

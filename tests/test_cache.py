@@ -288,6 +288,24 @@ def test_cache_config_split():
     assert cfg.dynamic_capacity_pages(page_capacity=4) == 20
 
 
+def test_default_split_of_the_benchmark_budget():
+    # 400 node records in pages of 20: the entry's first hop plus 19 pages
+    cfg = CacheConfig(400)
+    assert cfg.static_capacity_nodes == 20
+    assert cfg.dynamic_capacity_pages(page_capacity=20) == 19
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    budget=st.integers(0, 100_000),
+    fraction=st.floats(0.0, 1.0),
+    cap=st.integers(1, 1_000),
+)
+def test_split_never_exceeds_the_budget(budget, fraction, cap):
+    cfg = CacheConfig(budget, fraction)
+    assert cfg.static_capacity_nodes + cfg.dynamic_capacity_pages(cap) * cap <= budget
+
+
 def test_cache_config_validation():
     with pytest.raises(ValueError):
         CacheConfig(total_budget_nodes=10, policy="LRU")
@@ -295,7 +313,7 @@ def test_cache_config_validation():
         CacheConfig(total_budget_nodes=10, static_fraction=1.5)
 
 
-@pytest.mark.parametrize("static_fraction", [0.0, 0.2, 0.9, 1.0])
+@pytest.mark.parametrize("static_fraction", [0.0, 0.05, 0.2, 0.9, 1.0])
 @pytest.mark.parametrize("window_pages", [0, 2, 5])
 def test_auto_budget_is_the_smallest_that_holds_a_window(smoke, static_fraction, window_pages):
     with smoke.index("sim") as index:

@@ -9,7 +9,8 @@ import struct
 import numpy as np
 import pytest
 
-from diskvec.cli import is_timing_key, main, parse_report
+from diskvec.cache import CacheConfig
+from diskvec.cli import build_parser, is_timing_key, main, parse_report
 from diskvec.graphbuild import load_graph
 from diskvec.layout import _HEADER as _LAYOUT_HEADER
 from diskvec.vecdata import load_fvecs, load_ivecs, write_fvecs
@@ -373,6 +374,14 @@ def test_env_variable_overrides_flag_default(tmp_path, monkeypatch, capsys):
         main(["bench", "--index-dir", str(tmp_path), "--queries", str(out)])
     assert exc.value.code == 2
     assert "DISKVEC_POLICY" in capsys.readouterr().err
+
+
+def test_static_frac_default_is_the_cache_config_default(monkeypatch):
+    monkeypatch.delenv("DISKVEC_STATIC_FRAC", raising=False)
+    argv = ["bench", "--index-dir", "idx", "--queries", "q.fvecs"]
+    assert build_parser().parse_args(argv).static_frac == CacheConfig.static_fraction
+    monkeypatch.setenv("DISKVEC_STATIC_FRAC", "0.3")
+    assert build_parser().parse_args(argv).static_frac == 0.3
 
 
 def test_layout_insertion_identity_and_content_preserved(tmp_path):
