@@ -289,7 +289,7 @@ def test_cache_config_split():
 
 
 def test_default_split_of_the_benchmark_budget():
-    # 400 node records in pages of 20: the entry's first hop plus 19 pages
+    # the small-cache benchmark budget, in pages of 20 node records
     cfg = CacheConfig(400)
     assert cfg.static_capacity_nodes == 20
     assert cfg.dynamic_capacity_pages(page_capacity=20) == 19
