@@ -33,6 +33,7 @@ from .layout import LayoutMap
 
 POLICIES = ("LFU", "FIFO", "RANDOM")
 DEFAULT_POLICY = "FIFO"
+PRELOAD_GAP_PAGES = 3  # unread pages a static-preload request may read through
 
 
 @dataclass
@@ -135,10 +136,13 @@ def preload_static(
     hops while they fit and truncating the final hop by ascending node id.
 
     Each page is read once: per hop, the pages of the admitted nodes that no
-    earlier hop read, one request per run of consecutive page ids. Entries
-    are copies of the on-disk (vector, adjacency) bytes, so cached answers are
-    identical to direct reads and the page buffers are freed on return.
-    `graph` is unused; bench/ still passes one.
+    earlier hop read, one request per run of consecutive page ids. A run
+    reads through gaps of up to PRELOAD_GAP_PAGES pages that no hop has read,
+    as one request of a few pages more costs less than another request, and
+    how many runs a hop's scattered pages form would otherwise vary from one
+    graph to the next. Entries are copies of the on-disk (vector, adjacency)
+    bytes, so cached answers are identical to direct reads and the page
+    buffers are freed on return. `graph` is unused; bench/ still passes one.
     """
     entries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     if capacity_nodes <= 0:
@@ -149,7 +153,12 @@ def preload_static(
     while hop and len(entries) < capacity_nodes:
         room = capacity_nodes - len(entries)
         admit = hop if len(hop) <= room else hop[:room]
-        unread = {layout.page_of(node) for node in admit} - pages.keys()
+        needed = sorted({layout.page_of(node) for node in admit} - pages.keys())
+        unread = set(needed)
+        for a, b in zip(needed, needed[1:]):
+            gap = range(a + 1, b)
+            if len(gap) <= PRELOAD_GAP_PAGES and pages.keys().isdisjoint(gap):
+                unread.update(gap)
         for run in reader.read_pages(unread):
             pages.update((page.page_id, page) for page in run)
         for node in admit:

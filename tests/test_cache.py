@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from diskvec.cache import (
     POLICIES,
+    PRELOAD_GAP_PAGES,
     CacheConfig,
     DynamicCache,
     HitStats,
@@ -376,6 +377,29 @@ def _runs(pages: set[int]) -> int:
     return sum(1 for i, p in enumerate(ids) if i == 0 or p != ids[i - 1] + 1)
 
 
+def _preload_reads(graph, lm, capacity: int) -> tuple[int, int, int]:
+    """(requests, pages, nodes) of the preload, walked on the graph the index
+    was written from: per hop, the admitted nodes' pages that no earlier hop
+    read, plus each gap of up to PRELOAD_GAP_PAGES pages between two of them
+    that holds no page read before, one request per run."""
+    ops, read, hop, visited, admitted = 0, set(), [graph.entry_id], {graph.entry_id}, 0
+    while hop and admitted < capacity:
+        admit = hop[: capacity - admitted]
+        admitted += len(admit)
+        new = sorted({lm.page_of(node) for node in admit} - read)
+        span = set(new)
+        for a, b in zip(new, new[1:]):
+            gap = set(range(a + 1, b))
+            if len(gap) <= PRELOAD_GAP_PAGES and not gap & read:
+                span |= gap
+        ops += _runs(span)
+        read |= span
+        nxt = {j for node in hop for j in graph.adjacency[node].tolist()} - visited
+        visited |= nxt
+        hop = sorted(nxt)
+    return ops, len(read), admitted
+
+
 def test_preload_reads_each_page_once_in_runs_per_hop(smoke):
     lm, graph = smoke.layout_sim, smoke.graph
     with smoke.index("sim").reader as r:
@@ -383,31 +407,50 @@ def test_preload_reads_each_page_once_in_runs_per_hop(smoke):
             r.stats.reset()
             entries = preload_static(graph, r, lm, capacity)
             ops, pages_read, _ = r.stats.snapshot()
-            assert pages_read == len({lm.page_of(node) for node in entries})
-            # the hops of the BFS as the preload admits them, from the graph
-            # the index was written from
-            want_ops, read, hop, visited = 0, set(), [graph.entry_id], {graph.entry_id}
-            admitted = 0
-            while hop and admitted < capacity:
-                admit = hop[: capacity - admitted]
-                admitted += len(admit)
-                new = {lm.page_of(node) for node in admit} - read
-                want_ops += _runs(new)
-                read |= new
-                nxt = {j for node in hop for j in graph.adjacency[node].tolist()} - visited
-                visited |= nxt
-                hop = sorted(nxt)
-            assert admitted == len(entries)
-            assert ops == want_ops
+            assert (ops, pages_read, len(entries)) == _preload_reads(graph, lm, capacity)
+            assert pages_read >= len({lm.page_of(node) for node in entries})
+
+
+def test_preload_reads_through_short_gaps_no_hop_has_read(tmp_path):
+    # one node per page, so node v is on page v; the entry 3 has leaves on
+    # pages 2, 4, 8 and 13. Page 3 lies between 2 and 4 but hop 0 read it, so
+    # they stay apart; 5-7 lie between 4 and 8 and are read through; 9-12 are
+    # one page too many
+    leaves = [2, 4, 8, 13]
+    vecs = np.zeros((14, 2), dtype=np.float32)
+    vecs[:, 0] = np.arange(14)
+    adjacency = [[3] for _ in range(14)]
+    adjacency[3] = leaves
+    _, graph, lm, path, _, _ = write_custom_index(
+        tmp_path, vecs, adjacency, entry=3, R=4, page_size=48
+    )
+    from diskvec.diskstore import IndexReader
+
+    assert PRELOAD_GAP_PAGES == 3
+    assert [lm.page_of(v) for v in range(14)] == list(range(14))
+    with IndexReader(path) as r:
+        runs = []
+        read_pages = r.read_pages
+
+        def recording(page_ids):
+            out = read_pages(page_ids)
+            runs.extend([page.page_id for page in run] for run in out)
+            return out
+
+        r.read_pages = recording
+        entries = preload_static(graph, r, lm, 5)
+        assert r.stats.snapshot()[:2] == (4, 8)
+    assert set(entries) == {3, *leaves}
+    assert runs == [[3], [2], [4, 5, 6, 7, 8], [13]]
 
 
 def test_from_config_keeps_the_preload_cost(smoke):
     with smoke.index("sim") as index:
         cache = HybridCache.from_config(CacheConfig(150, static_fraction=0.5), index)
         assert index.reader.stats.snapshot() == (0, 0, 0)
-        want = len({index.layout.page_of(node) for node in cache.static})
-        assert cache.preload_pages_read == want
-        assert 0 < cache.preload_io_ops <= want
+        ops, pages, nodes = _preload_reads(smoke.graph, index.layout, 75)
+        assert len(cache.static) == nodes
+        assert (cache.preload_io_ops, cache.preload_pages_read) == (ops, pages)
         blank = HybridCache.from_config(CacheConfig(0), index)
         assert (blank.preload_io_ops, blank.preload_pages_read) == (0, 0)
 
