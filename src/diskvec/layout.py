@@ -127,7 +127,6 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     diff = points - centers[0]
     d2 = np.einsum("ij,ij->i", diff, diff)
     for j in range(1, k):
-        d2[chosen] = 0.0
         total = float(d2.sum())
         if total <= 0.0:
             idx = int(np.nonzero(~chosen)[0][0])
@@ -146,11 +145,11 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 def lloyd_cluster(
     points: np.ndarray, k: int, max_iters: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's iteration over a plain (n, d) array; shared by the layout and the
     product-quantizer trainer.
 
-    Returns (centroids float64 (k, d), assignment int32 (n,), distortion history).
+    Returns (centroids float64 (k, d), assignment int32 (n,)).
     Empty clusters are repaired by stealing the point currently farthest from
     its own centroid (ties to the lowest id). Deterministic for a fixed seed.
     """
@@ -163,7 +162,6 @@ def lloyd_cluster(
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(pts, k, rng)
     assignment = np.full(n, -1, dtype=np.int32)
-    history: list[float] = []
 
     for _ in range(max_iters):
         nearest, own = nearest_center(pts, centers)
@@ -184,11 +182,9 @@ def lloyd_cluster(
         sums = np.zeros_like(centers)
         np.add.at(sums, assignment, pts)
         centers = sums / counts[:, None]
-        diff = pts - centers[assignment]
-        history.append(float(np.einsum("ij,ij->", diff, diff)))
         if converged:
             break
-    return centers, assignment, history
+    return centers, assignment
 
 
 def order_within_cluster(
@@ -204,24 +200,20 @@ def order_within_cluster(
         raise ValueError("cluster member list must be nonempty")
     pts = dataset.vectors[members].astype(np.float64)
     c = np.asarray(centroid, dtype=np.float64)
-    d2 = np.einsum("ij,ij->i", pts - c, pts - c)
+    diff = pts - c
+    d2 = np.einsum("ij,ij->i", diff, diff)
     return members[np.lexsort((members, d2))]
 
 
-def pack_pages(
-    cluster_sequence: np.ndarray,
-    cluster_orders: list[np.ndarray],
-    page_capacity: int,
-) -> LayoutMap:
-    """Concatenate per-cluster orders in sequence order and fill pages.
+def pack_pages(cluster_orders: list[np.ndarray], page_capacity: int) -> LayoutMap:
+    """Concatenate per-cluster orders in list order and fill pages.
 
     Pages are filled strictly sequentially, so cluster boundaries and page
     boundaries interleave: a page may hold the tail of one cluster and the
-    head of the next. The placed clusters are numbered in disk order.
+    head of the next. Cluster c is the c-th order of the list.
     """
-    placed = [cluster_orders[c] for c in cluster_sequence]
-    sizes = [order.shape[0] for order in placed]
-    return LayoutMap(np.concatenate(placed), np.cumsum([0] + sizes[:-1]), page_capacity)
+    sizes = [order.shape[0] for order in cluster_orders]
+    return LayoutMap(np.concatenate(cluster_orders), np.cumsum([0] + sizes[:-1]), page_capacity)
 
 
 def build_similarity_layout(
@@ -254,7 +246,7 @@ def build_similarity_layout(
         if ids.size <= 2 * page_capacity:
             orders.append(order_within_cluster(ids, pts.mean(axis=0), dataset))
             continue
-        centers, assignment, _ = lloyd_cluster(pts, 2, max_iters, int(rng.integers(2**32)))
+        centers, assignment = lloyd_cluster(pts, 2, max_iters, int(rng.integers(2**32)))
         diff = pts - centers[0]
         score = np.einsum("ij,ij->i", diff, diff)
         np.subtract(pts, centers[1], out=diff)
@@ -264,7 +256,7 @@ def build_similarity_layout(
         size0 = int(np.count_nonzero(assignment == 0))
         cut = min(max((2 * size0 + page_capacity) // (2 * page_capacity), 1), pages - 1)
         stack += [ids[cut * page_capacity:], ids[: cut * page_capacity]]
-    return pack_pages(np.arange(len(orders)), orders, page_capacity)
+    return pack_pages(orders, page_capacity)
 
 
 def build_insertion_layout(dataset: VectorDataset, page_capacity: int) -> LayoutMap:

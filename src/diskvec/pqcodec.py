@@ -72,7 +72,7 @@ def train(
     centroids = np.empty((m, c, sub), dtype=np.float32)
     for j in range(m):
         block = dataset.vectors[:, j * sub : (j + 1) * sub]
-        centers, _, _ = lloyd_cluster(block, c, max_iters=iters, seed=seed + j)
+        centers, _ = lloyd_cluster(block, c, max_iters=iters, seed=seed + j)
         centroids[j] = centers.astype(np.float32)
     return PQCodebook(centroids=centroids)
 

@@ -199,7 +199,7 @@ def test_criterion_04_phase2_hit_rate_separation(corpus):
 def test_criterion_05_read_interval_cases(corpus):
     def fig_layout(orders, capacity=3):
         arrays = [np.array(o, dtype=np.int64) for o in orders]
-        return pack_pages(np.arange(len(arrays)), arrays, capacity)
+        return pack_pages(arrays, capacity)
 
     # case 1: the target's cluster spans the window; stay inside it
     lm = fig_layout([[0, 1, 3], [2, 5, 9, 4], [6, 7, 8]])
@@ -236,7 +236,7 @@ def test_criterion_06_packing_defers_peripheral_member(corpus):
     order = layoutmod.order_within_cluster(members, centroid, ds)
     assert order[-1] == 4  # the centroid-farthest member comes last
     rest = np.array([i for i in range(10) if i not in members.tolist()], dtype=np.int64)
-    lm = pack_pages(np.array([0, 1]), [order, rest], 3)
+    lm = pack_pages([order, rest], 3)
     assert set(lm.nodes_on_page(0).tolist()) == {2, 5, 9}
     assert lm.nodes_on_page(1)[0] == 4
     _ok(6, "cluster {2,4,5,9} at capacity 3 defers the centroid-farthest member (4)")

@@ -17,6 +17,7 @@ from diskvec.errors import FormatError
 from diskvec.layout import (
     _HEADER,
     LayoutMap,
+    _kmeans_pp_init,
     build_insertion_layout,
     build_similarity_layout,
     compute_read_interval,
@@ -42,17 +43,23 @@ def _ds(arr) -> VectorDataset:
 
 def test_kmeans_k1_is_global_mean():
     ds = _ds([[0.0, 0.0], [2.0, 0.0], [4.0, 6.0]])
-    centroids, assignment, _ = lloyd_cluster(ds.vectors, 1, 25, seed=0)
+    centroids, assignment = lloyd_cluster(ds.vectors, 1, 25, seed=0)
     assert assignment.tolist() == [0, 0, 0]
     assert np.allclose(centroids[0], ds.vectors.mean(axis=0), atol=1e-6)
+
+
+def _distortion(points: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> float:
+    """Summed squared distance of each point to its assigned centroid."""
+    diff = np.asarray(points, dtype=np.float64) - centroids[assignment]
+    return float(np.einsum("ij,ij->", diff, diff))
 
 
 def test_kmeans_saturated_zero_distortion():
     rng = np.random.default_rng(21)
     ds = _ds(rng.normal(size=(12, 3)))
-    _, assignment, history = lloyd_cluster(ds.vectors, 12, 25, seed=1)
+    centroids, assignment = lloyd_cluster(ds.vectors, 12, 25, seed=1)
     assert sorted(assignment.tolist()) == list(range(12))
-    assert history[-1] == pytest.approx(0.0, abs=1e-12)
+    assert _distortion(ds.vectors, centroids, assignment) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kmeans_two_blobs_recovers_membership():
@@ -60,7 +67,7 @@ def test_kmeans_two_blobs_recovers_membership():
     a = rng.normal(loc=(0.0, 0.0), scale=0.3, size=(25, 2))
     b = rng.normal(loc=(20.0, 20.0), scale=0.3, size=(25, 2))
     ds = _ds(np.vstack([a, b]))
-    centroids, assignment, _ = lloyd_cluster(ds.vectors, 2, 25, seed=2)
+    centroids, assignment = lloyd_cluster(ds.vectors, 2, 25, seed=2)
     first_half = set(assignment[:25].tolist())
     second_half = set(assignment[25:].tolist())
     assert len(first_half) == 1 and len(second_half) == 1
@@ -72,8 +79,10 @@ def test_kmeans_two_blobs_recovers_membership():
 
 
 def test_kmeans_distortion_non_increasing():
-    pts = make_blobs(200, 4, 5, seed=23)
-    _, _, hist = lloyd_cluster(_ds(pts).vectors, 8, 30, seed=3)
+    # a run cut at max_iters=i follows the same trajectory for its first i
+    # iterations, so these are the distortions after each iteration
+    pts = _ds(make_blobs(200, 4, 5, seed=23)).vectors
+    hist = [_distortion(pts, *lloyd_cluster(pts, 8, i, seed=3)) for i in range(1, 31)]
     assert all(hist[i + 1] <= hist[i] * (1 + 1e-12) for i in range(len(hist) - 1))
 
 
@@ -81,14 +90,14 @@ def test_kmeans_no_empty_clusters_random_cases():
     rng = np.random.default_rng(24)
     for trial in range(5):
         pts = rng.normal(size=(30, 2))
-        _, assignment, _ = lloyd_cluster(_ds(pts).vectors, 10, 25, seed=trial)
+        _, assignment = lloyd_cluster(_ds(pts).vectors, 10, 25, seed=trial)
         assert len(set(assignment.tolist())) == 10
 
 
 def test_kmeans_determinism():
     pts = make_blobs(80, 3, 3, seed=25)
-    a_centroids, a_assignment, _ = lloyd_cluster(pts, 5, 25, seed=9)
-    b_centroids, b_assignment, _ = lloyd_cluster(pts, 5, 25, seed=9)
+    a_centroids, a_assignment = lloyd_cluster(pts, 5, 25, seed=9)
+    b_centroids, b_assignment = lloyd_cluster(pts, 5, 25, seed=9)
     assert np.array_equal(a_assignment, b_assignment)
     assert np.array_equal(a_centroids, b_centroids)
 
@@ -96,7 +105,7 @@ def test_kmeans_determinism():
 @pytest.mark.parametrize("dim", [1, 2, 16])
 def test_kmeans_centroids_are_member_means(dim):
     pts = make_blobs(300, dim, 4, seed=26).astype(np.float64)
-    centroids, assignment, _ = lloyd_cluster(pts, 7, 25, seed=4)
+    centroids, assignment = lloyd_cluster(pts, 7, 25, seed=4)
     for j in range(7):
         expect = pts[assignment == j].mean(axis=0)
         if dim == 1:
@@ -116,6 +125,18 @@ def _grid(draw, rows: int, dim: int) -> np.ndarray:
     distances are common."""
     coords = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
     return np.array(draw(st.lists(coords, min_size=rows, max_size=rows)), dtype=np.float64)
+
+
+@given(data=st.data())
+def test_kmeans_pp_init_seeds_distinct_rows(data):
+    # a chosen point's own distance is an exact 0, so it is never drawn again
+    pts = _grid(data.draw, data.draw(st.integers(1, 40)), data.draw(st.integers(1, 4)))
+    distinct = np.unique(pts, axis=0).shape[0]
+    k = data.draw(st.integers(1, distinct))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    centers = _kmeans_pp_init(pts, k, rng)
+    assert np.unique(centers, axis=0).shape[0] == k
+    assert all((pts == c).all(axis=1).any() for c in centers)
 
 
 @st.composite
@@ -193,7 +214,7 @@ def test_order_within_cluster_ties_ascend_by_id():
 
 def test_pack_pages_occupancies():
     orders = [np.arange(10, dtype=np.int64)]
-    lm = pack_pages(np.array([0]), orders, 3)
+    lm = pack_pages(orders, 3)
     assert lm.total_pages == 4
     occ = [lm.nodes_on_page(p).shape[0] for p in range(4)]
     assert occ == [3, 3, 3, 1]
@@ -210,7 +231,7 @@ def test_pack_pages_peripheral_member_starts_next_page():
     centroid = coords[members].mean(axis=0)
     order = order_within_cluster(members, centroid, ds)
     rest = np.array([i for i in range(10) if i not in members.tolist()], dtype=np.int64)
-    lm = pack_pages(np.array([0, 1]), [order, rest], 3)
+    lm = pack_pages([order, rest], 3)
     assert set(lm.nodes_on_page(0).tolist()) == {2, 5, 9}
     assert lm.nodes_on_page(1)[0] == 4
 
@@ -218,7 +239,7 @@ def test_pack_pages_peripheral_member_starts_next_page():
 def test_pack_pages_rank_round_trip():
     rng = np.random.default_rng(32)
     order = rng.permutation(23).astype(np.int64)
-    lm = pack_pages(np.array([0]), [order], 4)
+    lm = pack_pages([order], 4)
     for v in range(23):
         assert lm.node_order[lm.node_rank[v]] == v
     assert sorted(lm.node_order.tolist()) == list(range(23))
@@ -229,7 +250,7 @@ def test_pack_pages_rank_round_trip():
 
 def _fig_layout(orders: list[list[int]], capacity: int = 3) -> LayoutMap:
     arrays = [np.array(o, dtype=np.int64) for o in orders]
-    return pack_pages(np.arange(len(arrays)), arrays, capacity)
+    return pack_pages(arrays, capacity)
 
 
 def test_read_interval_case1_stays_inside_large_cluster():
@@ -424,8 +445,7 @@ def _random_layouts(draw) -> LayoutMap:
     cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=8))) if n > 1 else []
     pieces = np.split(order, cuts)
     sequence = draw(st.permutations(range(len(pieces))))
-    orders = [pieces[sequence.index(c)] for c in range(len(pieces))]
-    return pack_pages(np.array(sequence), orders, draw(st.integers(1, 9)))
+    return pack_pages([pieces[c] for c in sequence], draw(st.integers(1, 9)))
 
 
 @given(lm=_random_layouts())
