@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +98,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit_report(pairs: list[tuple[str, object]], out_path: str | Path | None) -> None:
+def _emit_report(pairs: Iterable[tuple[str, object]], out_path: str | Path | None) -> None:
     text = "".join(f"{k}={_fmt(v)}\n" for k, v in pairs)
     if out_path:
         Path(out_path).write_text(text)
@@ -106,9 +107,13 @@ def _emit_report(pairs: list[tuple[str, object]], out_path: str | Path | None) -
 
 
 def _fields(obj, prefix: str = "") -> list[tuple[str, object]]:
-    """A dataclass's scalar fields as report pairs: the lower-cased field
-    names, prefixed, are the keys, in declaration order."""
-    pairs = [(prefix + f.name.lower(), getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+    """A dataclass's scalar fields, or the parsed flags, as report pairs: the
+    lower-cased field names or flag dests, prefixed, are the keys, in
+    declaration order (for flags: `command`, then the subcommand's flags)."""
+    if isinstance(obj, argparse.Namespace):
+        pairs = [(prefix + k, v) for k, v in vars(obj).items()]
+    else:
+        pairs = [(prefix + f.name.lower(), getattr(obj, f.name)) for f in dataclasses.fields(obj)]
     return [(k, v) for k, v in pairs if v is None or isinstance(v, (int, float, str))]
 
 
@@ -148,23 +153,11 @@ def cmd_synth(args: argparse.Namespace) -> None:
     membership = rng.integers(0, args.blobs, size=args.n)
     base = centers[membership] + rng.normal(0.0, args.spread, size=(args.n, args.dim))
     vecdata.write_fvecs(args.out, base.astype(np.float32))
-    pairs = [
-        ("command", "synth"),
-        ("out", args.out),
-        ("n", args.n),
-        ("dim", args.dim),
-        ("blobs", args.blobs),
-        ("spread", float(args.spread)),
-        ("center_spread", float(args.center_spread)),
-        ("seed", args.seed),
-        ("queries", args.queries),
-    ]
     if args.queries > 0:
         q_membership = rng.integers(0, args.blobs, size=args.queries)
         qs = centers[q_membership] + rng.normal(0.0, args.spread, size=(args.queries, args.dim))
         vecdata.write_fvecs(args.queries_out, qs.astype(np.float32))
-        pairs.append(("queries_out", args.queries_out))
-    _emit_report(pairs, None)
+    _emit_report(_fields(args), None)
 
 
 def cmd_build(args: argparse.Namespace) -> None:
@@ -186,24 +179,20 @@ def cmd_build(args: argparse.Namespace) -> None:
     graphbuild.save_graph(out_dir / GRAPH_FILE, graph)
     pqcodec.save_pq(out_dir / PQ_FILE, codebook, codes)
     degrees = np.array([neigh.size for neigh in graph.adjacency])
-    pairs = [
-        ("command", "build"),
-        ("n", dataset.n),
-        ("dim", dataset.dim),
-        ("r", args.r),
-        ("l_build", args.l_build),
-        ("alpha", float(args.alpha)),
-        ("seed", args.seed),
-        ("pq_m", pq_m),
-        ("pq_c", pq_c),
-        ("pq_iters", args.pq_iters),
-        ("entry_id", graph.entry_id),
-        ("mean_degree", float(degrees.mean())),
-        ("max_degree", int(degrees.max())),
-        ("repair_edges", repair_edges),
-    ]
-    _emit_report(pairs, out_dir / BUILD_META_FILE)
-    _emit_report(pairs + [("out_dir", str(out_dir))], None)
+    # the flags, with the PQ sizes the run used in place, then the measures
+    report = dict(
+        _fields(args),
+        pq_m=pq_m,
+        pq_c=pq_c,
+        n=dataset.n,
+        dim=dataset.dim,
+        entry_id=graph.entry_id,
+        mean_degree=float(degrees.mean()),
+        max_degree=int(degrees.max()),
+        repair_edges=repair_edges,
+    )
+    _emit_report(report.items(), out_dir / BUILD_META_FILE)
+    _emit_report(report.items(), None)
 
 
 def cmd_layout(args: argparse.Namespace) -> None:
@@ -232,20 +221,15 @@ def cmd_layout(args: argparse.Namespace) -> None:
         layout_kind=kind_name,
     )
     layoutmod.save_layout(index_dir / LAYOUT_FILE, lm)
-    _emit_report(
-        [
-            ("command", "layout"),
-            ("index_dir", str(index_dir)),
-            ("kind", kind_name),
-            ("k_clusters", lm.k_clusters),
-            ("page_size", args.page_size),
-            ("page_capacity", header.page_capacity),
-            ("total_pages", header.total_pages),
-            ("kmeans_iters", args.kmeans_iters),
-            ("seed", args.seed),
-        ],
-        None,
+    # the flags, with the kind's header name in place, then the measures
+    report = dict(
+        _fields(args),
+        kind=kind_name,
+        k_clusters=lm.k_clusters,
+        page_capacity=header.page_capacity,
+        total_pages=header.total_pages,
     )
+    _emit_report(report.items(), None)
 
 
 def cmd_gt(args: argparse.Namespace) -> None:
@@ -253,17 +237,7 @@ def cmd_gt(args: argparse.Namespace) -> None:
     queries = vecdata.load_fvecs(args.queries)
     ids = vecdata.ground_truth_batch(dataset, queries.vectors, args.k)
     vecdata.write_ivecs(args.out, ids.astype(np.int32))
-    _emit_report(
-        [
-            ("command", "gt"),
-            ("dataset", args.dataset),
-            ("queries", args.queries),
-            ("k", args.k),
-            ("query_count", queries.n),
-            ("out", args.out),
-        ],
-        None,
-    )
+    _emit_report([*_fields(args), ("query_count", queries.n)], None)
 
 
 def cmd_calibrate(args: argparse.Namespace) -> None:
@@ -275,19 +249,9 @@ def cmd_calibrate(args: argparse.Namespace) -> None:
             k=args.k, l=args.l, sample_fraction=args.fraction, seed=args.seed,
             beam_width=args.beam_width,
         )
-    pairs = [
-        ("theta", float(cal.theta)),
-        ("k", args.k),
-        ("l", args.l),
-        ("fraction", float(args.fraction)),
-        ("seed", args.seed),
-        ("beam_width", args.beam_width),
-        ("sample_count", cal.sample_count),
-        ("usable_count", cal.usable_count),
-        ("early_count", cal.early_count),
-    ]
+    pairs = [*_fields(args), *_fields(cal)]
     _emit_report(pairs, index_dir / THETA_FILE)
-    _emit_report([("command", "calibrate"), ("index_dir", str(index_dir))] + pairs, None)
+    _emit_report(pairs, None)
 
 
 def _search_params(args: argparse.Namespace, index_dir: Path) -> tuple[search.SearchParams, str]:
@@ -355,6 +319,7 @@ def cmd_query(args: argparse.Namespace) -> None:
     pairs: list[tuple[str, object]] = [
         ("command", "query"),
         ("index_dir", str(index_dir)),
+        ("queries", args.queries),
         ("qid", args.qid),
         *_fields(params),
         ("theta_source", theta_source),
@@ -438,14 +403,8 @@ def cmd_compare(args: argparse.Namespace) -> None:
     ratio = report_a.mean_io_ops / report_b.mean_io_ops if report_b.mean_io_ops else float("inf")
     pairs.extend(
         [
-            ("compare_io_ops_a", report_a.mean_io_ops),
-            ("compare_io_ops_b", report_b.mean_io_ops),
             ("compare_io_ops_ratio_a_over_b", ratio),
             ("compare_io_reduction_pct_a_vs_b", (1.0 - ratio) * 100.0),
-            ("compare_phase2_hit_rate_a", report_a.hit_rate_phase2),
-            ("compare_phase2_hit_rate_b", report_b.hit_rate_phase2),
-            ("compare_recall_a", report_a.recall_at_k),
-            ("compare_recall_b", report_b.recall_at_k),
             ("compare_qps_ratio_a_over_b", report_a.qps / report_b.qps if report_b.qps else float("inf")),
         ]
     )
@@ -482,10 +441,16 @@ def _add_cache_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_search_flags(p: argparse.ArgumentParser, k_default: int = 100) -> None:
+def _add_beam_flags(p: argparse.ArgumentParser, k_default: int = 100) -> None:
+    """--k, --l and --beam-width: calibrate's search flags, and the first of
+    the others'."""
     p.add_argument("--k", type=int, default=_env_default("k", k_default))
     p.add_argument("--l", type=int, default=_env_default("l", 128))
     p.add_argument("--beam-width", type=int, default=_env_default("beam-width", 4))
+
+
+def _add_search_flags(p: argparse.ArgumentParser, k_default: int = 100) -> None:
+    _add_beam_flags(p, k_default)
     p.add_argument(
         "--theta",
         type=float,
@@ -513,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="diskvec",
         description="Disk-resident ANN graph index benchmark tool",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a Gaussian-blob dataset (fvecs)")
     p.add_argument("--out", required=True)
@@ -562,11 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="estimate the transition threshold theta")
     p.add_argument("--index-dir", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--k", type=int, default=_env_default("k", 100))
-    p.add_argument("--l", type=int, default=_env_default("l", 128))
+    _add_beam_flags(p)
     p.add_argument("--fraction", type=float, default=_env_default("fraction", 0.01))
     p.add_argument("--seed", type=int, default=_env_default("seed", 0))
-    p.add_argument("--beam-width", type=int, default=_env_default("beam-width", 4))
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("query", help="run one query and print results plus stats")

@@ -177,9 +177,7 @@ def write_index(
     degrees = np.array([a.size for a in graph.adjacency], dtype=np.uint16)
     if int(degrees.max(initial=0)) > R:
         raise InvariantError("graph degree exceeds R")
-    padded = np.zeros((n, R), dtype=np.uint32)
-    for i, neigh in enumerate(graph.adjacency):
-        padded[i, : neigh.size] = neigh
+    filled = np.arange(R)  # slot j of a node holds a neighbour when j < its degree
 
     dtype = _slot_dtype(dim, R)
     header = IndexHeader(
@@ -204,7 +202,10 @@ def write_index(
             slots["node_id"] = nodes
             slots["vector"] = dataset.vectors[nodes]
             slots["degree"] = degrees[nodes]
-            slots["neighbors"] = padded[nodes]
+            if slots["degree"].any():
+                slots["neighbors"][filled < slots["degree"][:, None]] = np.concatenate(
+                    [graph.adjacency[i] for i in nodes]
+                )
             f.write(slots.tobytes().ljust(page_size, b"\x00"))
     return header
 

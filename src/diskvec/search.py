@@ -329,7 +329,6 @@ class WorkloadReport:
     mean_io_ops: float
     mean_pages_read: float
     mean_bytes_read: float
-    mean_pages_admitted: float  # mean_pages_read when the dynamic cache has pages, else 0
     mean_evictions: float
     hit_rate_phase1: float
     hit_rate_phase2: float
@@ -419,7 +418,6 @@ def run_workload(
     lat = np.array([st.latency_s for st in all_stats]) * 1e3
     page_size = index.reader.header.page_size
     hits_total = sum((st.hits for st in all_stats), HitStats())
-    mean_pages_read = float(np.mean([st.pages_read for st in all_stats]))
 
     return WorkloadReport(
         query_count=Q,
@@ -433,9 +431,8 @@ def run_workload(
         latency_p99_ms=float(np.percentile(lat, 99)),
         recall_at_k=mean_recall,
         mean_io_ops=float(np.mean([st.io_ops for st in all_stats])),
-        mean_pages_read=mean_pages_read,
+        mean_pages_read=float(np.mean([st.pages_read for st in all_stats])),
         mean_bytes_read=float(np.mean([st.pages_read * page_size for st in all_stats])),
-        mean_pages_admitted=mean_pages_read if cache.dynamic_capacity_pages > 0 else 0.0,
         mean_evictions=float(np.mean([st.evictions for st in all_stats])),
         hit_rate_phase1=hits_total.phase1.hit_rate,
         hit_rate_phase2=hits_total.phase2.hit_rate,

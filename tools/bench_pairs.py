@@ -15,6 +15,9 @@ the change's BENCHMARK.json. One traced run per side (change first) on the
 first seed of each workload fills "traced". The file's "verdict" states the
 claimed metric's result and each metric's median against its bound; what
 the runs showed beyond that is added by hand as verdict.not_as_predicted.
+The record's keys are written into --out, which keeps any other keys it
+already holds (such as those of tools/layout_scale.py and
+tools/static_share.py).
 """
 
 from __future__ import annotations
@@ -51,6 +54,14 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> tu
 def summary(runs: list[float]) -> dict:
     q1, median, q3 = np.percentile(runs, [25, 50, 75])
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "runs": runs}
+
+
+def merge_into(path: Path, record: dict) -> None:
+    """Write record's keys into the JSON object at path, keeping its other
+    keys; a missing file starts empty."""
+    report = json.loads(path.read_text()) if path.exists() else {}
+    report.update(record)
+    path.write_text(json.dumps(report, indent=1) + "\n")
 
 
 def seeds_arg(text: str) -> list[int]:
@@ -155,7 +166,7 @@ def main() -> int:
                           f"by {abs(worse):.2%} against a bound of {m['bound']:.0%}; "
                           f"change better in {m['change_wins']}, worse in {m['change_losses']}, "
                           f"tied in {m['ties']} of {pairs} pairs)")
-    report = {
+    merge_into(args.out, {
         "claim": args.claim,
         "verdict": {
             "claim": verdict,
@@ -174,8 +185,7 @@ def main() -> int:
         "host": host,
         "traced": traced,
         "workloads": workloads,
-    }
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    })
     return 0
 
 

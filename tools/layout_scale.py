@@ -25,7 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
-from bench_pairs import export  # noqa: E402
+from bench_pairs import export, merge_into  # noqa: E402
 
 DIM, BLOBS, PAGE_CAPACITY = 16, 8, 20
 
@@ -93,8 +93,7 @@ def main() -> int:
                 commits[sha][str(n)] = {"best_s": min(times[sha]), "times_s": times[sha],
                                         **measure(sha, n, traced=True)}
 
-    report = json.loads(args.out.read_text()) if args.out.exists() else {}
-    report["layout_scale"] = {
+    merge_into(args.out, {"layout_scale": {
         "command": "python3 tools/layout_scale.py --commits " + " ".join(args.commits)
                    + f" --sizes {','.join(map(str, args.sizes))} --seed {args.seed}"
                    + f" --repeats {args.repeats}",
@@ -105,8 +104,7 @@ def main() -> int:
                   "with one BLAS thread, each commit from its own git archive.",
         "nproc": os.cpu_count(),
         "commits": commits,
-    }
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    }})
     return 0
 
 

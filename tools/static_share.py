@@ -34,7 +34,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tools")]
 import numpy as np  # noqa: E402
 
 import harness  # noqa: E402
-from bench_pairs import seeds_arg  # noqa: E402
+from bench_pairs import merge_into, seeds_arg  # noqa: E402
 from diskvec import cache as cachemod  # noqa: E402
 from diskvec import search  # noqa: E402
 
@@ -115,9 +115,7 @@ def main() -> int:
         "seeds": args.seeds,
         "budgets": table,
     }
-    report = json.loads(args.out.read_text()) if args.out.exists() else {}
-    report["static_share"] = record
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    merge_into(args.out, {"static_share": record})
     return 0
 
 
