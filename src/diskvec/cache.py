@@ -1,8 +1,11 @@
 """Hybrid cache: a frozen static node cache preloaded by BFS from the entry
 point, plus a dynamic page cache that admits every page a search reads (in
-either phase, batch reads of similarity-ordered windows and of the adjacent
-pages that hold the next beam's candidates), with FIFO / Random / LFU
-replacement.
+either phase, batch reads of similarity-ordered windows, of the adjacent
+pages that hold the next beam's candidates and, while the share has free
+pages, of the adjacent pages that hold any later candidate), with FIFO /
+Random / LFU replacement. A search plans each read from one `residency`
+snapshot: the resident page ids and the free pages, read under one lock
+acquisition. An admission into free pages evicts nothing.
 
 An admission may carry `wanted`, the searching query's map from page id to
 the queue position of the first unexpanded candidate on that page. Eviction
@@ -314,10 +317,12 @@ class HybridCache:
             counts.misses += 1
             return None
 
-    def resident(self, page_id: int) -> bool:
-        """Whether the dynamic store holds the page now."""
+    def residency(self) -> tuple[set[int], int]:
+        """The page ids the dynamic store holds now and its free pages, read
+        under one lock acquisition."""
         with self._lock:
-            return page_id in self.dynamic
+            held = set(self.dynamic.pages)
+            return held, self.dynamic.capacity_pages - len(held)
 
     def admit_pages(
         self, pages: list[DiskPage], *, wanted: dict[int, int] | None = None

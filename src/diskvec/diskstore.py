@@ -20,7 +20,7 @@ import struct
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -256,7 +256,15 @@ class IndexReader:
                     f"{self.path}: file is {size} bytes, but total_pages "
                     f"{self.header.total_pages} and the header page make {want}"
                 )
-            self._dtype = _slot_dtype(dim, R)
+            # a request's bytes, viewed as whole pages of page_capacity slots
+            self._page_dtype = np.dtype(
+                {
+                    "names": ["slots"],
+                    "formats": [(_slot_dtype(dim, R), (cap,))],
+                    "offsets": [0],
+                    "itemsize": page_size,
+                }
+            )
             self.stats = IoStats(page_size)
         except Exception:
             os.close(self._fd)
@@ -281,31 +289,37 @@ class IndexReader:
         os.posix_fadvise(self._fd, 0, 0, os.POSIX_FADV_DONTNEED)
         return True
 
-    def _decode_page(self, page_id: int, buf: memoryview) -> DiskPage:
-        h = self.header
-        count = min(h.page_capacity, h.n - page_id * h.page_capacity)
-        slots = np.frombuffer(buf, dtype=self._dtype, count=count)
-        # every id and degree that leaves the reader passes here
-        if int(slots["neighbors"].max(initial=0)) >= h.n:
-            raise FormatError(f"{self.path}: page {page_id} holds a neighbor id outside [0, {h.n})")
-        if int(slots["degree"].max(initial=0)) > h.R:
-            raise FormatError(f"{self.path}: page {page_id} holds a degree above R={h.R}")
-        return DiskPage(page_id=page_id, slots=slots)
-
     def _read(self, start: int, count: int) -> list[DiskPage]:
         """Pages [start, start + count) in one request: one I/O operation."""
-        total, ps = self.header.total_pages, self.header.page_size
+        h = self.header
+        total, ps, cap = h.total_pages, h.page_size, h.page_capacity
         if count < 1 or start < 0 or start + count > total:
             raise ValueError(f"pages [{start}, {start + count}) out of range [0, {total})")
         # page 0 of data sits after the header page
-        buf = memoryview(os.pread(self._fd, count * ps, (start + 1) * ps))
+        buf = os.pread(self._fd, count * ps, (start + 1) * ps)
         if len(buf) != count * ps:
             raise FormatError(
                 f"{self.path}: short read at page {start} "
                 f"(wanted {count * ps} bytes, got {len(buf)})"
             )
         self.stats.record(count)
-        return [self._decode_page(start + i, buf[i * ps : (i + 1) * ps]) for i in range(count)]
+        slots = np.frombuffer(buf, dtype=self._page_dtype, count=count)["slots"]
+        # every id and degree that leaves the reader passes here, checked once
+        # per request, the zero-filled slots of a short last page included
+        if int(slots["neighbors"].max(initial=0)) >= h.n:
+            self._refuse(start, slots["neighbors"] >= h.n, f"a neighbor id outside [0, {h.n})")
+        if int(slots["degree"].max(initial=0)) > h.R:
+            self._refuse(start, slots["degree"] > h.R, f"a degree above R={h.R}")
+        return [
+            DiskPage(page_id=p, slots=slots[i, : min(cap, h.n - p * cap)])
+            for i, p in enumerate(range(start, start + count))
+        ]
+
+    def _refuse(self, start: int, bad: np.ndarray, what: str) -> NoReturn:
+        """Raise for the first page of a request from start whose slots bad
+        flags."""
+        page = start + int(bad.reshape(bad.shape[0], -1).any(axis=1).argmax())
+        raise FormatError(f"{self.path}: page {page} holds {what}")
 
     def read_page(self, page_id: int) -> DiskPage:
         """One page, one I/O operation."""

@@ -7,13 +7,16 @@ from its page, within the miss's window, through the pages that are not
 resident and hold an unexpanded candidate after the beam; each run of pages
 so planned then grows on past the window through the adjacent pages that are
 not resident and hold one of the next beam_width candidates after the beam.
-Growth stops at the first page that fails. Without dynamic pages a miss reads
-only its own page. One map from page to the queue position of its first
-candidate after the beam drives the plan and eviction: the cache evicts the
-pages the map lacks first, then the page needed last; an admitted page that
-ranks worst passes through. The plan uses only what is in memory: the layout
-and the queue. The phase labels statistics only; it does not change what is
-read.
+Each growth stops at the first page that fails. While the dynamic share has
+free pages, a read into them evicts nothing, so the runs then grow on through
+the adjacent pages that are not resident and hold any candidate after the
+beam, until the planned pages fill the free room; once the share is full, a
+plan stops at the next beam. Without dynamic pages a miss reads only its own
+page. One map from page to the queue position of its first candidate after
+the beam drives the plan and eviction: the cache evicts the pages the map
+lacks first, then the page needed last; an admitted page that ranks worst
+passes through. The plan uses only what is in memory: the layout and the
+queue. The phase labels statistics only; it does not change what is read.
 
 The candidate queue is ordered by compressed (PQ) distance; exact distances
 are computed only for expanded nodes and used only for the final ranking.
@@ -142,7 +145,11 @@ def beam_search(
     pages of its window outward from it that are in `wanted` and not
     resident, then extends each run of planned pages past the window through
     the pages that are not resident and whose `wanted` position is below
-    beam_width. It reads each planned page once, one request per run of
+    beam_width. The share's free room is its capacity less its resident and
+    planned pages; while there is room, each run grows on through the pages
+    that are not resident and in `wanted` at any position, until the room is
+    used up. Residency and room come from one HybridCache.residency call per
+    plan. It reads each planned page once, one request per run of
     consecutive pages. The dynamic cache, when it has pages, admits every run
     with `wanted` (see HybridCache), and an incoming page may pass straight
     through. The phase does not enter the plan. With trace, stats.trace
@@ -186,22 +193,31 @@ def beam_search(
             # first, so each page keeps its first position
             wanted = dict(zip(reversed(later), range(len(later) - 1, -1, -1)))
             planned: set[int] = set()
-            for i in missed:
-                page_id = queue_pages[i]
-                if not admit:
-                    planned.add(page_id)
-                elif page_id not in planned:
-                    window = compute_read_interval(batch[i], params.window_pages, layout).pages()
-                    _grow(
-                        planned, page_id,
-                        lambda p: p in window and p in wanted and not cache.resident(p),
-                    )
-            if admit:
+            if not admit:
+                planned.update(queue_pages[i] for i in missed)
+            else:
+                resident, room = cache.residency()
+                for i in missed:
+                    page_id = queue_pages[i]
+                    if page_id not in planned:
+                        window = compute_read_interval(
+                            batch[i], params.window_pages, layout
+                        ).pages()
+                        _grow(
+                            planned, page_id,
+                            lambda p: p in window and p in wanted and p not in resident,
+                        )
                 bw = params.beam_width
                 for page_id in sorted(planned):
-                    _grow(
-                        planned, page_id, lambda p: wanted.get(p, bw) < bw and not cache.resident(p)
-                    )
+                    _grow(planned, page_id, lambda p: wanted.get(p, bw) < bw and p not in resident)
+                # while the share has free pages, a read evicts nothing: runs
+                # take the adjacent pages of any later candidate until it is full
+                if len(planned) < room:
+                    for page_id in sorted(planned):
+                        _grow(
+                            planned, page_id,
+                            lambda p: len(planned) < room and p in wanted and p not in resident,
+                        )
             pages: dict[int, DiskPage] = {}
             for run in reader.read_pages(planned):
                 stats.io_ops += 1

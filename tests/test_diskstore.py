@@ -338,6 +338,27 @@ def test_slot_degree_above_R_is_a_format_error(custom_index, tmp_path):
         assert len(r.read_page(other).slots) == len(lm.nodes_on_page(other))
 
 
+def test_unused_slots_of_the_last_page_are_checked(custom_index, tmp_path):
+    """A request is checked as whole pages: a neighbour id past n in a slot
+    that the last page does not use is refused too, and names that page."""
+    path, lm = custom_index
+    with IndexReader(path) as r:
+        h = r.header
+    last = h.total_pages - 1
+    used = len(lm.nodes_on_page(last))
+    assert used < h.page_capacity
+    dtype = _slot_dtype(h.dim, h.R)
+    at = (last + 1) * h.page_size + used * dtype.itemsize + dtype.fields["neighbors"][1]
+    raw = bytearray(path.read_bytes())
+    raw[at : at + 4] = h.n.to_bytes(4, "little")
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(raw)
+    with IndexReader(bad) as r:
+        with pytest.raises(FormatError, match=f"page {last} holds a neighbor id"):
+            r.read_pages(range(h.total_pages))
+        assert len(r.read_page(0).slots) == h.page_capacity
+
+
 def test_overwritten_page_bytes_fail_as_bad_data_or_spare_other_slots(custom_index, tmp_path):
     """Zero 2 bytes at each offset of page 0 in turn and read the page's nodes
     through the layout's (page, slot): each read raises FormatError or returns

@@ -214,33 +214,56 @@ def test_phase1_miss_reads_its_trimmed_window(tmp_path, monkeypatch):
     assert (st.io_ops, st.pages_read) == (2, 3)
 
 
-def _next_beam_search(tmp_path, monkeypatch, dynamic_pages: int, window_pages: int):
-    """Five pages of six nodes in id order; the entry 0 exposes 12, 18 and
+def _next_beam_search(
+    tmp_path, monkeypatch, dynamic_pages: int, window_pages: int, pages: int = 5,
+    full: tuple[int, ...] = (),
+):
+    """pages pages of six nodes in id order; the entry 0 exposes 12, 18 and
     24, queued in that order for a query at 11 and expanded one per
-    iteration. Returns the trace's (node, hit kind) pairs and the read plans."""
-    lm, path, codebook, codes = _line_index(tmp_path, [[12, 18, 24]] + [[0]] * 29)
+    iteration. The pages in full are admitted before the search. Returns the
+    trace's (node, hit kind) pairs, the read plans and the evictions."""
+    lm, path, codebook, codes = _line_index(tmp_path, [[12, 18, 24]] + [[0]] * (6 * pages - 1))
     assert [lm.page_of(node) for node in (0, 12, 18, 24)] == [0, 2, 3, 4]
-    planned = _recorded_plans(monkeypatch)
     cache = HybridCache({}, dynamic_pages, lm)
     with IndexReader(path) as r:
+        for run in r.read_pages(full):
+            cache.admit_pages(run)
+        planned = _recorded_plans(monkeypatch)
         params = SearchParams(k=1, l=4, beam_width=1, theta=0.5, window_pages=window_pages)
         _, st = beam_search(
             np.array([11.0, 0.0]), params, r, lm, cache, codebook, codes, trace=True
         )
-    return [(rec.node_id, rec.hit_kind) for rec in st.trace], planned
+    return [(rec.node_id, rec.hit_kind) for rec in st.trace], planned, st.evictions
 
 
 def test_a_run_grows_through_the_page_of_the_next_beam(tmp_path, monkeypatch):
-    # the one-page window of the miss of 12 grows onto page 3, whose 18 is
-    # the next beam, and stops at page 4, whose 24 comes after it
-    kinds, planned = _next_beam_search(tmp_path, monkeypatch, dynamic_pages=4, window_pages=1)
+    # the share starts full with pages 5-8, which the query never visits. The
+    # one-page window of the miss of 12 grows onto page 3, whose 18 is the
+    # next beam, and stops at page 4, whose 24 comes after it
+    kinds, planned, _ = _next_beam_search(
+        tmp_path, monkeypatch, dynamic_pages=4, window_pages=1, pages=9, full=(5, 6, 7, 8)
+    )
     assert kinds == [(0, "miss"), (12, "miss"), (18, "dynamic"), (24, "miss")]
     assert planned == [[0], [2, 3], [4]]
 
 
+def test_free_room_takes_every_adjacent_candidate_page(tmp_path, monkeypatch):
+    # the share starts empty: after page 0, the run of pages 2-3 has room for
+    # one more page and takes page 4, whose 24 comes after the next beam, and
+    # nothing is evicted
+    kinds, planned, evictions = _next_beam_search(
+        tmp_path, monkeypatch, dynamic_pages=4, window_pages=1
+    )
+    assert kinds == [(0, "miss"), (12, "miss"), (18, "dynamic"), (24, "dynamic")]
+    assert planned == [[0], [2, 3, 4]]
+    assert evictions == 0
+
+
 def test_without_dynamic_pages_each_miss_reads_only_its_own_page(tmp_path, monkeypatch):
     # uncached, as calibrate_theta searches: no window is read, no run grows
-    kinds, planned = _next_beam_search(tmp_path, monkeypatch, dynamic_pages=0, window_pages=3)
+    kinds, planned, _ = _next_beam_search(
+        tmp_path, monkeypatch, dynamic_pages=0, window_pages=3
+    )
     assert kinds == [(0, "miss"), (12, "miss"), (18, "miss"), (24, "miss")]
     assert planned == [[0], [2], [3], [4]]
 
@@ -335,6 +358,47 @@ def test_every_page_read_serves_a_miss_or_a_later_candidate(
             assert set(first) == miss_pages
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=strategies.integers(0, 2**32 - 1),
+    n=strategies.integers(2, 48),
+    static_nodes=strategies.integers(0, 6),
+    spare_pages=strategies.integers(0, 3),
+    window_pages=strategies.integers(1, 4),
+    beam_width=strategies.integers(1, 4),
+    policy=strategies.sampled_from(POLICIES),
+)
+def test_a_share_that_holds_the_index_reads_each_page_once(
+    tmp_path_factory, seed, n, static_nodes, spare_pages, window_pages, beam_width, policy
+):
+    # with room for every page, reads only fill free pages: none evicts, so
+    # no page is read twice, within a query or across queries, and the ids
+    # stay those of the uncached search
+    rng = np.random.default_rng(seed)
+    vecs = rng.normal(size=(n, 2)).astype(np.float32)
+    adjacency = [rng.choice(n, size=min(3, n), replace=False).tolist() for _ in range(n)]
+    _, _, lm, path, codebook, codes = write_custom_index(
+        tmp_path_factory.mktemp("room"), vecs, adjacency, entry=0, R=3, page_size=160
+    )
+    params = SearchParams(k=2, l=8, beam_width=beam_width, theta=0.5, window_pages=window_pages)
+    queries = rng.normal(size=(3, 2))
+    with IndexReader(path) as r:
+        blank = HybridCache({}, 0, lm)
+        wants = [beam_search(q, params, r, lm, blank, codebook, codes)[0] for q in queries]
+        share = r.header.total_pages + spare_pages
+        cache = HybridCache(preload_static(None, r, lm, static_nodes), share, lm, policy)
+        read_pages = r.read_pages
+        every: list[int] = []  # the pages of every read of the cached searches
+        r.read_pages = lambda page_ids: every.extend(page_ids) or read_pages(page_ids)
+        for query, want in zip(queries, wants):
+            before = len(every)
+            got, st = beam_search(query, params, r, lm, cache, codebook, codes)
+            assert got == want
+            assert st.evictions == 0
+            assert st.pages_read == len(set(every[before:]))
+    assert len(every) == len(set(every))
+
+
 def _digest(smoke, budget: int, hit_kinds: bool = True) -> str:
     """sha256 over the ids, exact distances and traces of 20 queries under
     FIFO, distances as exact float hex; hit_kinds adds each expansion's hit
@@ -360,7 +424,7 @@ def _digest(smoke, budget: int, hit_kinds: bool = True) -> str:
 
 @pytest.mark.parametrize("budget, want", [
     (0, "5eaee220899d92dd3e9bd03a2048b5f3de72df80cab53a1cf9f2574b4e4330a3"),
-    (80, "4d7642d15328e713416fe30e7eabf22fe62e69e0ec2327e1a04c4ec4770a0d79"),
+    (80, "50e965480fdcfa94be7678576431267a854302c4b6692f41b87b27f72532f5a2"),
 ], ids=["0", "80"])
 def test_results_and_traces_match_pinned_digest(smoke, budget, want):
     # pinned from the search that read one page per miss and scored each
@@ -394,6 +458,10 @@ def test_results_and_traces_match_pinned_digest(smoke, budget, want):
     # hits and 61 dynamic hits misses. Budget 80 was pinned again (5f85e1e2...
     # -> 4d7642d1...) when the layout came to bisect parts of at most two
     # pages (65 clusters, not 100): 93 misses became dynamic hits and 118
+    # dynamic hits misses. Budget 80 was pinned again (4d7642d1... ->
+    # 50e96548...) when runs came to fill the dynamic share's free pages with
+    # the adjacent pages of any later candidate, which the first queries do
+    # while the share is not yet full: 3 misses became dynamic hits and 2
     # dynamic hits misses
     assert _digest(smoke, budget) == want
 
