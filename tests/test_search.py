@@ -261,9 +261,7 @@ def test_free_room_takes_every_adjacent_candidate_page(tmp_path, monkeypatch):
 
 def test_without_dynamic_pages_each_miss_reads_only_its_own_page(tmp_path, monkeypatch):
     # uncached, as calibrate_theta searches: no window is read, no run grows
-    kinds, planned, _ = _next_beam_search(
-        tmp_path, monkeypatch, dynamic_pages=0, window_pages=3
-    )
+    kinds, planned, _ = _next_beam_search(tmp_path, monkeypatch, dynamic_pages=0, window_pages=3)
     assert kinds == [(0, "miss"), (12, "miss"), (18, "miss"), (24, "miss")]
     assert planned == [[0], [2], [3], [4]]
 
