@@ -2,10 +2,19 @@
 point, plus a dynamic page cache that admits every page a search reads (in
 either phase, batch reads of similarity-ordered windows, of the adjacent
 pages that hold the next beam's candidates and, while the share has free
-pages, of the adjacent pages that hold any later candidate), with FIFO /
-Random / LFU replacement. A search plans each read from one `residency`
-snapshot: the resident page ids and the free pages, read under one lock
-acquisition. An admission into free pages evicts nothing.
+pages, of the adjacent pages that hold any later candidate, and of the short
+gaps between them), with FIFO / Random / LFU replacement. A search plans each
+read from one `residency` snapshot: the resident page ids and the free pages,
+read under one lock acquisition. An admission into free pages evicts nothing.
+
+Every cached read follows one gap rule (`bridge_gaps`): it reads through each
+gap of up to PRELOAD_GAP_PAGES pages between two of its pages that holds no
+page held already. For the static preload the held pages are those an
+earlier hop read; for a search with dynamic pages, those resident at its
+plan. The similarity layout puts a query's later candidates on pages near
+the ones it reads, and one request of a few pages more costs less than
+another request. A search without dynamic pages reads its misses' pages
+only.
 
 An admission may carry `wanted`, the searching query's map from page id to
 the queue position of the first unexpanded candidate on that page. Eviction
@@ -27,6 +36,7 @@ from __future__ import annotations
 
 import random
 import threading
+from collections.abc import Iterable, Set
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -36,7 +46,7 @@ from .layout import LayoutMap
 
 POLICIES = ("LFU", "FIFO", "RANDOM")
 DEFAULT_POLICY = "FIFO"
-PRELOAD_GAP_PAGES = 3  # unread pages a static-preload request may read through
+PRELOAD_GAP_PAGES = 3  # pages a cached read may read through between two of its pages
 
 
 @dataclass
@@ -129,6 +139,18 @@ class HitStats:
         raise ValueError(f"phase must be 1 or 2, got {phase}")
 
 
+def bridge_gaps(pages: Iterable[int], held: Set[int]) -> set[int]:
+    """pages plus each gap of at most PRELOAD_GAP_PAGES pages between two
+    consecutive pages of it that holds no page in held."""
+    ids = sorted(pages)
+    out = set(ids)
+    for a, b in zip(ids, ids[1:]):
+        gap = range(a + 1, b)
+        if len(gap) <= PRELOAD_GAP_PAGES and held.isdisjoint(gap):
+            out.update(gap)
+    return out
+
+
 def preload_static(
     graph: object,
     reader: IndexReader,
@@ -140,12 +162,13 @@ def preload_static(
 
     Each page is read once: per hop, the pages of the admitted nodes that no
     earlier hop read, one request per run of consecutive page ids. A run
-    reads through gaps of up to PRELOAD_GAP_PAGES pages that no hop has read,
-    as one request of a few pages more costs less than another request, and
-    how many runs a hop's scattered pages form would otherwise vary from one
-    graph to the next. Entries are copies of the on-disk (vector, adjacency)
-    bytes, so cached answers are identical to direct reads and the page
-    buffers are freed on return. `graph` is unused; bench/ still passes one.
+    reads through gaps of up to PRELOAD_GAP_PAGES pages that no hop has read
+    (bridge_gaps, the rule of every cached read), as one request of a few
+    pages more costs less than another request, and how many runs a hop's
+    scattered pages form would otherwise vary from one graph to the next.
+    Entries are copies of the on-disk (vector, adjacency) bytes, so cached
+    answers are identical to direct reads and the page buffers are freed on
+    return. `graph` is unused; bench/ still passes one.
     """
     entries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     if capacity_nodes <= 0:
@@ -156,13 +179,8 @@ def preload_static(
     while hop and len(entries) < capacity_nodes:
         room = capacity_nodes - len(entries)
         admit = hop if len(hop) <= room else hop[:room]
-        needed = sorted({layout.page_of(node) for node in admit} - pages.keys())
-        unread = set(needed)
-        for a, b in zip(needed, needed[1:]):
-            gap = range(a + 1, b)
-            if len(gap) <= PRELOAD_GAP_PAGES and pages.keys().isdisjoint(gap):
-                unread.update(gap)
-        for run in reader.read_pages(unread):
+        needed = {layout.page_of(node) for node in admit} - pages.keys()
+        for run in reader.read_pages(bridge_gaps(needed, pages.keys())):
             pages.update((page.page_id, page) for page in run)
         for node in admit:
             page = pages[layout.page_of(node)]

@@ -11,12 +11,16 @@ Each growth stops at the first page that fails. While the dynamic share has
 free pages, a read into them evicts nothing, so the runs then grow on through
 the adjacent pages that are not resident and hold any candidate after the
 beam, until the planned pages fill the free room; once the share is full, a
-plan stops at the next beam. Without dynamic pages a miss reads only its own
-page. One map from page to the queue position of its first candidate after
-the beam drives the plan and eviction: the cache evicts the pages the map
-lacks first, then the page needed last; an admitted page that ranks worst
-passes through. The plan uses only what is in memory: the layout and the
-queue. The phase labels statistics only; it does not change what is read.
+plan stops at the next beam. Last, as the static preload does, the plan reads
+through each gap of up to PRELOAD_GAP_PAGES pages between two planned pages
+that holds no resident page (cache.bridge_gaps): the layout puts later
+candidates near the pages a query reads, and a request costs more than a few
+pages more. Without dynamic pages a miss reads only its own page. One map
+from page to the queue position of its first candidate after the beam drives
+the plan and eviction: the cache evicts the pages the map lacks first, then
+the page needed last; an admitted page that ranks worst passes through. The
+plan uses only what is in memory: the layout and the queue. The phase labels
+statistics only; it does not change what is read.
 
 The candidate queue is ordered by compressed (PQ) distance; exact distances
 are computed only for expanded nodes and used only for the final ranking.
@@ -34,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cache import HitStats, HybridCache
+from .cache import HitStats, HybridCache, bridge_gaps
 from .diskstore import DiskPage, Index, IndexReader
 from .errors import InvariantError
 from .layout import LayoutMap, compute_read_interval
@@ -148,10 +152,12 @@ def beam_search(
     beam_width. The share's free room is its capacity less its resident and
     planned pages; while there is room, each run grows on through the pages
     that are not resident and in `wanted` at any position, until the room is
-    used up. Residency and room come from one HybridCache.residency call per
-    plan. It reads each planned page once, one request per run of
-    consecutive pages. The dynamic cache, when it has pages, admits every run
-    with `wanted` (see HybridCache), and an incoming page may pass straight
+    used up. Last, bridge_gaps adds each gap of up to PRELOAD_GAP_PAGES pages
+    between two planned pages that holds no resident page, whatever the room.
+    Residency and room come from one HybridCache.residency call per plan.
+    It reads each planned page once, one request per run of consecutive
+    pages. The dynamic cache, when it has pages, admits every run with
+    `wanted` (see HybridCache), and an incoming page may pass straight
     through. The phase does not enter the plan. With trace, stats.trace
     records every expansion.
     """
@@ -218,6 +224,9 @@ def beam_search(
                             planned, page_id,
                             lambda p: len(planned) < room and p in wanted and p not in resident,
                         )
+                # one request costs more than a few pages more: read through
+                # short gaps of pages that are not resident, as the preload does
+                planned = bridge_gaps(planned, resident)
             pages: dict[int, DiskPage] = {}
             for run in reader.read_pages(planned):
                 stats.io_ops += 1

@@ -17,6 +17,7 @@ from diskvec.cache import (
     HitStats,
     HybridCache,
     auto_budget_nodes,
+    bridge_gaps,
     preload_static,
 )
 from diskvec.diskstore import DiskPage
@@ -370,6 +371,27 @@ def test_preload_walks_the_adjacency_it_reads_not_the_graph(smoke):
             for node, (vec, adj) in want.items():
                 assert got[node][0].tobytes() == vec.tobytes()
                 assert got[node][1].tobytes() == adj.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pages=st.sets(st.integers(0, 40), max_size=12), held=st.sets(st.integers(0, 40)))
+def test_bridge_gaps_adds_each_short_gap_that_holds_no_held_page(pages, held):
+    out = bridge_gaps(pages, held)
+    assert pages <= out
+    assert not (out - pages) & held
+    ids = sorted(pages)
+    for a, b in zip(ids, ids[1:]):
+        gap = set(range(a + 1, b))
+        if len(gap) <= PRELOAD_GAP_PAGES and not gap & held:
+            assert gap <= out
+        else:
+            assert not gap & out
+    # so every added page lies in a gap of at most PRELOAD_GAP_PAGES pages
+    # between two input pages
+    for p in out - pages:
+        below, above = max(q for q in ids if q < p), min(q for q in ids if q > p)
+        assert above - below - 1 <= PRELOAD_GAP_PAGES
+    assert bridge_gaps(out, held) == out
 
 
 def _runs(pages: set[int]) -> int:

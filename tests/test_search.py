@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from diskvec.cache import POLICIES, HitStats, HybridCache, preload_static
-from diskvec.diskstore import IndexReader
+from diskvec.cache import POLICIES, PRELOAD_GAP_PAGES, HitStats, HybridCache, preload_static
+from diskvec.diskstore import IndexReader, _slot_dtype
+from diskvec.errors import FormatError
 from diskvec.search import (
     SearchParams,
     aggregate_transition_ratios,
@@ -266,6 +267,71 @@ def test_without_dynamic_pages_each_miss_reads_only_its_own_page(tmp_path, monke
     assert planned == [[0], [2], [3], [4]]
 
 
+def _gap_search(tmp_path, monkeypatch, far: int, full: tuple[int, ...] = ()):
+    """Pages of six nodes in id order; the entry 0 exposes 12 on page 2 and
+    far, which a query at 11 expands together in one beam of two. No later
+    candidate is queued, so no window or growth takes a page past the
+    misses'. The pages in full are admitted before the search. Returns the
+    read plans, the requests and the pages resident after the search."""
+    lm, path, codebook, codes = _line_index(tmp_path, [[12, far]] + [[0]] * (far + 5))
+    cache = HybridCache({}, 8, lm)
+    with IndexReader(path) as r:
+        for run in r.read_pages(full):
+            cache.admit_pages(run)
+        planned = _recorded_plans(monkeypatch)
+        params = SearchParams(k=1, l=4, beam_width=2, theta=0.5, window_pages=1)
+        _, st = beam_search(
+            np.array([11.0, 0.0]), params, r, lm, cache, codebook, codes, trace=True
+        )
+    assert [(rec.node_id, rec.hit_kind) for rec in st.trace] == [
+        (0, "miss"), (12, "miss"), (far, "miss"),
+    ]
+    return planned, st.io_ops, set(cache.dynamic.pages)
+
+
+@pytest.mark.parametrize("far, gap", [(24, [3]), (36, [3, 4, 5])], ids=["1", "3"])
+def test_a_plan_reads_through_a_short_gap_of_pages_not_resident(
+    tmp_path, monkeypatch, far, gap
+):
+    # the misses on page 2 and on page far // 6 take one request, not two,
+    # and the pages between them are admitted with theirs
+    planned, io_ops, resident = _gap_search(tmp_path, monkeypatch, far)
+    assert PRELOAD_GAP_PAGES == 3
+    assert planned == [[0], [2, *gap, far // 6]]
+    assert io_ops == 2
+    assert resident == {0, 2, *gap, far // 6}
+
+
+@pytest.mark.parametrize("far, full", [(24, (3,)), (42, ())], ids=["resident", "4 pages"])
+def test_a_plan_does_not_read_through_a_resident_page_or_a_long_gap(
+    tmp_path, monkeypatch, far, full
+):
+    planned, io_ops, _ = _gap_search(tmp_path, monkeypatch, far, full)
+    assert planned == [[0], [2, far // 6]]
+    assert io_ops == 3
+
+
+def test_a_bad_neighbour_id_on_a_bridged_page_is_a_format_error(tmp_path):
+    # page 3 holds no candidate; it is read only because it lies between the
+    # misses on pages 2 and 4, and its bad bytes are refused, naming it (the
+    # CLI exits 3)
+    lm, path, codebook, codes = _line_index(tmp_path, [[12, 24]] + [[0]] * 29)
+    with IndexReader(path) as r:
+        h = r.header
+    dtype = _slot_dtype(h.dim, h.R)
+    at = (3 + 1) * h.page_size + dtype.fields["neighbors"][1]
+    raw = bytearray(path.read_bytes())
+    raw[at : at + 4] = h.n.to_bytes(4, "little")
+    path.write_bytes(raw)
+    params = SearchParams(k=1, l=4, beam_width=2, theta=0.5, window_pages=1)
+    query = np.array([11.0, 0.0])
+    with IndexReader(path) as r:
+        uncached = HybridCache({}, 0, lm)
+        assert [nid for nid, _ in beam_search(query, params, r, lm, uncached, codebook, codes)[0]] == [12]
+        with pytest.raises(FormatError, match="page 3 holds a neighbor id"):
+            beam_search(query, params, r, lm, HybridCache({}, 8, lm), codebook, codes)
+
+
 def test_eviction_keeps_the_page_of_a_queued_candidate(tmp_path):
     # three pages of six nodes and one dynamic page. The entry 6 on page 1
     # exposes 12, 0 and 13, in that order for a query at 5.6; 12 and 13 share
@@ -307,11 +373,13 @@ def test_eviction_keeps_the_page_of_a_queued_candidate(tmp_path):
 def test_every_page_read_serves_a_miss_or_a_later_candidate(
     tmp_path_factory, seed, n, static_nodes, dynamic_pages, window_pages, beam_width, policy
 ):
-    # each page an iteration reads is one of its misses' own pages, or a page
+    # each page an iteration reads is one of its misses' own pages, a page
     # that is not resident and holds a node seen but not yet expanded, which
-    # the unexpanded candidates after the beam are among; without dynamic
-    # pages it reads exactly the misses' pages. The ids stay those of the
-    # uncached search
+    # the unexpanded candidates after the beam are among, or a page that is
+    # not resident in a gap of at most PRELOAD_GAP_PAGES pages between two
+    # such pages that holds no resident page; every such gap is read, and
+    # without dynamic pages it reads exactly the misses' pages. The ids stay
+    # those of the uncached search
     rng = np.random.default_rng(seed)
     vecs = rng.normal(size=(n, 2)).astype(np.float32)
     adjacency = [rng.choice(n, size=min(3, n), replace=False).tolist() for _ in range(n)]
@@ -351,9 +419,16 @@ def test_every_page_read_serves_a_miss_or_a_later_candidate(
         seen = {0}.union(*(adjacency[nid] for nid, it in expanded.items() if it < iteration))
         later = {lm.page_of(nid) for nid in seen - done}
         assert miss_pages <= set(first)
-        assert all(p in miss_pages or (p not in second and p in later) for p in first)
+        served = sorted(p for p in first if p in miss_pages or (p not in second and p in later))
+        gaps = set()
+        for a, b in zip(served, served[1:]):
+            gap = set(range(a + 1, b))
+            if len(gap) <= PRELOAD_GAP_PAGES and not gap & second:
+                gaps |= gap
         if dynamic_pages == 0:
             assert set(first) == miss_pages
+        else:
+            assert set(first) == set(served) | gaps
 
 
 @settings(max_examples=100, deadline=None)
@@ -422,7 +497,7 @@ def _digest(smoke, budget: int, hit_kinds: bool = True) -> str:
 
 @pytest.mark.parametrize("budget, want", [
     (0, "5eaee220899d92dd3e9bd03a2048b5f3de72df80cab53a1cf9f2574b4e4330a3"),
-    (80, "50e965480fdcfa94be7678576431267a854302c4b6692f41b87b27f72532f5a2"),
+    (80, "1cbe71bcac143711293389859a899edc13b693f6bf67baff50bdfd75e7d1d8be"),
 ], ids=["0", "80"])
 def test_results_and_traces_match_pinned_digest(smoke, budget, want):
     # pinned from the search that read one page per miss and scored each
@@ -460,7 +535,11 @@ def test_results_and_traces_match_pinned_digest(smoke, budget, want):
     # 50e96548...) when runs came to fill the dynamic share's free pages with
     # the adjacent pages of any later candidate, which the first queries do
     # while the share is not yet full: 3 misses became dynamic hits and 2
-    # dynamic hits misses
+    # dynamic hits misses. Budget 80 was pinned again (50e96548... ->
+    # 1cbe71bc...) when plans came to read through gaps of up to
+    # PRELOAD_GAP_PAGES pages that hold no resident page, as the static
+    # preload does: 5 misses became dynamic hits and 7 dynamic hits misses,
+    # and the 20 queries made 156 requests for 260 pages, not 164 for 236
     assert _digest(smoke, budget) == want
 
 
