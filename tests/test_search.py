@@ -306,6 +306,8 @@ def test_a_plan_reads_through_a_short_gap_of_pages_not_resident(
 def test_a_plan_does_not_read_through_a_resident_page_or_a_long_gap(
     tmp_path, monkeypatch, far, full
 ):
+    # page 3 is resident, or the gap is pages 3-6: the misses on page 2 and
+    # on page far // 6 take a request each, after the one of page 0
     planned, io_ops, _ = _gap_search(tmp_path, monkeypatch, far, full)
     assert planned == [[0], [2, far // 6]]
     assert io_ops == 3
@@ -326,8 +328,8 @@ def test_a_bad_neighbour_id_on_a_bridged_page_is_a_format_error(tmp_path):
     params = SearchParams(k=1, l=4, beam_width=2, theta=0.5, window_pages=1)
     query = np.array([11.0, 0.0])
     with IndexReader(path) as r:
-        uncached = HybridCache({}, 0, lm)
-        assert [nid for nid, _ in beam_search(query, params, r, lm, uncached, codebook, codes)[0]] == [12]
+        uncached, _ = beam_search(query, params, r, lm, HybridCache({}, 0, lm), codebook, codes)
+        assert [nid for nid, _ in uncached] == [12]
         with pytest.raises(FormatError, match="page 3 holds a neighbor id"):
             beam_search(query, params, r, lm, HybridCache({}, 8, lm), codebook, codes)
 
