@@ -1,20 +1,11 @@
 """Hybrid cache: a frozen static node cache preloaded by BFS from the entry
-point, plus a dynamic page cache that admits every page a search reads (in
-either phase, batch reads of similarity-ordered windows, of the adjacent
-pages that hold the next beam's candidates and, while the share has free
-pages, of the adjacent pages that hold any later candidate, and of the short
-gaps between them), with FIFO / Random / LFU replacement. A search plans each
-read from one `residency` snapshot: the resident page ids and the free pages,
-read under one lock acquisition. An admission into free pages evicts nothing.
-
-Every cached read follows one gap rule (`bridge_gaps`): it reads through each
-gap of up to PRELOAD_GAP_PAGES pages between two of its pages that holds no
-page held already. For the static preload the held pages are those an
-earlier hop read; for a search with dynamic pages, those resident at its
-plan. The similarity layout puts a query's later candidates on pages near
-the ones it reads, and one request of a few pages more costs less than
-another request. A search without dynamic pages reads its misses' pages
-only.
+point, plus a dynamic page cache that admits every page a search reads, with
+FIFO / Random / LFU replacement. This module owns the read rule of every
+cached read: `plan_reads` states what a search with dynamic pages reads and
+so admits, and `bridge_gaps` the gap rule it shares with `preload_static`.
+A search plans each read from one `residency` snapshot: the resident page
+ids and the free pages, read under one lock acquisition. An admission into
+free pages evicts nothing.
 
 An admission may carry `wanted`, the searching query's map from page id to
 the queue position of the first unexpanded candidate on that page. Eviction
@@ -36,7 +27,7 @@ from __future__ import annotations
 
 import random
 import threading
-from collections.abc import Iterable, Set
+from collections.abc import Callable, Iterable, Set
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -151,6 +142,72 @@ def bridge_gaps(pages: Iterable[int], held: Set[int]) -> set[int]:
     return out
 
 
+def _grow(planned: set[int], page: int, take: Callable[[int], bool]) -> None:
+    """Plan page, then the pages outward from it on either side, up to the
+    first page that is planned already or that take refuses."""
+    planned.add(page)
+    for step in (-1, 1):
+        p = page + step
+        while p not in planned and take(p):
+            planned.add(p)
+            p += step
+
+
+def plan_reads(
+    windows: dict[int, range],
+    wanted: dict[int, int],
+    resident: Set[int],
+    room: int,
+    beam_width: int,
+) -> set[int]:
+    """The pages one beam iteration reads when the dynamic share has pages,
+    in either phase; the dynamic cache then admits all of them.
+
+    windows maps each missed page, in batch order, to the page window of its
+    first miss (`layout.compute_read_interval`). wanted maps a page id to the
+    queue position of its first unexpanded candidate after the beam, the map
+    eviction ranks by. resident and room are the dynamic store's page ids and
+    free pages (`HybridCache.residency`). A page is takeable when it is in
+    wanted and not resident. The plan grows in four passes; each growth goes
+    outward one page at a time on either side and stops at the first page
+    that is planned already or that the pass refuses:
+
+    1. each missed page not yet planned, in order, is planned and grows
+       through the takeable pages of its window;
+    2. each run of planned pages grows on past the window through the
+       takeable pages whose wanted position is below beam_width, the next
+       beam;
+    3. while the planned pages are fewer than room, a read into the free
+       pages evicts nothing, so each run grows on through takeable pages at
+       any position until the plan fills the room; once the share is full a
+       plan stops at the next beam;
+    4. last, whatever the room, bridge_gaps adds each gap of up to
+       PRELOAD_GAP_PAGES pages between two planned pages that holds no
+       resident page, the gap rule of the static preload: the layout puts a
+       query's later candidates near the pages it reads, and a request costs
+       more than a few pages more.
+
+    So every missed page is planned, and every other planned page is
+    takeable or lies in such a gap. No growth takes a page that holds only
+    beam nodes, since each is a hit already or a miss that plans its own
+    page; a gap may hold one. The plan uses only what is in memory: the
+    layout and the queue. A search without dynamic pages reads only its
+    misses' pages and makes no plan.
+    """
+    planned: set[int] = set()
+    for page, window in windows.items():
+        if page not in planned:
+            _grow(planned, page, lambda p: p in window and p in wanted and p not in resident)
+    for page in sorted(planned):
+        _grow(planned, page, lambda p: wanted.get(p, beam_width) < beam_width and p not in resident)
+    if len(planned) < room:
+        for page in sorted(planned):
+            _grow(
+                planned, page, lambda p: len(planned) < room and p in wanted and p not in resident
+            )
+    return bridge_gaps(planned, resident)
+
+
 def preload_static(
     graph: object,
     reader: IndexReader,
@@ -161,14 +218,11 @@ def preload_static(
     hops while they fit and truncating the final hop by ascending node id.
 
     Each page is read once: per hop, the pages of the admitted nodes that no
-    earlier hop read, one request per run of consecutive page ids. A run
-    reads through gaps of up to PRELOAD_GAP_PAGES pages that no hop has read
-    (bridge_gaps, the rule of every cached read), as one request of a few
-    pages more costs less than another request, and how many runs a hop's
-    scattered pages form would otherwise vary from one graph to the next.
-    Entries are copies of the on-disk (vector, adjacency) bytes, so cached
-    answers are identical to direct reads and the page buffers are freed on
-    return. `graph` is unused; bench/ still passes one.
+    earlier hop read, one request per run of consecutive page ids, read
+    through short gaps that no hop has read by the gap rule of `plan_reads`
+    (bridge_gaps). Entries are copies of the on-disk (vector, adjacency)
+    bytes, so cached answers are identical to direct reads and the page
+    buffers are freed on return. `graph` is unused; bench/ still passes one.
     """
     entries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     if capacity_nodes <= 0:

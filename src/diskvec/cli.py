@@ -280,22 +280,18 @@ def _search_params(args: argparse.Namespace, index_dir: Path) -> tuple[search.Se
     return params, source
 
 
-def _build_cache(args, index: Index) -> tuple[HybridCache, list[tuple[str, object]]]:
-    """The cache the flags configure, and its report pairs."""
+def _build_cache(args, index: Index) -> tuple[HybridCache, dict[str, object]]:
+    """The cache the flags configure, and the sizes it resolved to."""
     budget = args.cache_budget
     if budget is None:
         budget = auto_budget_nodes(index.reader, args.static_frac, args.window_pages)
     cfg = CacheConfig(budget, args.static_frac, args.policy, args.cache_seed)
     cache = HybridCache.from_config(cfg, index)
-    pairs: list[tuple[str, object]] = [
-        ("cache_budget_nodes", budget),
-        ("static_fraction", cfg.static_fraction),
-        ("static_capacity_nodes", cfg.static_capacity_nodes),
-        ("dynamic_capacity_pages", cache.dynamic_capacity_pages),
-        ("policy", cfg.policy),
-        ("cache_seed", cfg.seed),
-    ]
-    return cache, pairs
+    return cache, dict(
+        cache_budget_nodes=budget,
+        static_capacity_nodes=cfg.static_capacity_nodes,
+        dynamic_capacity_pages=cache.dynamic_capacity_pages,
+    )
 
 
 def _trace_line(rec: search.TraceRecord) -> str:
@@ -309,37 +305,37 @@ def cmd_query(args: argparse.Namespace) -> None:
         raise ValueError(f"--qid {args.qid} out of range [0, {queries.n})")
     with Index.open(index_dir) as index:
         params, theta_source = _search_params(args, index_dir)
-        cache, cache_pairs = _build_cache(args, index)
+        cache, sizes = _build_cache(args, index)
         results, st = search.beam_search(
             queries.vectors[args.qid], params, index.reader, index.layout, cache,
             index.codebook, index.codes, trace=bool(args.trace),
         )
     if args.trace:
         Path(args.trace).write_text("".join(_trace_line(rec) for rec in st.trace))
-    pairs: list[tuple[str, object]] = [
-        ("command", "query"),
-        ("index_dir", str(index_dir)),
-        ("queries", args.queries),
-        ("qid", args.qid),
-        *_fields(params),
-        ("theta_source", theta_source),
-        *cache_pairs,
-        ("iterations", st.iterations),
-        ("transition_iter_theta", st.transition_iter_theta),
-        ("transition_iter_panns", st.transition_iter_panns),
-        ("io_ops", st.io_ops),
-        ("pages_read", st.pages_read),
-        ("bytes_read", st.pages_read * index.reader.header.page_size),
-        ("latency_ms", st.latency_s * 1e3),
-    ]
+    # the flags, with the theta the run used in place, then the measures
+    report = dict(
+        _fields(args),
+        theta=params.theta,
+        theta_source=theta_source,
+        **sizes,
+        iterations=st.iterations,
+        transition_iter_theta=st.transition_iter_theta,
+        transition_iter_panns=st.transition_iter_panns,
+        io_ops=st.io_ops,
+        pages_read=st.pages_read,
+        bytes_read=st.pages_read * index.reader.header.page_size,
+        latency_ms=st.latency_s * 1e3,
+    )
     for rank, (nid, dist) in enumerate(results):
-        pairs.append((f"result_{rank}", f"{nid}:{dist:.6f}"))
-    _emit_report(pairs, args.out)
+        report[f"result_{rank}"] = f"{nid}:{dist:.6f}"
+    _emit_report(report.items(), args.out)
 
 
 def _run_bench(
     args, index_dir: Path, trace: bool = False
 ) -> tuple[list[tuple[str, object]], search.WorkloadReport]:
+    """Run the workload the flags configure on one index dir; returns the
+    report pairs of what the run resolved and measured, and the report."""
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     queries = vecdata.load_fvecs(args.queries)
@@ -349,7 +345,7 @@ def _run_bench(
         if args.os_bypass:
             bypass = "dontneed-advised" if index.reader.advise_drop_os_cache() else "unsupported"
         params, theta_source = _search_params(args, index_dir)
-        cache, cache_pairs = _build_cache(args, index)
+        cache, sizes = _build_cache(args, index)
         report = search.run_workload(
             queries.vectors, params, index, cache, gt=gt, workers=args.workers,
             repetitions=args.repetitions, reset_per_query=args.reset_per_query,
@@ -358,17 +354,12 @@ def _run_bench(
         reader_totals = index.reader.stats.snapshot()
 
     pairs: list[tuple[str, object]] = [
-        ("command", "bench"),
-        ("index_dir", str(index_dir)),
-        ("queries_file", args.queries),
-        ("gt_file", args.gt or None),
         *_fields(index.reader.header),
-        *_fields(params),
+        ("theta", params.theta),
         ("theta_source", theta_source),
-        *cache_pairs,
+        *sizes.items(),
         ("preload_io_ops", cache.preload_io_ops),
         ("preload_pages_read", cache.preload_pages_read),
-        ("reset_per_query", bool(args.reset_per_query)),
         ("os_cache_bypass", bypass),
         *_fields(report),
         *_fields(report.hits_total.phase1, "phase1_"),
@@ -391,15 +382,17 @@ def cmd_bench(args: argparse.Namespace) -> None:
         for qi, st in enumerate(report.stats):
             rows.extend(f"{qi},{_trace_line(rec)}" for rec in st.trace)
         Path(args.trace_out).write_text("".join(rows))
-    _emit_report(pairs, args.out)
+    # the flags, with the theta, workers and repetitions the run used in
+    # place, then the measures
+    _emit_report((dict(_fields(args)) | dict(pairs)).items(), args.out)
 
 
 def cmd_compare(args: argparse.Namespace) -> None:
     pairs_a, report_a = _run_bench(args, Path(args.a_index_dir))
     pairs_b, report_b = _run_bench(args, Path(args.b_index_dir))
-    pairs: list[tuple[str, object]] = [("command", "compare")]
-    pairs.extend((f"a_{k}", v) for k, v in pairs_a if k != "command")
-    pairs.extend((f"b_{k}", v) for k, v in pairs_b if k != "command")
+    pairs = _fields(args)
+    pairs.extend((f"a_{k}", v) for k, v in pairs_a)
+    pairs.extend((f"b_{k}", v) for k, v in pairs_b)
     ratio = report_a.mean_io_ops / report_b.mean_io_ops if report_b.mean_io_ops else float("inf")
     pairs.extend(
         [

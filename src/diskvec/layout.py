@@ -50,11 +50,13 @@ class LayoutMap:
     """Node-to-disk placement: a permutation of nodes packed into fixed pages.
 
     Each cluster is one run of consecutive ranks, given by its first rank;
-    cluster c is the c-th run in disk order. Clusters are not page-aligned; a
-    page may straddle two adjacent clusters. The node ranks, each node's
-    cluster and the per-cluster page spans are derived once, on construction,
-    which rejects (ValueError) an order that is not a permutation of 0..n-1
-    and cluster starts that do not rise strictly from 0 below n.
+    cluster c is the c-th run in disk order. Clusters need not be
+    page-aligned: the bisection starts every cluster on a page boundary, but
+    `pack_pages` and a loaded `layout.bin` may not, so a page may straddle
+    two adjacent clusters. The node ranks, each node's cluster and the
+    per-cluster page spans are derived once, on construction, which rejects
+    (ValueError) an order that is not a permutation of 0..n-1 and cluster
+    starts that do not rise strictly from 0 below n.
     """
 
     node_order: np.ndarray  # (n,) int64, disk order (rank -> node)

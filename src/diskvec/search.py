@@ -1,26 +1,12 @@
 """Beam search over the disk index with two-phase transition detection,
 similarity-aware batch loading on misses, and per-query statistics.
 
-When the dynamic cache has pages, it admits every page the search reads, and
-a miss in either phase reads more than its own page. Its read grows outward
-from its page, within the miss's window, through the pages that are not
-resident and hold an unexpanded candidate after the beam; each run of pages
-so planned then grows on past the window through the adjacent pages that are
-not resident and hold one of the next beam_width candidates after the beam.
-Each growth stops at the first page that fails. While the dynamic share has
-free pages, a read into them evicts nothing, so the runs then grow on through
-the adjacent pages that are not resident and hold any candidate after the
-beam, until the planned pages fill the free room; once the share is full, a
-plan stops at the next beam. Last, as the static preload does, the plan reads
-through each gap of up to PRELOAD_GAP_PAGES pages between two planned pages
-that holds no resident page (cache.bridge_gaps): the layout puts later
-candidates near the pages a query reads, and a request costs more than a few
-pages more. Without dynamic pages a miss reads only its own page. One map
+When the dynamic cache has pages, a miss in either phase reads more than its
+own page, and the cache admits every page read: `cache.plan_reads` states
+the read rule. Without dynamic pages a miss reads only its own page. One map
 from page to the queue position of its first candidate after the beam drives
-the plan and eviction: the cache evicts the pages the map lacks first, then
-the page needed last; an admitted page that ranks worst passes through. The
-plan uses only what is in memory: the layout and the queue. The phase labels
-statistics only; it does not change what is read.
+the plan and eviction. The phase labels statistics only; it does not change
+what is read.
 
 The candidate queue is ordered by compressed (PQ) distance; exact distances
 are computed only for expanded nodes and used only for the final ranking.
@@ -34,11 +20,10 @@ import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .cache import HitStats, HybridCache, bridge_gaps
+from .cache import HitStats, HybridCache, plan_reads
 from .diskstore import DiskPage, Index, IndexReader
 from .errors import InvariantError
 from .layout import LayoutMap, compute_read_interval
@@ -113,17 +98,6 @@ def detect_transition(
     return all(nid in visited for nid in queue_ids[:need])
 
 
-def _grow(planned: set[int], page: int, take: Callable[[int], bool]) -> None:
-    """Plan page, then the pages outward from it on either side, up to the
-    first page that is planned already or that take refuses."""
-    planned.add(page)
-    for step in (-1, 1):
-        p = page + step
-        while p not in planned and take(p):
-            planned.add(p)
-            p += step
-
-
 def beam_search(
     query: np.ndarray,
     params: SearchParams,
@@ -144,22 +118,12 @@ def beam_search(
     iteration looks up its whole beam. One with a miss reads its unexpanded
     candidates' ranks once: they place each miss on its page and slot and
     give `wanted`, page id -> queue position of the first unexpanded
-    candidate after the beam on that page. Without dynamic pages it plans
-    each miss's own page. With them, _grow plans each miss's page and the
-    pages of its window outward from it that are in `wanted` and not
-    resident, then extends each run of planned pages past the window through
-    the pages that are not resident and whose `wanted` position is below
-    beam_width. The share's free room is its capacity less its resident and
-    planned pages; while there is room, each run grows on through the pages
-    that are not resident and in `wanted` at any position, until the room is
-    used up. Last, bridge_gaps adds each gap of up to PRELOAD_GAP_PAGES pages
-    between two planned pages that holds no resident page, whatever the room.
-    Residency and room come from one HybridCache.residency call per plan.
-    It reads each planned page once, one request per run of consecutive
-    pages. The dynamic cache, when it has pages, admits every run with
-    `wanted` (see HybridCache), and an incoming page may pass straight
-    through. The phase does not enter the plan. With trace, stats.trace
-    records every expansion.
+    candidate after the beam on that page. Without dynamic pages it reads
+    each miss's own page; with them, the pages `cache.plan_reads` plans from
+    each missed page's window and one `HybridCache.residency` snapshot. It
+    reads each planned page once, one request per run of consecutive pages,
+    and the dynamic cache, when it has pages, admits every run with `wanted`
+    (see HybridCache). With trace, stats.trace records every expansion.
     """
     header = reader.header
     q64 = np.asarray(query, dtype=np.float64).ravel()
@@ -198,35 +162,16 @@ def beam_search(
             # page -> its first candidate after the beam; written last to
             # first, so each page keeps its first position
             wanted = dict(zip(reversed(later), range(len(later) - 1, -1, -1)))
-            planned: set[int] = set()
-            if not admit:
-                planned.update(queue_pages[i] for i in missed)
-            else:
-                resident, room = cache.residency()
+            if admit:
+                windows: dict[int, range] = {}
                 for i in missed:
-                    page_id = queue_pages[i]
-                    if page_id not in planned:
-                        window = compute_read_interval(
-                            batch[i], params.window_pages, layout
-                        ).pages()
-                        _grow(
-                            planned, page_id,
-                            lambda p: p in window and p in wanted and p not in resident,
-                        )
-                bw = params.beam_width
-                for page_id in sorted(planned):
-                    _grow(planned, page_id, lambda p: wanted.get(p, bw) < bw and p not in resident)
-                # while the share has free pages, a read evicts nothing: runs
-                # take the adjacent pages of any later candidate until it is full
-                if len(planned) < room:
-                    for page_id in sorted(planned):
-                        _grow(
-                            planned, page_id,
-                            lambda p: len(planned) < room and p in wanted and p not in resident,
-                        )
-                # one request costs more than a few pages more: read through
-                # short gaps of pages that are not resident, as the preload does
-                planned = bridge_gaps(planned, resident)
+                    if queue_pages[i] not in windows:
+                        interval = compute_read_interval(batch[i], params.window_pages, layout)
+                        windows[queue_pages[i]] = interval.pages()
+                resident, room = cache.residency()
+                planned = plan_reads(windows, wanted, resident, room, params.beam_width)
+            else:
+                planned = {queue_pages[i] for i in missed}
             pages: dict[int, DiskPage] = {}
             for run in reader.read_pages(planned):
                 stats.io_ops += 1

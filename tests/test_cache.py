@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diskvec import cache as cache_module
 from diskvec.cache import (
     POLICIES,
     PRELOAD_GAP_PAGES,
@@ -18,6 +20,7 @@ from diskvec.cache import (
     HybridCache,
     auto_budget_nodes,
     bridge_gaps,
+    plan_reads,
     preload_static,
 )
 from diskvec.diskstore import DiskPage
@@ -392,6 +395,84 @@ def test_bridge_gaps_adds_each_short_gap_that_holds_no_held_page(pages, held):
         below, above = max(q for q in ids if q < p), min(q for q in ids if q > p)
         assert above - below - 1 <= PRELOAD_GAP_PAGES
     assert bridge_gaps(out, held) == out
+
+
+# --------------------------------------------------------------- read plans
+
+
+@st.composite
+def _plan_inputs(draw):
+    """One plan's inputs as beam_search builds them: the missed pages in
+    batch order, each with a window that covers it; wanted from the pages of
+    the queue after the beam, each at its first position; the resident
+    pages, the free room and the beam width."""
+    windows = {}
+    for page in draw(st.lists(st.integers(0, 20), min_size=1, max_size=4, unique=True)):
+        width = draw(st.integers(1, 4))
+        start = draw(st.integers(max(page - width + 1, 0), page))
+        windows[page] = range(start, start + width)
+    later = draw(st.lists(st.integers(0, 20), min_size=10, max_size=40))
+    wanted = dict(zip(reversed(later), range(len(later) - 1, -1, -1)))
+    resident = draw(st.sets(st.integers(0, 20), max_size=6))
+    return windows, wanted, resident, draw(st.integers(0, 16)), draw(st.integers(1, 4))
+
+
+def _before_gaps(*inputs) -> set[int]:
+    """The plan of plan_reads before its last pass, the gap rule."""
+    with mock.patch.object(cache_module, "bridge_gaps", lambda pages, held: set(pages)):
+        return plan_reads(*inputs)
+
+
+def test_plan_reads_grows_windows_then_next_beam_then_fill_then_gaps():
+    windows = {10: range(10, 12), 17: range(17, 19)}
+    wanted = {11: 9, 12: 0, 13: 7, 14: 8, 18: 5}
+    # windows take 11 and 18, the next beam 12; the gap 13-16 is too long
+    assert plan_reads(windows, wanted, {16}, 0, 4) == {10, 11, 12, 17, 18}
+    # two free pages take 13 and 14; the gap 15-16 holds a resident page
+    assert plan_reads(windows, wanted, {16}, 7, 4) == {10, 11, 12, 13, 14, 17, 18}
+    assert plan_reads(windows, wanted, set(), 7, 4) == set(range(10, 19))
+    # a missed page that an earlier miss's window planned grows no window
+    windows = {10: range(10, 12), 11: range(11, 13)}
+    assert plan_reads(windows, {11: 0, 12: 9}, set(), 0, 4) == {10, 11}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plan_inputs())
+def test_plan_reads_takes_misses_takeable_pages_and_short_gaps_only(inputs):
+    windows, wanted, resident, room, beam_width = inputs
+    plan = plan_reads(*inputs)
+    assert windows.keys() <= plan
+    assert plan & resident <= windows.keys()
+    # any other page is wanted and not resident, or lies in a short gap that
+    # holds no resident page between two pages that are
+    own = sorted(plan & (windows.keys() | (wanted.keys() - resident)))
+    for p in plan.difference(own):
+        below = max((q for q in own if q < p), default=None)
+        above = min((q for q in own if q > p), default=None)
+        assert below is not None and above is not None
+        gap = range(below + 1, above)
+        assert len(gap) <= PRELOAD_GAP_PAGES and resident.isdisjoint(gap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plan_inputs())
+def test_plan_reads_fills_only_free_room_and_without_room_is_window_and_next_beam(inputs):
+    windows, wanted, resident, room, beam_width = inputs
+    base = _before_gaps(windows, wanted, resident, 0, beam_width)
+    filled = _before_gaps(*inputs)
+    # the fill only adds pages, and never past the free room
+    assert base <= filled
+    assert filled == base if len(base) >= room else len(filled) <= room
+    # without room: the window and next-beam passes, then the gap rule
+    assert plan_reads(windows, wanted, resident, 0, beam_width) == bridge_gaps(base, resident)
+    takeable = wanted.keys() - resident
+    in_window = set().union(*windows.values())
+    for p in base - windows.keys():
+        assert p in takeable and (p in in_window or wanted[p] < beam_width)
+    for p in base:
+        for q in (p - 1, p + 1):
+            if q in takeable and wanted[q] < beam_width:
+                assert q in base
 
 
 def _runs(pages: set[int]) -> int:
