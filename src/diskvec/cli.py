@@ -33,7 +33,7 @@ BUILD_META_FILE = "build_meta.txt"
 _TIMING_KEYS = frozenset({
     "qps",
     "wall_time_s",
-    "latency_ms",
+    "latency_s",
     "latency_mean_ms",
     "latency_p50_ms",
     "latency_p95_ms",
@@ -313,19 +313,15 @@ def cmd_query(args: argparse.Namespace) -> None:
     if args.trace:
         Path(args.trace).write_text("".join(_trace_line(rec) for rec in st.trace))
     # the flags, with the theta the run used in place, then the measures
-    report = dict(
-        _fields(args),
-        theta=params.theta,
-        theta_source=theta_source,
-        **sizes,
-        iterations=st.iterations,
-        transition_iter_theta=st.transition_iter_theta,
-        transition_iter_panns=st.transition_iter_panns,
-        io_ops=st.io_ops,
-        pages_read=st.pages_read,
-        bytes_read=st.pages_read * index.reader.header.page_size,
-        latency_ms=st.latency_s * 1e3,
-    )
+    report = dict(_fields(args)) | dict([
+        *_fields(index.reader.header),
+        ("theta", params.theta),
+        ("theta_source", theta_source),
+        *sizes.items(),
+        *_fields(st),
+        *_fields(st.hits.phase1, "phase1_"),
+        *_fields(st.hits.phase2, "phase2_"),
+    ])
     for rank, (nid, dist) in enumerate(results):
         report[f"result_{rank}"] = f"{nid}:{dist:.6f}"
     _emit_report(report.items(), args.out)
@@ -351,7 +347,6 @@ def _run_bench(
             repetitions=args.repetitions, reset_per_query=args.reset_per_query,
             trace=trace,
         )
-        reader_totals = index.reader.stats.snapshot()
 
     pairs: list[tuple[str, object]] = [
         *_fields(index.reader.header),
@@ -364,7 +359,6 @@ def _run_bench(
         *_fields(report),
         *_fields(report.hits_total.phase1, "phase1_"),
         *_fields(report.hits_total.phase2, "phase2_"),
-        *zip(("reader_total_io_ops", "reader_total_pages_read", "reader_total_bytes_read"), reader_totals),
     ]
     return pairs, report
 
@@ -382,8 +376,7 @@ def cmd_bench(args: argparse.Namespace) -> None:
         for qi, st in enumerate(report.stats):
             rows.extend(f"{qi},{_trace_line(rec)}" for rec in st.trace)
         Path(args.trace_out).write_text("".join(rows))
-    # the flags, with the theta, workers and repetitions the run used in
-    # place, then the measures
+    # the flags, with the theta the run used in place, then the measures
     _emit_report((dict(_fields(args)) | dict(pairs)).items(), args.out)
 
 
@@ -397,7 +390,6 @@ def cmd_compare(args: argparse.Namespace) -> None:
     pairs.extend(
         [
             ("compare_io_ops_ratio_a_over_b", ratio),
-            ("compare_io_reduction_pct_a_vs_b", (1.0 - ratio) * 100.0),
             ("compare_qps_ratio_a_over_b", report_a.qps / report_b.qps if report_b.qps else float("inf")),
         ]
     )

@@ -284,11 +284,11 @@ def calibrate_theta(
 
 @dataclass
 class WorkloadReport:
-    """Aggregates over every executed query (all repetitions)."""
+    """Timing, I/O, eviction and hit aggregates over every executed query
+    of every repetition; results, stats and recall_at_k come from the first
+    repetition."""
 
     query_count: int
-    repetitions: int
-    workers: int
     wall_time_s: float
     qps: float
     latency_mean_ms: float
@@ -322,13 +322,15 @@ def run_workload(
     reset_per_query: bool = False,
     trace: bool = False,
 ) -> WorkloadReport:
-    """Execute the query set, optionally across concurrent workers.
+    """Execute the query set repetitions times on a pool of workers threads
+    that share the cache.
 
     Result id lists are deterministic regardless of worker count (caching is
     transparent to results); only timing and cache/I/O counters depend on
-    interleaving. The dynamic cache is emptied between repetitions;
-    reset_per_query isolates queries and therefore runs them sequentially, on
-    one worker.
+    interleaving. The dynamic cache is emptied between repetitions and, with
+    reset_per_query, before every query; workers sharing the cache would
+    empty it under one another's queries, so reset_per_query with
+    workers > 1 is a ValueError.
     Missing ground truth leaves recall unreported; trace fills each query's
     stats.trace.
     """
@@ -346,36 +348,31 @@ def run_workload(
         raise ValueError(f"ground truth holds {gt.shape[1]} ids per query, need k={params.k}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if reset_per_query:
-        workers = 1
+    if reset_per_query and workers > 1:
+        raise ValueError(
+            "reset_per_query needs workers=1: workers share one cache and would empty it "
+            f"under one another's queries (got workers={workers})"
+        )
 
     def one(qi: int) -> tuple[list[tuple[int, float]], SearchStats]:
+        if reset_per_query:
+            cache.reset_dynamic()
         return beam_search(
             queries[qi], params, index.reader, index.layout, cache, index.codebook, index.codes,
             trace=trace,
         )
 
-    first_results: list[list[int]] = []
-    first_stats: list[SearchStats] = []
-    all_stats: list[SearchStats] = []
+    runs = []
     started = time.perf_counter()
-    for rep in range(repetitions):
-        if rep:
-            cache.reset_dynamic()
-        if workers == 1:
-            outs = []
-            for qi in range(Q):
-                if reset_per_query:
-                    cache.reset_dynamic()
-                outs.append(one(qi))
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outs = list(pool.map(one, range(Q)))
-        if rep == 0:
-            first_results = [[nid for nid, _ in res] for res, _ in outs]
-            first_stats = [st for _, st in outs]
-        all_stats.extend(st for _, st in outs)
+    # a pool of one worker runs the queries in submission order
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for rep in range(repetitions):
+            if rep:
+                cache.reset_dynamic()
+            runs.append(list(pool.map(one, range(Q))))
     wall = time.perf_counter() - started
+    first_results = [[nid for nid, _ in res] for res, _ in runs[0]]
+    all_stats = [st for outs in runs for _, st in outs]
 
     mean_recall: float | None = None
     if gt is not None:
@@ -391,8 +388,6 @@ def run_workload(
 
     return WorkloadReport(
         query_count=Q,
-        repetitions=repetitions,
-        workers=workers,
         wall_time_s=wall,
         qps=(Q * repetitions) / wall if wall > 0 else float("inf"),
         latency_mean_ms=float(lat.mean()),
@@ -411,5 +406,5 @@ def run_workload(
         mean_transition_iter_panns=float(np.mean([st.transition_iter_panns for st in all_stats])),
         mean_iterations=float(np.mean([st.iterations for st in all_stats])),
         results=first_results,
-        stats=first_stats,
+        stats=all_stats[:Q],
     )

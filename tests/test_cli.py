@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import shutil
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from diskvec.cache import CacheConfig
+from diskvec.cache import CacheConfig, PhaseCounts
 from diskvec.cli import _fmt, build_parser, is_timing_key, main, parse_report
 from diskvec.graphbuild import load_graph
 from diskvec.layout import _HEADER as _LAYOUT_HEADER
+from diskvec.search import SearchStats
 from diskvec.vecdata import load_fvecs, load_ivecs, write_fvecs
 
 from builders import edit_index_header
@@ -151,7 +154,7 @@ def test_bench_os_bypass_advises_the_os_to_drop_the_index(tmp_path, monkeypatch)
 
 
 def test_is_timing_key():
-    for key in ("qps", "latency_ms", "latency_p99_ms", "wall_time_s", "a_qps",
+    for key in ("qps", "latency_s", "latency_p99_ms", "wall_time_s", "a_qps",
                 "b_latency_p50_ms", "compare_qps_ratio_a_over_b"):
         assert is_timing_key(key), key
     for key in ("mean_io_ops", "a_mean_io_ops", "compare_io_ops_ratio_a_over_b", "a_",
@@ -323,6 +326,32 @@ def test_query_subcommand_with_trace(tmp_path):
     assert int(iteration) == 1
     assert hit_kind in ("static", "dynamic", "miss")
     assert int(phase) in (1, 2)
+
+
+def test_query_reports_every_search_stat(foreign_sidecars, tmp_path):
+    queries, index_dir, _ = foreign_sidecars
+    trace, out = tmp_path / "trace.csv", tmp_path / "query.txt"
+    assert main([
+        "query", "--index-dir", str(index_dir), "--queries", str(queries), "--qid", "1",
+        "--k", "5", "--l", "40", "--cache-budget", "150", "--trace", str(trace),
+        "--out", str(out),
+    ]) == 0
+    report = parse_report(out)
+    stats = SearchStats()
+    for f in dataclasses.fields(SearchStats):
+        if isinstance(getattr(stats, f.name), (int, float)):
+            assert f.name in report, f.name
+    # each trace line is one look-up, counted under its phase and hit kind
+    kinds = {"static": "static_hits", "dynamic": "dynamic_hits", "miss": "misses"}
+    traced = Counter(
+        f"phase{phase}_{kinds[kind]}"
+        for _, _, _, phase, kind in (line.split(",") for line in trace.read_text().splitlines())
+    )
+    counts = {f"phase{p}_{f.name}": int(report[f"phase{p}_{f.name}"])
+              for p in (1, 2) for f in dataclasses.fields(PhaseCounts)}
+    assert len(counts) == 6
+    assert counts == {key: traced[key] for key in counts}
+    assert sum(counts.values()) == len(trace.read_text().splitlines()) > 0
 
 
 def test_queries_run_without_graph_file(tmp_path):
@@ -600,6 +629,17 @@ def test_bench_runs_one_worker_unless_asked(foreign_sidecars, tmp_path, capsys):
     assert main(argv + ["--workers", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--workers must be >= 1" in err
+
+
+def test_bench_refuses_reset_per_query_on_more_workers(foreign_sidecars, capsys):
+    queries, index_dir, _ = foreign_sidecars
+    assert main([
+        "bench", "--index-dir", str(index_dir), "--queries", str(queries), "--k", "5",
+        "--l", "40", "--workers", "2", "--reset-per-query",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "reset_per_query" in err and "workers=2" in err
 
 
 def _usage_error(foreign_sidecars, args, tmp_path, capsys) -> str:

@@ -908,13 +908,13 @@ def test_workload_reset_per_query_mode(smoke):
     assert persist.results == isolated.results  # transparency again
 
 
-def test_workload_reset_per_query_reports_one_worker(smoke):
-    # isolated queries run one at a time, whatever worker count is asked for
+def test_workload_reset_per_query_refuses_more_workers(smoke):
+    # workers sharing one cache would empty it under one another's queries
     with smoke.index("sim") as index:
         cache = smoke.cache(index, budget=80)
-        report = run_workload(smoke.queries[:4], SearchParams(k=10, l=40, theta=0.5), index,
-                              cache, workers=4, reset_per_query=True)
-    assert report.workers == 1
+        with pytest.raises(ValueError, match="reset_per_query.*workers=4"):
+            run_workload(smoke.queries[:4], SearchParams(k=10, l=40, theta=0.5), index,
+                         cache, workers=4, reset_per_query=True)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
