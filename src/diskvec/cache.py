@@ -8,9 +8,11 @@ ids and the free pages, read under one lock acquisition. An admission into
 free pages evicts nothing.
 
 An admission may carry `wanted`, the searching query's map from page id to
-the queue position of the first unexpanded candidate on that page. Eviction
-then ranks the resident pages and the incoming one alike: pages the map lacks
-go first, then the wanted page with the highest position, and ties go by the
+the queue position of the first unexpanded candidate on that page; a search
+admits an iteration's reads with the queue that iteration leaves, fresh
+neighbours included, as a cheap stand-in for Belady's MIN. Eviction then
+ranks the resident pages and the incoming one alike: pages the map lacks go
+first, then the wanted page with the highest position, and ties go by the
 policy's own order. An incoming page that ranks worst passes through without
 staying, and counts as evicted. Without the map the policy alone decides.
 
@@ -38,6 +40,7 @@ from .layout import LayoutMap
 POLICIES = ("LFU", "FIFO", "RANDOM")
 DEFAULT_POLICY = "FIFO"
 PRELOAD_GAP_PAGES = 3  # pages a cached read may read through between two of its pages
+READ_AHEAD_BEAMS = 4  # beams of queue positions a run grows through past its window
 
 
 @dataclass
@@ -158,29 +161,30 @@ def plan_reads(
     wanted: dict[int, int],
     resident: Set[int],
     room: int,
-    beam_width: int,
+    horizon: int,
 ) -> set[int]:
     """The pages one beam iteration reads when the dynamic share has pages,
     in either phase; the dynamic cache then admits all of them.
 
     windows maps each missed page, in batch order, to the page window of its
     first miss (`layout.compute_read_interval`). wanted maps a page id to the
-    queue position of its first unexpanded candidate after the beam, the map
-    eviction ranks by. resident and room are the dynamic store's page ids and
-    free pages (`HybridCache.residency`). A page is takeable when it is in
-    wanted and not resident. The plan grows in four passes; each growth goes
+    queue position of its first unexpanded candidate after the beam. resident
+    and room are the dynamic store's page ids and free pages
+    (`HybridCache.residency`). horizon is a queue position; `beam_search`
+    passes READ_AHEAD_BEAMS beams of positions. A page is takeable when it is
+    in wanted and not resident. The plan grows in four passes; each growth goes
     outward one page at a time on either side and stops at the first page
     that is planned already or that the pass refuses:
 
     1. each missed page not yet planned, in order, is planned and grows
        through the takeable pages of its window;
     2. each run of planned pages grows on past the window through the
-       takeable pages whose wanted position is below beam_width, the next
-       beam;
+       takeable pages whose wanted position is below horizon, the candidates
+       the next beams will expand;
     3. while the planned pages are fewer than room, a read into the free
        pages evicts nothing, so each run grows on through takeable pages at
        any position until the plan fills the room; once the share is full a
-       plan stops at the next beam;
+       plan stops at the horizon;
     4. last, whatever the room, bridge_gaps adds each gap of up to
        PRELOAD_GAP_PAGES pages between two planned pages that holds no
        resident page, the gap rule of the static preload: the layout puts a
@@ -199,7 +203,7 @@ def plan_reads(
         if page not in planned:
             _grow(planned, page, lambda p: p in window and p in wanted and p not in resident)
     for page in sorted(planned):
-        _grow(planned, page, lambda p: wanted.get(p, beam_width) < beam_width and p not in resident)
+        _grow(planned, page, lambda p: wanted.get(p, horizon) < horizon and p not in resident)
     if len(planned) < room:
         for page in sorted(planned):
             _grow(

@@ -3,10 +3,11 @@ similarity-aware batch loading on misses, and per-query statistics.
 
 When the dynamic cache has pages, a miss in either phase reads more than its
 own page, and the cache admits every page read: `cache.plan_reads` states
-the read rule. Without dynamic pages a miss reads only its own page. One map
+the read rule. Without dynamic pages a miss reads only its own page. A map
 from page to the queue position of its first candidate after the beam drives
-the plan and eviction. The phase labels statistics only; it does not change
-what is read.
+the plan; the same map over the queue the iteration leaves, which holds the
+beam's fresh neighbours, drives eviction. The phase labels statistics only;
+it does not change what is read.
 
 The candidate queue is ordered by compressed (PQ) distance; exact distances
 are computed only for expanded nodes and used only for the final ranking.
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cache import HitStats, HybridCache, plan_reads
+from .cache import READ_AHEAD_BEAMS, HitStats, HybridCache, plan_reads
 from .diskstore import DiskPage, Index, IndexReader
 from .errors import InvariantError
 from .layout import LayoutMap, compute_read_interval
@@ -98,6 +99,12 @@ def detect_transition(
     return all(nid in visited for nid in queue_ids[:need])
 
 
+def _first_positions(pages: list[int]) -> dict[int, int]:
+    """page -> its first position in pages."""
+    # written last to first, so each page keeps its first position
+    return dict(zip(reversed(pages), range(len(pages) - 1, -1, -1)))
+
+
 def beam_search(
     query: np.ndarray,
     params: SearchParams,
@@ -115,15 +122,19 @@ def beam_search(
     unvisited candidates per iteration in PQ-distance order, fetches their
     pages through the cache, scores the beam's fresh neighbours in one PQ
     call, and stops once the whole queue prefix has been expanded. Each
-    iteration looks up its whole beam. One with a miss reads its unexpanded
-    candidates' ranks once: they place each miss on its page and slot and
+    iteration looks up its whole beam. One with a miss maps its unexpanded
+    candidates to their pages, once: they place each miss on its page and
     give `wanted`, page id -> queue position of the first unexpanded
     candidate after the beam on that page. Without dynamic pages it reads
     each miss's own page; with them, the pages `cache.plan_reads` plans from
-    each missed page's window and one `HybridCache.residency` snapshot. It
-    reads each planned page once, one request per run of consecutive pages,
-    and the dynamic cache, when it has pages, admits every run with `wanted`
-    (see HybridCache). With trace, stats.trace records every expansion.
+    each missed page's window, one `HybridCache.residency` snapshot and a
+    horizon of READ_AHEAD_BEAMS beams. It reads each planned page once, one
+    request per run of consecutive pages. The dynamic cache, when it has
+    pages, admits them after the queue update, ranking victims by the queue
+    the iteration leaves (page -> position of its first unexpanded
+    candidate, 0 being the next beam; see HybridCache), and the next
+    iteration plans from the same pages of that queue. With trace,
+    stats.trace records every expansion.
     """
     header = reader.header
     q64 = np.asarray(query, dtype=np.float64).ravel()
@@ -143,8 +154,9 @@ def beam_search(
     cap = layout.page_capacity
     started = time.perf_counter()
 
+    unexpanded = [entry]
+    queue_pages: list[int] | None = None  # the pages of unexpanded, once needed
     while True:
-        unexpanded = [nid for _, nid in queue if nid not in visited]
         batch = unexpanded[: params.beam_width]
         if not batch:
             break
@@ -155,33 +167,29 @@ def beam_search(
         # runs
         fetched = [cache.lookup(nid, phase, hits=stats.hits) for nid in batch]
         missed = [i for i, hit in enumerate(fetched) if hit is None]
+        pages: dict[int, DiskPage] = {}
         if missed:
-            ranks = layout.node_rank[unexpanded]
-            queue_pages = (ranks // cap).tolist()
-            later = queue_pages[len(batch) :]
-            # page -> its first candidate after the beam; written last to
-            # first, so each page keeps its first position
-            wanted = dict(zip(reversed(later), range(len(later) - 1, -1, -1)))
+            if queue_pages is None:
+                queue_pages = (layout.node_rank[unexpanded] // cap).tolist()
             if admit:
                 windows: dict[int, range] = {}
                 for i in missed:
                     if queue_pages[i] not in windows:
                         interval = compute_read_interval(batch[i], params.window_pages, layout)
                         windows[queue_pages[i]] = interval.pages()
+                wanted = _first_positions(queue_pages[len(batch) :])
                 resident, room = cache.residency()
-                planned = plan_reads(windows, wanted, resident, room, params.beam_width)
+                horizon = READ_AHEAD_BEAMS * params.beam_width
+                planned = plan_reads(windows, wanted, resident, room, horizon)
             else:
                 planned = {queue_pages[i] for i in missed}
-            pages: dict[int, DiskPage] = {}
             for run in reader.read_pages(planned):
                 stats.io_ops += 1
                 stats.pages_read += len(run)
                 pages.update((page.page_id, page) for page in run)
-                if admit:
-                    stats.evictions += len(cache.admit_pages(run, wanted=wanted))
             for i in missed:
                 page = pages[queue_pages[i]]
-                fetched[i] = ("miss", *page.slot(int(ranks[i]) % cap, expect_node=batch[i]))
+                fetched[i] = ("miss", *page.slot(layout.slot_of(batch[i]), expect_node=batch[i]))
 
         fresh: list[int] = []
         for nid, (kind, vec, adj) in zip(batch, fetched):
@@ -199,6 +207,14 @@ def beam_search(
 
         queue.sort()
         del queue[params.l :]
+        unexpanded = [nid for _, nid in queue if nid not in visited]
+        queue_pages = None
+        if pages and admit:
+            # rank victims by the queue this iteration leaves: position 0 is
+            # the next beam
+            queue_pages = (layout.node_rank[unexpanded] // cap).tolist()
+            wanted = _first_positions(queue_pages)
+            stats.evictions += len(cache.admit_pages(list(pages.values()), wanted=wanted))
         ids = [nid for _, nid in queue[: params.k]]
         if t_panns is None and detect_transition(ids, visited, params.k, 1.0):
             t_panns = stats.iterations

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from diskvec.cache import POLICIES, PRELOAD_GAP_PAGES, HitStats, HybridCache, preload_static
+from diskvec.cache import (
+    POLICIES,
+    PRELOAD_GAP_PAGES,
+    READ_AHEAD_BEAMS,
+    HitStats,
+    HybridCache,
+    preload_static,
+)
 from diskvec.diskstore import IndexReader, _slot_dtype
 from diskvec.errors import FormatError
 from diskvec.search import (
@@ -215,6 +222,31 @@ def test_phase1_miss_reads_its_trimmed_window(tmp_path, monkeypatch):
     assert (st.io_ops, st.pages_read) == (2, 3)
 
 
+def _stepped_search(
+    tmp_path, monkeypatch, adjacency: list[list[int]], dynamic_pages: int, window_pages: int,
+    *, beam_width: int = 1, l: int = 4, full: tuple[int, ...] = (), static_nodes: int = 0,
+):
+    """A search of _line_index's index from the entry 0 for a query at 11,
+    with k=1. static_nodes nodes are preloaded, and the pages in full are
+    admitted in order before the search. Returns the trace's (node, hit
+    kind) pairs, the read plans, the stats and the pages resident after the
+    search, in admission order."""
+    lm, path, codebook, codes = _line_index(tmp_path, adjacency)
+    with IndexReader(path) as r:
+        cache = HybridCache(preload_static(None, r, lm, static_nodes), dynamic_pages, lm)
+        for run in r.read_pages(full):
+            cache.admit_pages(run)
+        planned = _recorded_plans(monkeypatch)
+        params = SearchParams(
+            k=1, l=l, beam_width=beam_width, theta=0.5, window_pages=window_pages
+        )
+        _, st = beam_search(
+            np.array([11.0, 0.0]), params, r, lm, cache, codebook, codes, trace=True
+        )
+    kinds = [(rec.node_id, rec.hit_kind) for rec in st.trace]
+    return kinds, planned, st, list(cache.dynamic.pages)
+
+
 def _next_beam_search(
     tmp_path, monkeypatch, dynamic_pages: int, window_pages: int, pages: int = 5,
     full: tuple[int, ...] = (),
@@ -223,29 +255,54 @@ def _next_beam_search(
     24, queued in that order for a query at 11 and expanded one per
     iteration. The pages in full are admitted before the search. Returns the
     trace's (node, hit kind) pairs, the read plans and the evictions."""
-    lm, path, codebook, codes = _line_index(tmp_path, [[12, 18, 24]] + [[0]] * (6 * pages - 1))
-    assert [lm.page_of(node) for node in (0, 12, 18, 24)] == [0, 2, 3, 4]
-    cache = HybridCache({}, dynamic_pages, lm)
-    with IndexReader(path) as r:
-        for run in r.read_pages(full):
-            cache.admit_pages(run)
-        planned = _recorded_plans(monkeypatch)
-        params = SearchParams(k=1, l=4, beam_width=1, theta=0.5, window_pages=window_pages)
-        _, st = beam_search(
-            np.array([11.0, 0.0]), params, r, lm, cache, codebook, codes, trace=True
-        )
-    return [(rec.node_id, rec.hit_kind) for rec in st.trace], planned, st.evictions
+    adjacency = [[12, 18, 24]] + [[0]] * (6 * pages - 1)
+    kinds, planned, st, _ = _stepped_search(
+        tmp_path, monkeypatch, adjacency, dynamic_pages, window_pages, full=full
+    )
+    return kinds, planned, st.evictions
 
 
 def test_a_run_grows_through_the_page_of_the_next_beam(tmp_path, monkeypatch):
-    # the share starts full with pages 5-8, which the query never visits. The
-    # one-page window of the miss of 12 grows onto page 3, whose 18 is the
-    # next beam, and stops at page 4, whose 24 comes after it
-    kinds, planned, _ = _next_beam_search(
-        tmp_path, monkeypatch, dynamic_pages=4, window_pages=1, pages=9, full=(5, 6, 7, 8)
+    # the share starts full with pages 9-14, which the query never visits.
+    # The entry 0 queues 11, 10 and 42; 11 queues 18, 24 and 30, and 10
+    # queues 12 and 36. So when the one-page window of the miss of 12 (page
+    # 2) is read, 18, 24, 30, 36 and 42 follow it at queue positions 0-4 on
+    # pages 3-7. The horizon is READ_AHEAD_BEAMS beams of one, positions 0-3:
+    # the run grows through pages 3-6 and stops at page 7, which 42 reads
+    adjacency = [[11, 10, 42]] + [[0]] * 89
+    adjacency[11] = [18, 24, 30]
+    adjacency[10] = [12, 36, 0]
+    kinds, planned, _, _ = _stepped_search(
+        tmp_path, monkeypatch, adjacency, dynamic_pages=6, window_pages=1, l=10,
+        full=(9, 10, 11, 12, 13, 14),
     )
-    assert kinds == [(0, "miss"), (12, "miss"), (18, "dynamic"), (24, "miss")]
-    assert planned == [[0], [2, 3], [4]]
+    assert READ_AHEAD_BEAMS == 4
+    assert kinds == [
+        (0, "miss"), (11, "miss"), (10, "dynamic"), (12, "miss"), (18, "dynamic"),
+        (24, "dynamic"), (30, "dynamic"), (36, "dynamic"), (42, "miss"),
+    ]
+    assert planned == [[0], [1], [2, 3, 4, 5, 6], [7]]
+
+
+def test_a_full_share_keeps_the_page_of_a_fresh_neighbour(tmp_path, monkeypatch):
+    # the entry 0 is a static hit and queues 12, 24 and 36; the share holds
+    # page 6, whose 36 stays queued, and page 8, which no candidate needs.
+    # The beam of 12 and 24 misses pages 2 and 4, whose read bridges page 3;
+    # 12 exposes 18 there, which no queued candidate stood on before. Ranked
+    # by the queue the iteration leaves, page 8 goes, then pages 2 and 4,
+    # which hold no queued candidate, and page 3 stays: 18 is a dynamic hit
+    adjacency = [[12, 24, 36]] + [[0]] * 53
+    adjacency[12] = [18, 0]
+    kinds, planned, st, resident = _stepped_search(
+        tmp_path, monkeypatch, adjacency, dynamic_pages=2, window_pages=1, beam_width=2,
+        l=8, full=(6, 8), static_nodes=1,
+    )
+    assert kinds == [
+        (0, "static"), (12, "miss"), (24, "miss"), (18, "dynamic"), (36, "dynamic"),
+    ]
+    assert planned == [[2, 3, 4]]
+    assert st.evictions == 3
+    assert resident == [6, 3]
 
 
 def test_free_room_takes_every_adjacent_candidate_page(tmp_path, monkeypatch):
@@ -499,7 +556,7 @@ def _digest(smoke, budget: int, hit_kinds: bool = True) -> str:
 
 @pytest.mark.parametrize("budget, want", [
     (0, "5eaee220899d92dd3e9bd03a2048b5f3de72df80cab53a1cf9f2574b4e4330a3"),
-    (80, "1cbe71bcac143711293389859a899edc13b693f6bf67baff50bdfd75e7d1d8be"),
+    (80, "a27f667096900fe49545f7f76abb795daf25fa40181fcd95bc790239b22dac39"),
 ], ids=["0", "80"])
 def test_results_and_traces_match_pinned_digest(smoke, budget, want):
     # pinned from the search that read one page per miss and scored each
@@ -541,7 +598,13 @@ def test_results_and_traces_match_pinned_digest(smoke, budget, want):
     # 1cbe71bc...) when plans came to read through gaps of up to
     # PRELOAD_GAP_PAGES pages that hold no resident page, as the static
     # preload does: 5 misses became dynamic hits and 7 dynamic hits misses,
-    # and the 20 queries made 156 requests for 260 pages, not 164 for 236
+    # and the 20 queries made 156 requests for 260 pages, not 164 for 236.
+    # Budget 80 was pinned again (1cbe71bc... -> a27f6670...) when eviction
+    # came to rank pages by the queue an iteration leaves, which holds the
+    # beam's fresh neighbours, and runs came to grow through the pages of the
+    # next READ_AHEAD_BEAMS beams, not one: 53 misses became dynamic hits and
+    # 15 dynamic hits misses, and the 20 queries made 130 requests for 246
+    # pages, not 156 for 260
     assert _digest(smoke, budget) == want
 
 

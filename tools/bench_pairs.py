@@ -103,7 +103,8 @@ def main() -> int:
                     record, result = run(trees[side], w, seed, args.seconds, trace=False)
                     out[side]["records"].append(record)
                     out[side]["results"].append(result)
-                    print(w, seed, side, json.dumps(result["metrics"]), file=sys.stderr)
+                    print(w, seed, side, json.dumps(result["metrics"]), file=sys.stderr,
+                          flush=True)
             host = {key: out["change"]["records"][0][key]
                     for key in ("python", "numpy", "nproc", "blas_threads", "os_page_cache")}
             metrics = {}
