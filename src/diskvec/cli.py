@@ -3,17 +3,12 @@
 Every run echoes its full effective configuration into its output, reports are
 line-delimited key=value text, and exit codes are 0 (ok), 2 (usage/argument),
 3 (data/format), 4 (internal invariant violation).
-
-Flags can be pre-set through environment variables: DISKVEC_<FLAG> with the
-flag upper-cased and dashes turned into underscores (explicit flags win); a bad
-value fails only the subcommands that have the flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from collections.abc import Iterable
 from pathlib import Path
@@ -24,8 +19,6 @@ from . import diskstore, graphbuild, layout as layoutmod, pqcodec, search, vecda
 from .cache import DEFAULT_POLICY, POLICIES, CacheConfig, HybridCache, auto_budget_nodes
 from .diskstore import GRAPH_FILE, INDEX_FILE, LAYOUT_FILE, PQ_FILE, Index
 from .errors import FormatError, InvariantError
-
-ENV_PREFIX = "DISKVEC_"
 
 THETA_FILE = "theta.txt"
 BUILD_META_FILE = "build_meta.txt"
@@ -46,46 +39,6 @@ def is_timing_key(key: str) -> bool:
     """Whether a report key holds a wall-clock figure, which varies run to
     run even under fixed seeds; compare's a_/b_ prefixes are looked through."""
     return key in _TIMING_KEYS or (key[:2] in ("a_", "b_") and key[2:] in _TIMING_KEYS)
-
-
-class _Preset(str):
-    """A flag default read from the environment variable `var`."""
-
-    var: str
-
-
-def _env_default(flag: str, fallback):
-    """The flag's default: the raw DISKVEC_<FLAG> string when set, which
-    argparse converts with the flag's own type only when the subcommand runs
-    without the flag; otherwise fallback."""
-    var = ENV_PREFIX + flag.upper().replace("-", "_")
-    if var not in os.environ:
-        return fallback
-    preset = _Preset(os.environ[var])
-    preset.var = var
-    return preset
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors about a preset name its variable.
-
-    argparse converts a string default with the flag's type, but checks no
-    default against the flag's choices; a preset is checked here.
-    """
-
-    def _get_value(self, action, arg_string):
-        if not isinstance(arg_string, _Preset):
-            return super()._get_value(action, arg_string)
-        try:
-            value = super()._get_value(action, arg_string)
-        except argparse.ArgumentError as exc:
-            raise argparse.ArgumentError(action, f"{exc.message} (from {arg_string.var})") from None
-        if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            raise argparse.ArgumentError(
-                action, f"invalid choice {value!r} from {arg_string.var} (choose from {choices})"
-            )
-        return value
 
 
 def _fmt(v) -> str:
@@ -400,49 +353,30 @@ def cmd_compare(args: argparse.Namespace) -> None:
 
 
 def _add_cache_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--cache-budget",
-        type=int,
-        default=_env_default("cache-budget", None),
-        help="cache budget in node records (default: 1%% of the index file)",
-    )
-    p.add_argument(
-        "--static-frac",
-        type=float,
-        default=_env_default("static-frac", CacheConfig.static_fraction),
-        help=f"fraction of the budget held by the static cache (default {CacheConfig.static_fraction})",
-    )
-    p.add_argument(
-        "--policy",
-        choices=POLICIES,
-        default=_env_default("policy", DEFAULT_POLICY),
-        help=f"dynamic cache replacement policy (default {DEFAULT_POLICY})",
-    )
-    p.add_argument(
-        "--cache-seed",
-        type=int,
-        default=_env_default("cache-seed", 0),
-        help="seed for the RANDOM policy",
-    )
+    p.add_argument("--cache-budget", type=int, default=None,
+                   help="cache budget in node records (default: 1%% of the index file)")
+    p.add_argument("--static-frac", type=float, default=CacheConfig.static_fraction,
+                   help="fraction of the budget held by the static cache (default %(default)s)")
+    p.add_argument("--policy", choices=POLICIES, default=DEFAULT_POLICY,
+                   help="dynamic cache replacement policy (default %(default)s)")
+    p.add_argument("--cache-seed", type=int, default=0, help="seed for the RANDOM policy")
 
 
 def _add_beam_flags(p: argparse.ArgumentParser, k_default: int = 100) -> None:
     """--k, --l and --beam-width: calibrate's search flags, and the first of
     the others'."""
-    p.add_argument("--k", type=int, default=_env_default("k", k_default))
-    p.add_argument("--l", type=int, default=_env_default("l", 128))
-    p.add_argument("--beam-width", type=int, default=_env_default("beam-width", 4))
+    p.add_argument("--k", type=int, default=k_default)
+    p.add_argument("--l", type=int, default=128)
+    p.add_argument("--beam-width", type=int, default=search.SearchParams.beam_width)
 
 
 def _add_search_flags(p: argparse.ArgumentParser, k_default: int = 100) -> None:
     _add_beam_flags(p, k_default)
     p.add_argument(
-        "--theta",
-        type=float,
-        default=_env_default("theta", None),
+        "--theta", type=float, default=None,
         help="transition threshold in (0,1); default: calibrated sidecar value, else 0.5",
     )
-    p.add_argument("--window-pages", type=int, default=_env_default("window-pages", 2))
+    p.add_argument("--window-pages", type=int, default=search.SearchParams.window_pages)
 
 
 def _add_workload_flags(p: argparse.ArgumentParser) -> None:
@@ -451,32 +385,27 @@ def _add_workload_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gt", default=None)
     _add_search_flags(p)
     _add_cache_flags(p)
-    p.add_argument("--workers", type=int, default=_env_default("workers", 1))
-    p.add_argument("--repetitions", type=int, default=_env_default("repetitions", 1))
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--repetitions", type=int, default=1)
     p.add_argument("--reset-per-query", action="store_true")
     p.add_argument("--os-bypass", action="store_true", help="advise the OS to drop its cached index pages")
     p.add_argument("--out", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="diskvec",
-        description="Disk-resident ANN graph index benchmark tool",
+    parser = argparse.ArgumentParser(
+        prog="diskvec", description="Disk-resident ANN graph index benchmark tool"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a Gaussian-blob dataset (fvecs)")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=_env_default("n", 10000))
-    p.add_argument("--dim", type=int, default=_env_default("dim", 16))
-    p.add_argument("--blobs", type=int, default=_env_default("blobs", 8))
-    p.add_argument("--spread", type=float, default=_env_default("spread", 1.0))
-    p.add_argument(
-        "--center-spread",
-        type=float,
-        default=_env_default("center-spread", 10.0),
-    )
-    p.add_argument("--seed", type=int, default=_env_default("seed", 0))
+    p.add_argument("--n", type=int, default=10000)
+    p.add_argument("--dim", type=int, default=16)
+    p.add_argument("--blobs", type=int, default=8)
+    p.add_argument("--spread", type=float, default=1.0)
+    p.add_argument("--center-spread", type=float, default=10.0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--queries", type=int, default=0, help="also emit this many query vectors")
     p.add_argument("--queries-out", default=None)
     p.set_defaults(func=cmd_synth)
@@ -484,28 +413,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build the graph and PQ sidecars")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--r", type=int, default=_env_default("r", 32))
-    p.add_argument("--l-build", type=int, default=_env_default("l-build", 64))
-    p.add_argument("--alpha", type=float, default=_env_default("alpha", 1.2))
-    p.add_argument("--seed", type=int, default=_env_default("seed", 0))
-    p.add_argument("--pq-m", type=int, default=_env_default("pq-m", 0), help="0 = auto (dim/4)")
-    p.add_argument("--pq-c", type=int, default=_env_default("pq-c", 256))
-    p.add_argument("--pq-iters", type=int, default=_env_default("pq-iters", 25))
+    p.add_argument("--r", type=int, default=32)
+    p.add_argument("--l-build", type=int, default=64)
+    p.add_argument("--alpha", type=float, default=1.2)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--pq-m", type=int, default=0, help="0 = auto (dim/4)")
+    p.add_argument("--pq-c", type=int, default=256)
+    p.add_argument("--pq-iters", type=int, default=25)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("layout", help="lay the index out on disk and write the index file")
     p.add_argument("--index-dir", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--kind", choices=("insertion", "similarity"), default="similarity")
-    p.add_argument("--page-size", type=int, default=_env_default("page-size", 4096))
-    p.add_argument("--kmeans-iters", type=int, default=_env_default("kmeans-iters", 25))
-    p.add_argument("--seed", type=int, default=_env_default("seed", 0))
+    p.add_argument("--page-size", type=int, default=diskstore.DEFAULT_PAGE_SIZE)
+    p.add_argument("--kmeans-iters", type=int, default=25)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_layout)
 
     p = sub.add_parser("gt", help="write brute-force ground truth (ivecs)")
     p.add_argument("--dataset", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--k", type=int, default=_env_default("k", 100))
+    p.add_argument("--k", type=int, default=100)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gt)
 
@@ -513,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index-dir", required=True)
     p.add_argument("--dataset", required=True)
     _add_beam_flags(p)
-    p.add_argument("--fraction", type=float, default=_env_default("fraction", 0.01))
-    p.add_argument("--seed", type=int, default=_env_default("seed", 0))
+    p.add_argument("--fraction", type=float, default=0.01)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("query", help="run one query and print results plus stats")

@@ -189,13 +189,20 @@ def write_index(
         entry_id=graph.entry_id,
         layout_kind=layout_kind,
     )
-    with open(path, "wb") as f:
-        f.write(
-            _INDEX_HEADER.pack(
-                INDEX_MAGIC, page_size, dim, n, R, cap, graph.entry_id,
-                LAYOUT_KIND_CODES[layout_kind],
-            ).ljust(page_size, b"\x00")
+    # packed before the file is opened, so a field too large for the header
+    # leaves an existing file as it was
+    try:
+        packed = _INDEX_HEADER.pack(
+            INDEX_MAGIC, page_size, dim, n, R, cap, graph.entry_id,
+            LAYOUT_KIND_CODES[layout_kind],
         )
+    except struct.error as exc:
+        raise ValueError(
+            f"the index.bin header cannot hold page_size {page_size}, dim {dim}, R {R} "
+            f"and page_capacity {cap}: {exc}"
+        ) from None
+    with open(path, "wb") as f:
+        f.write(packed.ljust(page_size, b"\x00"))
         for page_id in range(header.total_pages):
             nodes = layout.nodes_on_page(page_id)
             slots = np.zeros(nodes.shape[0], dtype=dtype)

@@ -1,4 +1,4 @@
-"""End-to-end CLI pipelines, exit codes, report structure, env overrides."""
+"""End-to-end CLI pipelines, exit codes, report structure, flag defaults."""
 
 from __future__ import annotations
 
@@ -11,11 +11,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from diskvec.cache import CacheConfig, PhaseCounts
+from diskvec.cache import DEFAULT_POLICY, CacheConfig, PhaseCounts
 from diskvec.cli import _fmt, build_parser, is_timing_key, main, parse_report
+from diskvec.diskstore import DEFAULT_PAGE_SIZE
 from diskvec.graphbuild import load_graph
 from diskvec.layout import _HEADER as _LAYOUT_HEADER
-from diskvec.search import SearchStats
+from diskvec.search import SearchParams, SearchStats
 from diskvec.vecdata import load_fvecs, load_ivecs, write_fvecs
 
 from builders import edit_index_header
@@ -419,38 +420,33 @@ def test_compare_emits_ratio_block(tmp_path):
     assert report["a_recall_at_k"] == report["b_recall_at_k"]
 
 
-def test_env_variable_overrides_flag_default(tmp_path, monkeypatch, capsys):
+def test_environment_sets_no_flag_default(tmp_path, monkeypatch, foreign_sidecars):
     monkeypatch.setenv("DISKVEC_DIM", "6")
-    out = tmp_path / "env.fvecs"
-    assert main(["synth", "--out", str(out), "--n", "20", "--seed", "1"]) == 0
-    assert load_fvecs(out).dim == 6
-    # explicit flag beats the environment
-    out2 = tmp_path / "env2.fvecs"
-    assert main(["synth", "--out", str(out2), "--n", "20", "--dim", "3", "--seed", "1"]) == 0
-    assert load_fvecs(out2).dim == 3
-    # a bad preset fails only the subcommands that have the flag
     monkeypatch.setenv("DISKVEC_WORKERS", "abc")
+    out = tmp_path / "synth.fvecs"
     assert main(["synth", "--out", str(out), "--n", "20", "--seed", "1"]) == 0
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--index-dir", str(tmp_path), "--queries", str(out)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--workers" in err and "DISKVEC_WORKERS" in err
-    # argparse checks no string default against choices; a preset is checked
-    monkeypatch.delenv("DISKVEC_WORKERS")
-    monkeypatch.setenv("DISKVEC_POLICY", "LRU")
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--index-dir", str(tmp_path), "--queries", str(out)])
-    assert exc.value.code == 2
-    assert "DISKVEC_POLICY" in capsys.readouterr().err
+    assert load_fvecs(out).dim == 16
+    queries, index_dir, _ = foreign_sidecars
+    report = tmp_path / "report.txt"
+    assert main([
+        "bench", "--index-dir", str(index_dir), "--queries", str(queries), "--k", "5",
+        "--l", "40", "--out", str(report),
+    ]) == 0
+    assert parse_report(report)["workers"] == "1"
 
 
-def test_static_frac_default_is_the_cache_config_default(monkeypatch):
-    monkeypatch.delenv("DISKVEC_STATIC_FRAC", raising=False)
-    argv = ["bench", "--index-dir", "idx", "--queries", "q.fvecs"]
-    assert build_parser().parse_args(argv).static_frac == CacheConfig.static_fraction
-    monkeypatch.setenv("DISKVEC_STATIC_FRAC", "0.3")
-    assert build_parser().parse_args(argv).static_frac == 0.3
+@pytest.mark.parametrize(
+    "command, dest, library_default",
+    [("bench", "static_frac", CacheConfig.static_fraction),
+     ("bench", "policy", DEFAULT_POLICY),
+     ("bench", "beam_width", SearchParams.beam_width),
+     ("bench", "window_pages", SearchParams.window_pages),
+     ("layout", "page_size", DEFAULT_PAGE_SIZE)],
+)
+def test_flag_default_is_the_library_default(command, dest, library_default):
+    required = {"bench": ["--queries", "q.fvecs"], "layout": ["--dataset", "d.fvecs"]}
+    args = build_parser().parse_args([command, "--index-dir", "idx", *required[command]])
+    assert getattr(args, dest) == library_default
 
 
 def test_layout_insertion_identity_and_content_preserved(tmp_path):
@@ -661,6 +657,16 @@ def _usage_error(foreign_sidecars, args, tmp_path, capsys) -> str:
     assert rc == 2
     assert err.startswith("error:") and "Traceback" not in err
     return err
+
+
+def test_page_size_beyond_u32_exits_2_leaving_the_index_file(foreign_sidecars, tmp_path,
+                                                              capsys):
+    # 2**32 fails before any page is padded; a page size that fits in u32
+    # would have write_index pad the header to that many bytes
+    _, index_dir, _ = foreign_sidecars
+    err = _usage_error(foreign_sidecars, ["layout", "--page-size", str(2**32)], tmp_path, capsys)
+    assert len(err.splitlines()) == 1 and f"page_size {2**32}" in err
+    assert (tmp_path / "idx" / "index.bin").read_bytes() == (index_dir / "index.bin").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -12,9 +12,11 @@ directory, through the unchanged `bench/run.py`. Per workload there is one
 pair per seed; the parent runs first on odd seeds and the change on even
 ones. The end-to-end metrics, their units, directions and bounds come from
 the change's BENCHMARK.json. One traced run per side (change first) on the
-first seed of each workload fills "traced". The file's "verdict" states the
-claimed metric's result and each metric's median against its bound; what
-the runs showed beyond that is added by hand as verdict.not_as_predicted.
+first seed of each workload fills "traced"; with one run per side, its
+timings and bench.trace_overhead_ratio are single readings, not a paired
+measurement. The file's "verdict" states the claimed metric's result and
+each metric's median against its bound; what the runs showed beyond that
+is added by hand as verdict.not_as_predicted.
 The record's keys are written into --out, which keeps any other keys it
 already holds (such as those of tools/layout_scale.py and
 tools/static_share.py).
@@ -138,6 +140,7 @@ def main() -> int:
             seed = args.seeds[0]
             traced[w] = {
                 "seed": seed,
+                "runs_per_side": 1,
                 "command": f"python3 bench/run.py --workload {w} --seed {seed} "
                            f"--seconds {args.seconds:g} --trace 1 (change first)",
                 **{side: {name: entry["value"] for name, entry in
@@ -181,7 +184,9 @@ def main() -> int:
         "method": "per workload, one pair per seed; the side that runs first alternates "
                   "(parent first on odd seeds). Medians and quartiles are numpy.percentile "
                   f"(linear) over the {pairs} runs of a side. change_wins counts pairs where "
-                  "the change is better in the metric's direction; ties count for neither."
+                  "the change is better in the metric's direction; ties count for neither. "
+                  "\"traced\" holds one traced run per side on the first seed, so its "
+                  "timings and trace overhead ratio are single readings, not pairs."
                   + (f" {args.method_note}" if args.method_note else ""),
         "host": host,
         "traced": traced,
