@@ -125,7 +125,7 @@ def cmd_build(args: argparse.Namespace) -> None:
         )
         pq_m = args.pq_m or pqcodec.default_subspace_count(dataset.dim)
         pq_c = min(args.pq_c, dataset.n)
-        codebook = pqcodec.train(dataset, m=pq_m, c=pq_c, seed=args.seed, iters=args.pq_iters)
+        codebook = pqcodec.train(dataset, m=pq_m, c=pq_c, seed=args.seed)
         codes = pqcodec.encode_dataset(dataset, codebook)
     except ValueError as exc:
         raise ValueError(f"build failed: {exc}") from exc
@@ -161,9 +161,7 @@ def cmd_layout(args: argparse.Namespace) -> None:
         lm = layoutmod.build_insertion_layout(dataset, cap)
         kind_name = "insertion-order"
     else:
-        lm = layoutmod.build_similarity_layout(
-            dataset, cap, max_iters=args.kmeans_iters, seed=args.seed
-        )
+        lm = layoutmod.build_similarity_layout(dataset, cap, seed=args.seed)
         kind_name = "similarity"
     header = diskstore.write_index(
         dataset,
@@ -297,8 +295,7 @@ def _run_bench(
         cache, sizes = _build_cache(args, index)
         report = search.run_workload(
             queries.vectors, params, index, cache, gt=gt, workers=args.workers,
-            repetitions=args.repetitions, reset_per_query=args.reset_per_query,
-            trace=trace,
+            reset_per_query=args.reset_per_query, trace=trace,
         )
 
     pairs: list[tuple[str, object]] = [
@@ -359,19 +356,20 @@ def _add_cache_flags(p: argparse.ArgumentParser) -> None:
                    help="fraction of the budget held by the static cache (default %(default)s)")
     p.add_argument("--policy", choices=POLICIES, default=DEFAULT_POLICY,
                    help="dynamic cache replacement policy (default %(default)s)")
-    p.add_argument("--cache-seed", type=int, default=0, help="seed for the RANDOM policy")
+    p.add_argument("--cache-seed", type=int, default=CacheConfig.seed,
+                   help="seed for the RANDOM policy")
 
 
-def _add_beam_flags(p: argparse.ArgumentParser, k_default: int = 100) -> None:
+def _add_beam_flags(p: argparse.ArgumentParser) -> None:
     """--k, --l and --beam-width: calibrate's search flags, and the first of
     the others'."""
-    p.add_argument("--k", type=int, default=k_default)
-    p.add_argument("--l", type=int, default=128)
+    p.add_argument("--k", type=int, default=search.SearchParams.k)
+    p.add_argument("--l", type=int, default=search.SearchParams.l)
     p.add_argument("--beam-width", type=int, default=search.SearchParams.beam_width)
 
 
-def _add_search_flags(p: argparse.ArgumentParser, k_default: int = 100) -> None:
-    _add_beam_flags(p, k_default)
+def _add_search_flags(p: argparse.ArgumentParser) -> None:
+    _add_beam_flags(p)
     p.add_argument(
         "--theta", type=float, default=None,
         help="transition threshold in (0,1); default: calibrated sidecar value, else 0.5",
@@ -386,7 +384,6 @@ def _add_workload_flags(p: argparse.ArgumentParser) -> None:
     _add_search_flags(p)
     _add_cache_flags(p)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--repetitions", type=int, default=1)
     p.add_argument("--reset-per-query", action="store_true")
     p.add_argument("--os-bypass", action="store_true", help="advise the OS to drop its cached index pages")
     p.add_argument("--out", default=None)
@@ -419,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pq-m", type=int, default=0, help="0 = auto (dim/4)")
     p.add_argument("--pq-c", type=int, default=256)
-    p.add_argument("--pq-iters", type=int, default=25)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("layout", help="lay the index out on disk and write the index file")
@@ -427,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--kind", choices=("insertion", "similarity"), default="similarity")
     p.add_argument("--page-size", type=int, default=diskstore.DEFAULT_PAGE_SIZE)
-    p.add_argument("--kmeans-iters", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_layout)
 
@@ -450,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index-dir", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--qid", type=int, default=0)
-    _add_search_flags(p, k_default=10)
+    _add_search_flags(p)
     _add_cache_flags(p)
     p.add_argument("--trace", default=None, help="write the per-expansion trace here")
     p.add_argument("--out", default=None)

@@ -244,11 +244,7 @@ def build_graph(
 
 
 def build_graph_counting_repairs(
-    dataset: VectorDataset,
-    R: int = 32,
-    L_build: int = 64,
-    alpha: float = 1.2,
-    seed: int = 0,
+    dataset: VectorDataset, R: int, L_build: int, alpha: float, seed: int
 ) -> tuple[GraphIndex, int]:
     """build_graph, and the number of edges its connectivity repair added."""
     n = dataset.n

@@ -146,14 +146,15 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 
 def lloyd_cluster(
-    points: np.ndarray, k: int, max_iters: int, seed: int
+    points: np.ndarray, k: int, max_iters: int = 25, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's iteration over a plain (n, d) array; shared by the layout and the
     product-quantizer trainer.
 
-    Returns (centroids float64 (k, d), assignment int32 (n,)).
-    Empty clusters are repaired by stealing the point currently farthest from
-    its own centroid (ties to the lowest id). Deterministic for a fixed seed.
+    Returns (centroids float64 (k, d), assignment int32 (n,)). Iterates until
+    the assignment stops changing, at most max_iters times. Empty clusters
+    are repaired by stealing the point currently farthest from its own
+    centroid (ties to the lowest id). Deterministic for a fixed seed.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     n = pts.shape[0]
@@ -219,26 +220,22 @@ def pack_pages(cluster_orders: list[np.ndarray], page_capacity: int) -> LayoutMa
 
 
 def build_similarity_layout(
-    dataset: VectorDataset,
-    page_capacity: int,
-    max_iters: int = 25,
-    seed: int = 0,
+    dataset: VectorDataset, page_capacity: int, seed: int = 0
 ) -> LayoutMap:
     """Balanced recursive 2-means bisection, then locality packing.
 
-    A part of more than two pages splits in two with Lloyd's k=2 (max_iters
-    iterations, its seed drawn per split from one default_rng(seed) stream in
-    depth-first order). Its points are ordered by |x-c0|^2 - |x-c1|^2, ties by
-    id, and cut at the page boundary nearest the size of cluster 0, leaving at
-    least one page on each side. A part of at most two pages is a cluster, so
-    a cluster covers the default two-page read window. Every part starts on a
-    page boundary, so only the last page is partly filled. The splits run off
-    an explicit stack: skewed data can make every cut one page deep.
+    A part of more than two pages splits in two with lloyd_cluster's k=2 (its
+    default 25 iterations at most, its seed drawn per split from one
+    default_rng(seed) stream in depth-first order). Its points are ordered by
+    |x-c0|^2 - |x-c1|^2, ties by id, and cut at the page boundary nearest the
+    size of cluster 0, leaving at least one page on each side. A part of at
+    most two pages is a cluster, so a cluster covers the default two-page
+    read window. Every part starts on a page boundary, so only the last page
+    is partly filled. The splits run off an explicit stack: skewed data can
+    make every cut one page deep.
     """
     if page_capacity < 1:
         raise ValueError(f"page_capacity must be >= 1, got {page_capacity}")
-    if max_iters < 1:
-        raise ValueError(f"k-means needs at least 1 iteration, got max_iters={max_iters}")
     rng = np.random.default_rng(seed)
     orders: list[np.ndarray] = []
     stack = [np.arange(dataset.n, dtype=np.int64)]
@@ -248,7 +245,7 @@ def build_similarity_layout(
         if ids.size <= 2 * page_capacity:
             orders.append(order_within_cluster(ids, pts.mean(axis=0), dataset))
             continue
-        centers, assignment = lloyd_cluster(pts, 2, max_iters, int(rng.integers(2**32)))
+        centers, assignment = lloyd_cluster(pts, 2, seed=int(rng.integers(2**32)))
         diff = pts - centers[0]
         score = np.einsum("ij,ij->i", diff, diff)
         np.subtract(pts, centers[1], out=diff)

@@ -55,9 +55,7 @@ def default_subspace_count(dim: int) -> int:
     return 1
 
 
-def train(
-    dataset: VectorDataset, m: int, c: int, seed: int = 0, iters: int = 25
-) -> PQCodebook:
+def train(dataset: VectorDataset, m: int, c: int, seed: int = 0) -> PQCodebook:
     """Train per-subspace codebooks with the shared Lloyd's implementation.
 
     Deterministic for a fixed seed (subspace j uses seed + j).
@@ -72,7 +70,7 @@ def train(
     centroids = np.empty((m, c, sub), dtype=np.float32)
     for j in range(m):
         block = dataset.vectors[:, j * sub : (j + 1) * sub]
-        centers, _ = lloyd_cluster(block, c, max_iters=iters, seed=seed + j)
+        centers, _ = lloyd_cluster(block, c, seed=seed + j)
         centroids[j] = centers.astype(np.float32)
     return PQCodebook(centroids=centroids)
 

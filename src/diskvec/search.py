@@ -259,8 +259,8 @@ def calibrate_theta(
     l: int,
     sample_fraction: float = 0.01,
     seed: int = 0,
-    beam_width: int = 4,
-    window_pages: int = 2,
+    beam_width: int = SearchParams.beam_width,
+    window_pages: int = SearchParams.window_pages,
 ) -> ThetaCalibration:
     """Estimate theta from a seeded sample of dataset vectors used as queries.
 
@@ -268,8 +268,13 @@ def calibrate_theta(
     query's true nearest neighbor (brute-force oracle) and t' the first
     iteration the baseline all-top-k rule fires; theta aggregates t/t' per
     aggregate_transition_ratios. Runs uncached and single-threaded, so it
-    reads no window: window_pages has no effect.
+    reads no window: window_pages has no effect. The dataset must be the
+    index's: one of another size is a ValueError.
     """
+    if dataset.n != reader.header.n:
+        raise ValueError(
+            f"dataset has {dataset.n} vectors but the index has {reader.header.n} nodes"
+        )
     if not 0.0 < sample_fraction <= 1.0:
         raise ValueError("sample_fraction must be in (0, 1]")
     count = int(round(sample_fraction * dataset.n))
@@ -300,9 +305,8 @@ def calibrate_theta(
 
 @dataclass
 class WorkloadReport:
-    """Timing, I/O, eviction and hit aggregates over every executed query
-    of every repetition; results, stats and recall_at_k come from the first
-    repetition."""
+    """Timing, I/O, eviction and hit aggregates over the workload's queries,
+    with each query's results and stats in query order."""
 
     query_count: int
     wall_time_s: float
@@ -322,8 +326,8 @@ class WorkloadReport:
     mean_transition_iter_theta: float
     mean_transition_iter_panns: float
     mean_iterations: float
-    results: list[list[int]]  # per query of the first repetition
-    stats: list[SearchStats]  # first repetition, query order
+    results: list[list[int]]  # per query
+    stats: list[SearchStats]  # query order
 
 
 def run_workload(
@@ -334,19 +338,17 @@ def run_workload(
     *,
     gt: np.ndarray | None = None,
     workers: int = 1,
-    repetitions: int = 1,
     reset_per_query: bool = False,
     trace: bool = False,
 ) -> WorkloadReport:
-    """Execute the query set repetitions times on a pool of workers threads
-    that share the cache.
+    """Execute the query set once on a pool of workers threads that share the
+    cache, starting from the cache as it is.
 
     Result id lists are deterministic regardless of worker count (caching is
     transparent to results); only timing and cache/I/O counters depend on
-    interleaving. The dynamic cache is emptied between repetitions and, with
-    reset_per_query, before every query; workers sharing the cache would
-    empty it under one another's queries, so reset_per_query with
-    workers > 1 is a ValueError.
+    interleaving. With reset_per_query the dynamic cache is emptied before
+    every query; workers sharing the cache would empty it under one another's
+    queries, so reset_per_query with workers > 1 is a ValueError.
     Missing ground truth leaves recall unreported; trace fills each query's
     stats.trace.
     """
@@ -356,8 +358,6 @@ def run_workload(
     Q = queries.shape[0]
     if Q < 1:
         raise ValueError("workload needs at least one query")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
     if gt is not None and gt.shape[0] != Q:
         raise ValueError(f"ground truth has {gt.shape[0]} rows for {Q} queries")
     if gt is not None and gt.shape[1] < params.k:
@@ -378,49 +378,45 @@ def run_workload(
             trace=trace,
         )
 
-    runs = []
     started = time.perf_counter()
     # a pool of one worker runs the queries in submission order
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for rep in range(repetitions):
-            if rep:
-                cache.reset_dynamic()
-            runs.append(list(pool.map(one, range(Q))))
+        outs = list(pool.map(one, range(Q)))
     wall = time.perf_counter() - started
-    first_results = [[nid for nid, _ in res] for res, _ in runs[0]]
-    all_stats = [st for outs in runs for _, st in outs]
+    results = [[nid for nid, _ in res] for res, _ in outs]
+    stats = [st for _, st in outs]
 
     mean_recall: float | None = None
     if gt is not None:
         recalls = [
             recall_at_k(np.array(ids), gt[qi, : params.k])
-            for qi, ids in enumerate(first_results)
+            for qi, ids in enumerate(results)
         ]
         mean_recall = float(np.mean(recalls))
 
-    lat = np.array([st.latency_s for st in all_stats]) * 1e3
+    lat = np.array([st.latency_s for st in stats]) * 1e3
     page_size = index.reader.header.page_size
-    hits_total = sum((st.hits for st in all_stats), HitStats())
+    hits_total = sum((st.hits for st in stats), HitStats())
 
     return WorkloadReport(
         query_count=Q,
         wall_time_s=wall,
-        qps=(Q * repetitions) / wall if wall > 0 else float("inf"),
+        qps=Q / wall if wall > 0 else float("inf"),
         latency_mean_ms=float(lat.mean()),
         latency_p50_ms=float(np.percentile(lat, 50)),
         latency_p95_ms=float(np.percentile(lat, 95)),
         latency_p99_ms=float(np.percentile(lat, 99)),
         recall_at_k=mean_recall,
-        mean_io_ops=float(np.mean([st.io_ops for st in all_stats])),
-        mean_pages_read=float(np.mean([st.pages_read for st in all_stats])),
-        mean_bytes_read=float(np.mean([st.pages_read * page_size for st in all_stats])),
-        mean_evictions=float(np.mean([st.evictions for st in all_stats])),
+        mean_io_ops=float(np.mean([st.io_ops for st in stats])),
+        mean_pages_read=float(np.mean([st.pages_read for st in stats])),
+        mean_bytes_read=float(np.mean([st.pages_read * page_size for st in stats])),
+        mean_evictions=float(np.mean([st.evictions for st in stats])),
         hit_rate_phase1=hits_total.phase1.hit_rate,
         hit_rate_phase2=hits_total.phase2.hit_rate,
         hits_total=hits_total,
-        mean_transition_iter_theta=float(np.mean([st.transition_iter_theta for st in all_stats])),
-        mean_transition_iter_panns=float(np.mean([st.transition_iter_panns for st in all_stats])),
-        mean_iterations=float(np.mean([st.iterations for st in all_stats])),
-        results=first_results,
-        stats=all_stats[:Q],
+        mean_transition_iter_theta=float(np.mean([st.transition_iter_theta for st in stats])),
+        mean_transition_iter_panns=float(np.mean([st.transition_iter_panns for st in stats])),
+        mean_iterations=float(np.mean([st.iterations for st in stats])),
+        results=results,
+        stats=stats,
     )

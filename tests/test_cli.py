@@ -74,7 +74,7 @@ def test_full_pipeline_and_bench_report(tmp_path, capsys):
     for key in (
         "layout_kind", "k", "l", "beam_width", "theta", "window_pages",
         "cache_budget_nodes", "static_frac", "policy", "cache_seed",
-        "workers", "repetitions", "os_cache_bypass", "page_size",
+        "workers", "os_cache_bypass", "page_size",
     ):
         assert key in report, f"missing config echo {key}"
     assert report["layout_kind"] == "similarity"
@@ -435,18 +435,45 @@ def test_environment_sets_no_flag_default(tmp_path, monkeypatch, foreign_sidecar
     assert parse_report(report)["workers"] == "1"
 
 
+_REQUIRED_FLAGS = {
+    "layout": ["--index-dir", "idx", "--dataset", "d.fvecs"],
+    "calibrate": ["--index-dir", "idx", "--dataset", "d.fvecs"],
+    "query": ["--index-dir", "idx", "--queries", "q.fvecs"],
+    "bench": ["--index-dir", "idx", "--queries", "q.fvecs"],
+    "compare": ["--a-index-dir", "a", "--b-index-dir", "b", "--queries", "q.fvecs"],
+}
+
+
 @pytest.mark.parametrize(
     "command, dest, library_default",
     [("bench", "static_frac", CacheConfig.static_fraction),
      ("bench", "policy", DEFAULT_POLICY),
+     ("bench", "cache_seed", CacheConfig.seed),
      ("bench", "beam_width", SearchParams.beam_width),
      ("bench", "window_pages", SearchParams.window_pages),
-     ("layout", "page_size", DEFAULT_PAGE_SIZE)],
+     ("layout", "page_size", DEFAULT_PAGE_SIZE),
+     *[(command, dest, getattr(SearchParams, dest))
+       for command in ("calibrate", "query", "bench", "compare") for dest in ("k", "l")]],
 )
 def test_flag_default_is_the_library_default(command, dest, library_default):
-    required = {"bench": ["--queries", "q.fvecs"], "layout": ["--dataset", "d.fvecs"]}
-    args = build_parser().parse_args([command, "--index-dir", "idx", *required[command]])
+    args = build_parser().parse_args([command, *_REQUIRED_FLAGS[command]])
     assert getattr(args, dest) == library_default
+
+
+def test_quickstart_bench_runs_at_the_default_k_and_l(foreign_sidecars, tmp_path):
+    # the truth file is 10 deep, as the quickstart's `gt --k 10` writes it
+    queries, index_dir, _ = foreign_sidecars
+    argv = ["bench", "--index-dir", str(index_dir), "--queries", str(queries),
+            "--gt", str(index_dir.parent / "gt.ivecs")]
+    default, explicit = tmp_path / "default.txt", tmp_path / "explicit.txt"
+    assert main([*argv, "--out", str(default)]) == 0
+    assert main([*argv, "--k", "10", "--l", "100", "--out", str(explicit)]) == 0
+    reports = [
+        {k: v for k, v in parse_report(path).items() if not is_timing_key(k) and k != "out"}
+        for path in (default, explicit)
+    ]
+    assert reports[0] == reports[1]
+    assert (reports[0]["k"], reports[0]["l"]) == ("10", "100")
 
 
 def test_layout_insertion_identity_and_content_preserved(tmp_path):
@@ -595,23 +622,18 @@ def test_negative_cache_budget_exits_2(foreign_sidecars, capsys):
     assert "total_budget_nodes must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "command, flag, value",
-    [("layout", "--kmeans-iters", "0"), ("layout", "--kmeans-iters", "-1"),
-     ("build", "--pq-iters", "0")],
-)
-def test_no_kmeans_iteration_exits_2_naming_the_count(foreign_sidecars, command, flag, value,
-                                                       tmp_path, capsys):
-    err = _usage_error(foreign_sidecars, [command, flag, value], tmp_path, capsys)
-    assert f"max_iters={value}" in err
-
-
-def test_no_kmeans_iteration_exits_2_on_an_index_of_two_pages(foreign_sidecars, tmp_path,
-                                                               capsys):
-    # 400 nodes fit two 16 KiB pages, a part the layout never splits
-    err = _usage_error(foreign_sidecars, ["layout", "--page-size", "16384", "--kmeans-iters", "0"],
-                       tmp_path, capsys)
-    assert "max_iters=0" in err
+def test_calibrate_refuses_a_dataset_of_another_size(foreign_sidecars, tmp_path, capsys):
+    _, index_dir, _ = foreign_sidecars
+    out = tmp_path / "idx"
+    shutil.copytree(index_dir, out)
+    capsys.readouterr()
+    rc = main(["calibrate", "--index-dir", str(out),
+               "--dataset", str(index_dir.parent / "small.fvecs")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "300" in err and "400" in err
+    assert (out / "theta.txt").read_bytes() == (index_dir / "theta.txt").read_bytes()
 
 
 def test_bench_runs_one_worker_unless_asked(foreign_sidecars, tmp_path, capsys):

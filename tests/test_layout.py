@@ -118,6 +118,9 @@ def test_kmeans_centroids_are_member_means(dim):
 def test_kmeans_k_out_of_range():
     with pytest.raises(ValueError):
         lloyd_cluster(np.zeros((4, 2)), 5, 25, seed=0)
+    # and an iteration count out of range
+    with pytest.raises(ValueError, match="max_iters=0"):
+        lloyd_cluster(np.zeros((4, 2)), 2, 0, seed=0)
 
 
 def _grid(draw, rows: int, dim: int) -> np.ndarray:

@@ -79,7 +79,7 @@ def test_training_and_encoding_memory_does_not_grow_with_n_times_c():
     ds = _ds(np.random.default_rng(7).normal(size=(20_000, 16)))
     tracemalloc.start()
     try:
-        encode_dataset(ds, train(ds, m=2, c=256, iters=2))
+        encode_dataset(ds, train(ds, m=2, c=256))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

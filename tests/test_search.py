@@ -953,12 +953,12 @@ def test_workload_repetitions_reset_dynamic_cache(smoke):
     params = SearchParams(k=10, l=40, theta=0.5)
     with smoke.index("sim") as index:
         cache = smoke.cache(index, budget=80)
-        once = run_workload(smoke.queries[:10], params, index, cache)
+        first = run_workload(smoke.queries[:10], params, index, cache)
         cache.reset_dynamic()
-        twice = run_workload(smoke.queries[:10], params, index, cache, repetitions=2)
-    # a reset between repetitions makes each pass identical to a single run
-    assert twice.mean_io_ops == pytest.approx(once.mean_io_ops, abs=1e-9)
-    assert twice.results == once.results
+        again = run_workload(smoke.queries[:10], params, index, cache)
+    # emptying the dynamic cache makes the second run identical to the first
+    assert again.mean_io_ops == first.mean_io_ops
+    assert again.results == first.results
 
 
 def test_workload_reset_per_query_mode(smoke):
@@ -985,16 +985,13 @@ def test_workload_reset_per_query_refuses_more_workers(smoke):
 @pytest.mark.parametrize("policy", ["LFU", "FIFO", "RANDOM"])
 def test_workload_counters_reconcile(smoke, workers, budget, policy):
     params = SearchParams(k=10, l=40, theta=0.5)
-    reps = 2
     with smoke.index("sim") as index:
         cache = smoke.cache(index, budget=budget, policy=policy)
-        report = run_workload(
-            smoke.queries, params, index, cache, workers=workers, repetitions=reps, trace=True,
-        )
+        report = run_workload(smoke.queries, params, index, cache, workers=workers, trace=True)
         io_ops, pages_read, _ = index.reader.stats.snapshot()
-    executed = report.query_count * reps
-    assert report.mean_io_ops * executed == pytest.approx(io_ops, abs=1e-6)
-    assert report.mean_pages_read * executed == pytest.approx(pages_read, abs=1e-6)
+    q = report.query_count
+    assert report.mean_io_ops * q == pytest.approx(io_ops, abs=1e-6)
+    assert report.mean_pages_read * q == pytest.approx(pages_read, abs=1e-6)
     for st in report.stats:
         misses = st.hits.phase1.misses + st.hits.phase2.misses
         assert st.hits.phase1.lookups + st.hits.phase2.lookups == len(st.trace)

@@ -15,8 +15,9 @@ the change's BENCHMARK.json. One traced run per side (change first) on the
 first seed of each workload fills "traced"; with one run per side, its
 timings and bench.trace_overhead_ratio are single readings, not a paired
 measurement. The file's "verdict" states the claimed metric's result and
-each metric's median against its bound; what the runs showed beyond that
-is added by hand as verdict.not_as_predicted.
+each metric's no-regression status (see no_regression_status) with its
+median against its bound; what the runs showed beyond that is added by hand
+as verdict.not_as_predicted.
 The record's keys are written into --out, which keeps any other keys it
 already holds (such as those of tools/layout_scale.py and
 tools/static_share.py).
@@ -56,6 +57,26 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> tu
 def summary(runs: list[float]) -> dict:
     q1, median, q3 = np.percentile(runs, [25, 50, 75])
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "runs": runs}
+
+
+def no_regression_status(parent: list[float], change: list[float], better: str,
+                         bound: float) -> str:
+    """"worse", "not worse" or "unresolved" for one end-to-end metric on one
+    workload, from each side's runs, paired by seed. Where the parent's
+    interquartile range, as a share of its median, exceeds the bound, the
+    runs spread too widely to tell, so the status is unresolved, unless every
+    change run is better than every parent run, or every pair is identical
+    (then the spread is the seeds' own, and no run moved). Otherwise the
+    change is worse when its median is worse than the parent's by more than
+    the bound, as a share of the parent's."""
+    sign = 1 if better == "lower" else -1
+    if change == parent or all(sign * (p - c) > 0 for p in parent for c in change):
+        return "not worse"
+    q1, median, q3 = np.percentile(parent, [25, 50, 75])
+    if q3 - q1 > bound * abs(median):
+        return "unresolved"
+    worse = sign * (np.median(change) - median) / abs(median)
+    return "worse" if worse > bound else "not worse"
 
 
 def merge_into(path: Path, record: dict) -> None:
@@ -123,6 +144,8 @@ def main() -> int:
                     "ties": sum(d == 0 for d in diffs),
                     "median_change_over_parent": change["median"] / parent["median"],
                     "parent_iqr": parent["q3"] - parent["q1"],
+                    "status": no_regression_status(runs["parent"], runs["change"],
+                                                   m["better"], m["bound"]),
                     "parent": parent, "change": change,
                 }
             timing_keys = out["change"]["records"][0]["timings"]
@@ -165,9 +188,11 @@ def main() -> int:
         for name, m in entry["metrics"].items():
             sign = 1 if m["better"] == "lower" else -1
             worse = sign * (m["change"]["median"] - m["parent"]["median"]) / m["parent"]["median"]
-            bounds.append(f"{w} {name}: median {m['parent']['median']:.6g} -> "
+            bounds.append(f"{w} {name}: {m['status']}; median {m['parent']['median']:.6g} -> "
                           f"{m['change']['median']:.6g} ({'worse' if worse > 0 else 'not worse'} "
-                          f"by {abs(worse):.2%} against a bound of {m['bound']:.0%}; "
+                          f"by {abs(worse):.2%} against a bound of {m['bound']:.0%}, parent "
+                          f"interquartile range {m['parent_iqr'] / m['parent']['median']:.2%} "
+                          f"of its median; "
                           f"change better in {m['change_wins']}, worse in {m['change_losses']}, "
                           f"tied in {m['ties']} of {pairs} pairs)")
     merge_into(args.out, {
@@ -185,6 +210,11 @@ def main() -> int:
                   "(parent first on odd seeds). Medians and quartiles are numpy.percentile "
                   f"(linear) over the {pairs} runs of a side. change_wins counts pairs where "
                   "the change is better in the metric's direction; ties count for neither. "
+                  "Each metric's status is unresolved where the parent's interquartile "
+                  "range exceeds the bound as a share of its median, unless every change "
+                  "run beats every parent run or every pair is identical (then not "
+                  "worse); otherwise worse when the change's median is worse than the "
+                  "parent's by more than the bound. "
                   "\"traced\" holds one traced run per side on the first seed, so its "
                   "timings and trace overhead ratio are single readings, not pairs."
                   + (f" {args.method_note}" if args.method_note else ""),
