@@ -29,7 +29,7 @@ from .diskstore import DiskPage, Index, IndexReader
 from .errors import InvariantError
 from .layout import LayoutMap, compute_read_interval
 from .pqcodec import PQCodebook, build_distance_table, pq_distance, pq_distance_batch
-from .vecdata import VectorDataset, ground_truth_batch, recall_at_k
+from .vecdata import VectorDataset, recall_at_k
 
 
 @dataclass
@@ -245,7 +245,7 @@ def aggregate_transition_ratios(pairs: list[tuple[int, int]]) -> float:
 class ThetaCalibration:
     theta: float
     sample_count: int
-    usable_count: int  # samples whose true nearest neighbor was expanded
+    usable_count: int  # samples whose search expanded a node at distance 0
     early_count: int  # samples where the true round beat the baseline rule
 
 
@@ -264,12 +264,13 @@ def calibrate_theta(
 ) -> ThetaCalibration:
     """Estimate theta from a seeded sample of dataset vectors used as queries.
 
-    Per sample, t is the iteration of the first trace record that expands the
-    query's true nearest neighbor (brute-force oracle) and t' the first
-    iteration the baseline all-top-k rule fires; theta aggregates t/t' per
-    aggregate_transition_ratios. Runs uncached and single-threaded, so it
-    reads no window: window_pages has no effect. The dataset must be the
-    index's: one of another size is a ValueError.
+    A sampled row is its own nearest neighbor, so per sample t is the
+    iteration of the first expansion at distance 0 (the row's node or an exact
+    copy of it) and t' the first iteration the baseline all-top-k rule fires;
+    theta aggregates t/t' per aggregate_transition_ratios. Runs uncached and
+    single-threaded, so it reads no window: window_pages has no effect. The
+    dataset must be the index's: one of another size, or a sampled row that
+    is not its node's stored vector, is a ValueError.
     """
     if dataset.n != reader.header.n:
         raise ValueError(
@@ -284,14 +285,18 @@ def calibrate_theta(
         )
     rng = np.random.default_rng(seed)
     sample_ids = np.sort(rng.choice(dataset.n, size=count, replace=False))
+    runs = reader.read_pages((layout.node_rank[sample_ids] // layout.page_capacity).tolist())
+    pages = {page.page_id: page for run in runs for page in run}
+    for i in sample_ids.tolist():
+        stored, _ = pages[layout.page_of(i)].slot(layout.slot_of(i), expect_node=i)
+        if not np.array_equal(stored, dataset.vectors[i]):
+            raise ValueError(f"dataset vector {i} is not node {i} of the index")
     blank = HybridCache({}, 0, layout)
     params = SearchParams(k=k, l=l, beam_width=beam_width, theta=0.5)
-    nearest = ground_truth_batch(dataset, dataset.vectors[sample_ids], 1)[:, 0]
     pairs: list[tuple[int, int]] = []
-    for qid, nn1 in zip(sample_ids.tolist(), nearest.tolist()):
-        q = dataset.vectors[qid]
+    for q in dataset.vectors[sample_ids]:
         _, st = beam_search(q, params, reader, layout, blank, codebook, codes, trace=True)
-        t = next((rec.iteration for rec in st.trace if rec.node_id == nn1), None)
+        t = next((rec.iteration for rec in st.trace if rec.exact_dist == 0.0), None)
         if t is not None:
             pairs.append((t, st.transition_iter_panns))
     theta = aggregate_transition_ratios(pairs)

@@ -38,3 +38,25 @@ WIDE = [7.0, 8.0, 10.0, 12.0, 13.0]
 )
 def test_no_regression_status(parent, change, better, status):
     assert bench_pairs.no_regression_status(parent, change, better, bound=0.15) == status
+
+
+SPEC = {
+    "workloads": [{"name": "query-small-cache"}, {"name": "query-warm-cache"}],
+    "end_to_end": [{"name": "io_ops_per_query"}, {"name": "recall_at_10"}],
+}
+
+
+@pytest.mark.parametrize(
+    "claimed, workload, error",
+    [
+        (None, None, None),  # no gain claimed
+        ("io_ops_per_query", "query-small-cache", None),
+        ("io_ops_per_querry", "query-small-cache", "not an end-to-end metric"),
+        ("io_ops_per_query", None, "needs --claimed-workload"),
+        ("io_ops_per_query", "query-cold-cache", "not a workload"),
+        (None, "query-small-cache", "needs --claimed"),
+    ],
+)
+def test_claim_error(claimed, workload, error):
+    got = bench_pairs.claim_error(SPEC, claimed, workload)
+    assert got is None if error is None else error in got

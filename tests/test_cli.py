@@ -636,6 +636,23 @@ def test_calibrate_refuses_a_dataset_of_another_size(foreign_sidecars, tmp_path,
     assert (out / "theta.txt").read_bytes() == (index_dir / "theta.txt").read_bytes()
 
 
+def test_calibrate_refuses_a_same_size_dataset_of_another_build(foreign_sidecars, tmp_path,
+                                                                capsys):
+    _, index_dir, _ = foreign_sidecars
+    out = tmp_path / "idx"
+    shutil.copytree(index_dir, out)
+    other = tmp_path / "other.fvecs"
+    assert main(["synth", "--out", str(other), "--n", "400", "--dim", "8", "--blobs", "4",
+                 "--seed", "1"]) == 0
+    capsys.readouterr()
+    rc = main(["calibrate", "--index-dir", str(out), "--dataset", str(other)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: dataset vector ") and len(err.splitlines()) == 1
+    assert "is not node" in err
+    assert (out / "theta.txt").read_bytes() == (index_dir / "theta.txt").read_bytes()
+
+
 def test_bench_runs_one_worker_unless_asked(foreign_sidecars, tmp_path, capsys):
     queries, index_dir, _ = foreign_sidecars
     out = tmp_path / "report.txt"

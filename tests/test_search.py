@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
+from diskvec import search
 from diskvec.cache import (
     POLICIES,
     PRELOAD_GAP_PAGES,
@@ -21,13 +22,16 @@ from diskvec.diskstore import IndexReader, _slot_dtype
 from diskvec.errors import FormatError
 from diskvec.search import (
     SearchParams,
+    SearchStats,
+    ThetaCalibration,
+    TraceRecord,
     aggregate_transition_ratios,
     beam_search,
     calibrate_theta,
     detect_transition,
     run_workload,
 )
-from diskvec.vecdata import recall_at_k
+from diskvec.vecdata import ground_truth_batch, recall_at_k
 
 from builders import write_custom_index
 
@@ -865,6 +869,59 @@ def test_calibrate_theta_determinism(smoke):
             k=10, l=40, sample_fraction=0.02, seed=4,
         )
     assert a == b
+
+
+def test_calibrate_theta_takes_t_from_the_first_expansion_at_distance_zero(smoke, monkeypatch):
+    # a copy of the sample (another node at distance 0) expanded at iteration 2,
+    # before the sample's own node at iteration 6: the copy is the true nearest
+    # neighbor found first, so t = 2 and every ratio is 2/10
+    vectors = smoke.dataset.vectors
+
+    def copy_first(q, *args, **kwargs):
+        own = int(np.flatnonzero((vectors == q).all(axis=1))[0])
+        copy = (own + 1) % len(vectors)
+        trace = [TraceRecord(1, smoke.graph.entry_id, 5.0, 1, "miss"),
+                 TraceRecord(2, copy, 0.0, 1, "miss"),
+                 TraceRecord(6, own, 0.0, 2, "miss")]
+        return [], SearchStats(trace=trace, transition_iter_panns=10)
+
+    monkeypatch.setattr(search, "beam_search", copy_first)
+    with smoke.index("sim") as index:
+        cal = calibrate_theta(
+            smoke.dataset, index.reader, index.layout, index.codebook, index.codes,
+            k=10, l=40, sample_fraction=0.02, seed=4,
+        )
+    assert cal == ThetaCalibration(theta=0.2, sample_count=10, usable_count=10, early_count=10)
+
+
+@pytest.mark.parametrize("fraction, seed", [(0.05, 3), (0.02, 4), (0.1, 7)])
+def test_calibrate_theta_matches_the_brute_force_oracle_rule(smoke, fraction, seed):
+    # the reference: t from the expansion of each sample's brute-force nearest
+    # neighbor, which on this corpus (no duplicate vectors) is the sample itself
+    with smoke.index("sim") as index:
+        cal = calibrate_theta(
+            smoke.dataset, index.reader, index.layout, index.codebook, index.codes,
+            k=10, l=40, sample_fraction=fraction, seed=seed,
+        )
+        ids = np.sort(np.random.default_rng(seed).choice(
+            smoke.dataset.n, size=int(round(fraction * smoke.dataset.n)), replace=False))
+        nearest = ground_truth_batch(smoke.dataset, smoke.dataset.vectors[ids], 1)[:, 0]
+        params = SearchParams(k=10, l=40, theta=0.5)
+        pairs = []
+        for qid, nn1 in zip(ids.tolist(), nearest.tolist()):
+            _, st = beam_search(smoke.dataset.vectors[qid], params, index.reader, index.layout,
+                                HybridCache({}, 0, index.layout), index.codebook,
+                                index.codes, trace=True)
+            t = next((rec.iteration for rec in st.trace if rec.node_id == nn1), None)
+            if t is not None:
+                pairs.append((t, st.transition_iter_panns))
+    assert cal == ThetaCalibration(
+        theta=aggregate_transition_ratios(pairs),
+        sample_count=ids.size,
+        usable_count=len(pairs),
+        early_count=sum(1 for t, tp in pairs if t < tp),
+    )
+    assert cal.usable_count > 0
 
 
 def test_calibrate_theta_empty_sample_is_an_error(smoke):

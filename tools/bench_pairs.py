@@ -5,7 +5,8 @@
         --seeds 1-10 --seconds 20 --out BENCH_<sha>.json
 
 Without --claimed the file records the pairs and bounds of a change that
-claims no gain.
+claims no gain. --claimed and --claimed-workload are checked against the
+change's BENCHMARK.json before the first run; a name it lacks exits 2.
 
 Each side runs from its own `git archive` of its commit, in a fresh
 directory, through the unchanged `bench/run.py`. Per workload there is one
@@ -92,6 +93,22 @@ def seeds_arg(text: str) -> list[int]:
     return list(range(int(first), int(last or first) + 1))
 
 
+def claim_error(spec: dict, claimed: str | None, workload: str | None) -> str | None:
+    """Why --claimed and --claimed-workload cannot be judged against spec, a
+    BENCHMARK.json, or None when they can (or when no gain is claimed)."""
+    if claimed is None:
+        return None if workload is None else "--claimed-workload needs --claimed"
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    workloads = [w["name"] for w in spec["workloads"]]
+    if claimed not in metrics:
+        return f"--claimed {claimed!r} is not an end-to-end metric: {', '.join(metrics)}"
+    if workload is None:
+        return "--claimed needs --claimed-workload"
+    if workload not in workloads:
+        return f"--claimed-workload {workload!r} is not a workload: {', '.join(workloads)}"
+    return None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True)
@@ -114,6 +131,9 @@ def main() -> int:
         for side in SIDES:
             export(shas[side], trees[side])
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        problem = claim_error(spec, args.claimed, args.claimed_workload)
+        if problem:
+            parser.error(problem)
         workloads, traced = {}, {}
         host = None
         for w in (entry["name"] for entry in spec["workloads"]):
