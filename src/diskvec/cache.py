@@ -340,32 +340,23 @@ class HybridCache:
         self.dynamic = DynamicCache(dynamic_capacity_pages, policy=policy, seed=seed)
         self.layout = layout
         self._lock = threading.Lock()
-        # the reads that filled static_entries, when from_config made them
-        self.preload_io_ops = 0
-        self.preload_pages_read = 0
 
     @classmethod
     def from_config(cls, cfg: CacheConfig, index: Index) -> HybridCache:
         """Preload the static share and size the dynamic share of cfg's budget.
 
-        The preload reads are setup cost, not workload I/O: the cache keeps
-        them as preload_io_ops and preload_pages_read, and the reader's totals
-        are reset afterwards.
+        The preload reads through index.reader, whose totals count them like
+        any other read; a caller that wants them apart takes reader snapshots
+        around this call.
         """
-        before = index.reader.stats.snapshot()
         entries = preload_static(None, index.reader, index.layout, cfg.static_capacity_nodes)
-        after = index.reader.stats.snapshot()
-        index.reader.stats.reset()
-        cache = cls(
+        return cls(
             entries,
             cfg.dynamic_capacity_pages(index.layout.page_capacity),
             index.layout,
             policy=cfg.policy,
             seed=cfg.seed,
         )
-        cache.preload_io_ops = after[0] - before[0]
-        cache.preload_pages_read = after[1] - before[1]
-        return cache
 
     @property
     def dynamic_capacity_pages(self) -> int:

@@ -288,11 +288,17 @@ def _run_bench(
     queries = vecdata.load_fvecs(args.queries)
     gt = vecdata.load_ivecs(args.gt) if args.gt else None
     with Index.open(index_dir) as index:
+        n = index.reader.header.n
+        bad = gt[(gt < 0) | (gt >= n)] if gt is not None else ()
+        if len(bad):
+            raise FormatError(f"{args.gt}: ground-truth id {int(bad[0])} is outside [0, {n})")
         bypass = "inactive"
         if args.os_bypass:
             bypass = "dontneed-advised" if index.reader.advise_drop_os_cache() else "unsupported"
         params, theta_source = _search_params(args, index_dir)
         cache, sizes = _build_cache(args, index)
+        # this run opened the reader, so its totals so far are the preload's
+        preload = index.reader.stats.snapshot()
         report = search.run_workload(
             queries.vectors, params, index, cache, gt=gt, workers=args.workers,
             reset_per_query=args.reset_per_query, trace=trace,
@@ -303,8 +309,8 @@ def _run_bench(
         ("theta", params.theta),
         ("theta_source", theta_source),
         *sizes.items(),
-        ("preload_io_ops", cache.preload_io_ops),
-        ("preload_pages_read", cache.preload_pages_read),
+        ("preload_io_ops", preload[0]),
+        ("preload_pages_read", preload[1]),
         ("os_cache_bypass", bypass),
         *_fields(report),
         *_fields(report.hits_total.phase1, "phase1_"),

@@ -118,7 +118,8 @@ class DiskPage:
 
 class IoStats:
     """Thread-safe counters for read requests and page transfers. Every page
-    is page_size bytes, so the bytes read are derived, not counted."""
+    is page_size bytes, so the bytes read are derived, not counted. The
+    totals only grow: a span's reads are the difference of two snapshots."""
 
     def __init__(self, page_size: int) -> None:
         self._lock = threading.Lock()
@@ -135,11 +136,6 @@ class IoStats:
         """(io_ops, pages_read, bytes read)."""
         with self._lock:
             return self.io_ops, self.pages_read, self.pages_read * self.page_size
-
-    def reset(self) -> None:
-        with self._lock:
-            self.io_ops = 0
-            self.pages_read = 0
 
 
 def write_index(

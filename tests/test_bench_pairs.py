@@ -1,7 +1,8 @@
-"""The no-regression status that tools/bench_pairs.py records per metric."""
+"""The no-regression status, claim checks and seed ranges of tools/bench_pairs.py."""
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 from pathlib import Path
 
@@ -60,3 +61,10 @@ SPEC = {
 def test_claim_error(claimed, workload, error):
     got = bench_pairs.claim_error(SPEC, claimed, workload)
     assert got is None if error is None else error in got
+
+
+def test_seeds_arg_refuses_an_empty_range():
+    # an empty range would export both trees, then fail on the first record
+    assert bench_pairs.seeds_arg("2-4") == [2, 3, 4]
+    with pytest.raises(argparse.ArgumentTypeError, match="empty seed range '5-2'"):
+        bench_pairs.seeds_arg("5-2")

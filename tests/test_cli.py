@@ -17,7 +17,7 @@ from diskvec.diskstore import DEFAULT_PAGE_SIZE
 from diskvec.graphbuild import load_graph
 from diskvec.layout import _HEADER as _LAYOUT_HEADER
 from diskvec.search import SearchParams, SearchStats
-from diskvec.vecdata import load_fvecs, load_ivecs, write_fvecs
+from diskvec.vecdata import load_fvecs, load_ivecs, write_fvecs, write_ivecs
 
 from builders import edit_index_header
 
@@ -664,6 +664,25 @@ def test_bench_runs_one_worker_unless_asked(foreign_sidecars, tmp_path, capsys):
     assert main(argv + ["--workers", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--workers must be >= 1" in err
+
+
+@pytest.mark.parametrize("command", ["bench", "compare"])
+@pytest.mark.parametrize("bad", [400, 99999, -1])
+def test_ground_truth_id_outside_the_index_exits_3(foreign_sidecars, command, bad, tmp_path,
+                                                   capsys):
+    queries, index_dir, _ = foreign_sidecars
+    gt = load_ivecs(index_dir.parent / "gt.ivecs")
+    gt[3, 2] = bad
+    bad_gt = tmp_path / "bad_gt.ivecs"
+    write_ivecs(bad_gt, gt)
+    dirs = (["--index-dir", str(index_dir)] if command == "bench"
+            else ["--a-index-dir", str(index_dir), "--b-index-dir", str(index_dir)])
+    capsys.readouterr()
+    rc = main([command, *dirs, "--queries", str(queries), "--gt", str(bad_gt),
+               "--k", "5", "--l", "40", "--cache-budget", "150"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == f"error: {bad_gt}: ground-truth id {bad} is outside [0, 400)\n"
 
 
 def test_bench_refuses_reset_per_query_on_more_workers(foreign_sidecars, capsys):

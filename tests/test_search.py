@@ -1044,8 +1044,10 @@ def test_workload_counters_reconcile(smoke, workers, budget, policy):
     params = SearchParams(k=10, l=40, theta=0.5)
     with smoke.index("sim") as index:
         cache = smoke.cache(index, budget=budget, policy=policy)
+        ops0, pages0, _ = index.reader.stats.snapshot()  # the preload's reads
         report = run_workload(smoke.queries, params, index, cache, workers=workers, trace=True)
-        io_ops, pages_read, _ = index.reader.stats.snapshot()
+        ops1, pages1, _ = index.reader.stats.snapshot()
+        io_ops, pages_read = ops1 - ops0, pages1 - pages0
     q = report.query_count
     assert report.mean_io_ops * q == pytest.approx(io_ops, abs=1e-6)
     assert report.mean_pages_read * q == pytest.approx(pages_read, abs=1e-6)

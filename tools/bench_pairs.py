@@ -90,7 +90,10 @@ def merge_into(path: Path, record: dict) -> None:
 
 def seeds_arg(text: str) -> list[int]:
     first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+    seeds = list(range(int(first), int(last or first) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
 
 
 def claim_error(spec: dict, claimed: str | None, workload: str | None) -> str | None:
