@@ -1,6 +1,8 @@
 """Hybrid cache: a frozen static node cache preloaded by BFS from the entry
 point, plus a dynamic page cache that admits every page a search reads, with
-FIFO / Random / LFU replacement. This module owns the read rule of every
+FIFO / Random / LFU replacement. The pages the preload read seed the dynamic
+cache, in read order, while it has free pages, so a page that set-up read is
+not read again while the cache holds it. This module owns the read rule of every
 cached read: `plan_reads` states what a search with dynamic pages reads and
 so admits, and `bridge_gaps` the gap rule it shares with `preload_static`.
 A search plans each read from one `residency` snapshot: the resident page
@@ -212,12 +214,19 @@ def plan_reads(
     return bridge_gaps(planned, resident)
 
 
+class StaticEntries(dict[int, tuple[np.ndarray, np.ndarray]]):
+    """`preload_static`'s entries, node id to (vector, adjacency), and in
+    `pages` the pages it read, in read order."""
+
+    pages: tuple[DiskPage, ...] = ()
+
+
 def preload_static(
     graph: object,
     reader: IndexReader,
     layout: LayoutMap,
     capacity_nodes: int,
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+) -> StaticEntries:
     """BFS from the entry point over the on-disk adjacency, admitting whole
     hops while they fit and truncating the final hop by ascending node id.
 
@@ -225,10 +234,13 @@ def preload_static(
     earlier hop read, one request per run of consecutive page ids, read
     through short gaps that no hop has read by the gap rule of `plan_reads`
     (bridge_gaps). Entries are copies of the on-disk (vector, adjacency)
-    bytes, so cached answers are identical to direct reads and the page
-    buffers are freed on return. `graph` is unused; bench/ still passes one.
+    bytes, so cached answers are identical to direct reads and stay valid
+    whatever becomes of the pages. The pages go with the entries, for
+    `HybridCache` to seed its dynamic share with; a page buffer is freed once
+    neither they nor that share hold it. `graph` is unused; bench/ still
+    passes one.
     """
-    entries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    entries = StaticEntries()
     if capacity_nodes <= 0:
         return entries
     pages: dict[int, DiskPage] = {}
@@ -253,6 +265,7 @@ def preload_static(
                     visited.add(j)
                     nxt.add(j)
         hop = sorted(nxt)
+    entries.pages = tuple(pages.values())
     return entries
 
 
@@ -326,7 +339,16 @@ class DynamicCache:
 
 
 class HybridCache:
-    """Static node cache + dynamic page cache behind one lookup surface."""
+    """Static node cache + dynamic page cache behind one lookup surface.
+
+    static_entries are copied into the static share, which stays frozen.
+    When they are `preload_static`'s, the pages the preload read are
+    admitted into the dynamic share in read order until it is full, so a
+    node on such a page that is not static is a dynamic hit from the first
+    query on. The seeding evicts nothing, and the cache keeps no reference to
+    the preload's list. A plain dict carries no pages and leaves the dynamic
+    share empty.
+    """
 
     def __init__(
         self,
@@ -338,12 +360,15 @@ class HybridCache:
     ):
         self.static = dict(static_entries)
         self.dynamic = DynamicCache(dynamic_capacity_pages, policy=policy, seed=seed)
+        for page in getattr(static_entries, "pages", ())[:dynamic_capacity_pages]:
+            self.dynamic.admit(page)
         self.layout = layout
         self._lock = threading.Lock()
 
     @classmethod
     def from_config(cls, cfg: CacheConfig, index: Index) -> HybridCache:
-        """Preload the static share and size the dynamic share of cfg's budget.
+        """Preload the static share and size the dynamic share of cfg's
+        budget, seeding it with the preload's pages while it has room.
 
         The preload reads through index.reader, whose totals count them like
         any other read; a caller that wants them apart takes reader snapshots

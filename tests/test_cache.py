@@ -560,6 +560,63 @@ def test_from_config_adds_the_preload_to_the_reader_totals(smoke):
         assert index.reader.stats.snapshot()[:2] == (1 + ops, 1 + pages)
 
 
+def _recorded_preload(r, lm, capacity):
+    """preload_static's entries and the ids of the pages it read, in read
+    order, as the reader served them."""
+    read: list[int] = []
+    read_pages = r.read_pages
+
+    def recording(page_ids):
+        out = read_pages(page_ids)
+        read.extend(page.page_id for run in out for page in run)
+        return out
+
+    r.read_pages = recording
+    try:
+        return preload_static(None, r, lm, capacity), read
+    finally:
+        r.read_pages = read_pages
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_preloaded_pages_seed_the_dynamic_share_in_read_order(smoke, policy):
+    # the share takes the first cap pages the preload read, in that order,
+    # and evicts none of them; a plain dict seeds nothing
+    lm = smoke.layout_sim
+    with smoke.index("sim").reader as r:
+        entries, read = _recorded_preload(r, lm, 37)
+        assert [page.page_id for page in entries.pages] == read
+        assert len(read) > 4
+        for cap in (0, 1, 4, len(read), len(read) + 3):
+            cache = HybridCache(entries, cap, lm, policy=policy)
+            assert list(cache.dynamic.pages) == read[:cap]
+            assert all(cache.dynamic.get(page.page_id) is page for page in entries.pages[:cap])
+            assert cache.static == dict(entries)
+        assert not HybridCache(dict(entries), 8, lm).dynamic.pages
+
+
+def test_non_static_node_on_a_preloaded_page_is_a_dynamic_hit_without_a_read(smoke):
+    lm = smoke.layout_sim
+    with smoke.index("sim").reader as r:
+        entries = preload_static(None, r, lm, 5)
+        cache = HybridCache(entries, 2, lm)
+        seeded = {page.page_id for page in entries.pages[:2]}
+        node = next(
+            int(nid) for pid in sorted(seeded) for nid in lm.nodes_on_page(pid)
+            if int(nid) not in entries
+        )
+        before = r.stats.snapshot()
+        stats = HitStats()
+        hit = cache.lookup(node, phase=1, hits=stats)
+        assert r.stats.snapshot() == before
+    assert hit is not None and hit[0] == "dynamic"
+    assert (stats.phase1.dynamic_hits, stats.phase1.misses) == (1, 0)
+    page = entries.pages[[p.page_id for p in entries.pages].index(lm.page_of(node))]
+    direct_vec, direct_adj = page.slot(lm.slot_of(node), expect_node=node)
+    assert hit[1].tobytes() == direct_vec.tobytes()
+    assert hit[2].tobytes() == direct_adj.tobytes()
+
+
 # ------------------------------------------------------------ hybrid lookups
 
 

@@ -560,7 +560,7 @@ def _digest(smoke, budget: int, hit_kinds: bool = True) -> str:
 
 @pytest.mark.parametrize("budget, want", [
     (0, "5eaee220899d92dd3e9bd03a2048b5f3de72df80cab53a1cf9f2574b4e4330a3"),
-    (80, "a27f667096900fe49545f7f76abb795daf25fa40181fcd95bc790239b22dac39"),
+    (80, "a7cc998b621fb17ffb18d58129d85a6014658b02f8e98e955398b6441ff222fe"),
 ], ids=["0", "80"])
 def test_results_and_traces_match_pinned_digest(smoke, budget, want):
     # pinned from the search that read one page per miss and scored each
@@ -608,7 +608,10 @@ def test_results_and_traces_match_pinned_digest(smoke, budget, want):
     # beam's fresh neighbours, and runs came to grow through the pages of the
     # next READ_AHEAD_BEAMS beams, not one: 53 misses became dynamic hits and
     # 15 dynamic hits misses, and the 20 queries made 130 requests for 246
-    # pages, not 156 for 260
+    # pages, not 156 for 260. Budget 80 was pinned again (a27f6670... ->
+    # a7cc998b...) when the pages the static preload reads came to seed the
+    # dynamic share: 3 misses became dynamic hits and 2 dynamic hits misses,
+    # and the 20 queries made 130 requests for 238 pages, not 130 for 246
     assert _digest(smoke, budget) == want
 
 
@@ -1028,6 +1031,19 @@ def test_workload_reset_per_query_mode(smoke):
     assert persist.results == isolated.results  # transparency again
 
 
+def test_preload_then_workload_reads_no_page_twice(smoke):
+    # with a dynamic share larger than the index, the preload's pages seed
+    # it, so neither the queries nor the preload read a page the other read
+    params = SearchParams(k=10, l=40, theta=0.5)
+    with smoke.index("sim") as index:
+        total_pages = index.reader.header.total_pages
+        cache = smoke.cache(index, budget=2 * total_pages * index.layout.page_capacity)
+        assert cache.dynamic_capacity_pages > total_pages
+        assert index.reader.stats.snapshot()[1] > 0  # the preload read pages
+        run_workload(smoke.queries, params, index, cache)
+        assert index.reader.stats.snapshot()[1] <= total_pages
+
+
 def test_workload_reset_per_query_refuses_more_workers(smoke):
     # workers sharing one cache would empty it under one another's queries
     with smoke.index("sim") as index:
@@ -1073,11 +1089,12 @@ def test_workload_admissions_and_evictions_match_the_cache(smoke, monkeypatch, p
     monkeypatch.setattr(HybridCache, "admit_pages", counting)
     with smoke.index("sim") as index:
         cache = smoke.cache(index, budget=80, policy=policy)
+        seeded = len(cache.dynamic.pages)  # the preload's pages, not admit_pages'
         report = run_workload(smoke.queries, params, index, cache, workers=1)
     q = report.query_count
-    assert evicted > 0
+    assert seeded > 0 and evicted > 0
     # with dynamic pages, every page read is admitted
     assert report.mean_pages_read * q == pytest.approx(admitted, abs=1e-6)
     assert report.mean_evictions * q == pytest.approx(evicted, abs=1e-6)
     # one worker admits only pages the dynamic cache lacks, so each adds a page
-    assert len(cache.dynamic.pages) == admitted - evicted
+    assert len(cache.dynamic.pages) == seeded + admitted - evicted
