@@ -609,10 +609,11 @@ def test_non_static_node_on_a_preloaded_page_is_a_dynamic_hit_without_a_read(smo
         stats = HitStats()
         hit = cache.lookup(node, phase=1, hits=stats)
         assert r.stats.snapshot() == before
+        direct_vec, direct_adj = r.read_page(lm.page_of(node)).slot(
+            lm.slot_of(node), expect_node=node
+        )
     assert hit is not None and hit[0] == "dynamic"
     assert (stats.phase1.dynamic_hits, stats.phase1.misses) == (1, 0)
-    page = entries.pages[[p.page_id for p in entries.pages].index(lm.page_of(node))]
-    direct_vec, direct_adj = page.slot(lm.slot_of(node), expect_node=node)
     assert hit[1].tobytes() == direct_vec.tobytes()
     assert hit[2].tobytes() == direct_adj.tobytes()
 
