@@ -346,7 +346,7 @@ class HybridCache:
     admitted into the dynamic share in read order until it is full, so a
     node on such a page that is not static is a dynamic hit from the first
     query on. The seeding evicts nothing, and the cache keeps no reference to
-    the preload's list. A plain dict carries no pages and leaves the dynamic
+    the entries' `pages`. A plain dict carries no pages and leaves the dynamic
     share empty.
     """
 
